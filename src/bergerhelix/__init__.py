@@ -2,72 +2,31 @@
 
 Construction of the explicit parametrization F(u, v) = A(v) beta(u),
 numerical certification of its defining identities, and mesh export.
+The top level re-exports what a caller of the pipeline needs; every
+other name lives in its submodule.
 """
 
-from .ambient import (
-    BergerParams,
-    FrameTriple,
-    J1,
-    J2,
-    J3,
-    berger_metric,
-    complex_structures,
-    connection_coefficients,
-    frame_components,
-    frame_decompose,
-    frame_reconstruct,
-    frame_triple,
-    hopf_frame,
-    hopf_map,
-)
-from .constants import AuxFieldParams, HelixConstants, ab_coefficients, \
-    compute_constants, lambda_field, phi_field
+from .ambient import BergerParams
+from .constants import HelixConstants, compute_constants
 from .family import (
     Constant,
-    FromCallable,
     Linear,
     Sinusoid,
-    Tabulated,
     XiProfile,
-    assemble,
-    assemble_derivative,
     derive_xi3,
-    detect_hopf_tube,
     example_profile,
     profile_from_config,
-    row1,
 )
-from .surface import (
-    HelixSurface,
-    SurfaceGrid,
-    beta,
-    beta_derivatives,
-    first_fundamental_form,
-    make_surface,
-    measured_angle,
-    normal_components,
-    partials,
-    position,
-    sample_grid,
-)
-from .verify import CheckEntry, CheckReport, VerifyConfig, run_all
-from .export import ProjectedMesh, export_csv, export_obj, project_grid, \
-    stereographic, stereographic_inverse
+from .surface import HelixSurface, SurfaceGrid, make_surface, sample_grid
+from .verify import CheckReport, VerifyConfig, run_all
+from .export import ProjectedMesh, export_csv, export_obj, project_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxFieldParams", "BergerParams", "CheckEntry", "CheckReport", "Constant",
-    "FrameTriple", "FromCallable", "HelixConstants", "HelixSurface", "J1",
-    "J2", "J3", "Linear", "ProjectedMesh", "Sinusoid", "SurfaceGrid",
-    "Tabulated", "VerifyConfig", "XiProfile", "ab_coefficients", "assemble",
-    "assemble_derivative", "berger_metric", "beta", "beta_derivatives",
-    "complex_structures", "compute_constants", "connection_coefficients",
-    "derive_xi3", "detect_hopf_tube", "example_profile", "export_csv",
-    "export_obj", "first_fundamental_form", "frame_components",
-    "frame_decompose", "frame_reconstruct", "frame_triple", "hopf_frame",
-    "hopf_map", "lambda_field", "make_surface", "measured_angle",
-    "normal_components", "partials", "phi_field", "position",
-    "profile_from_config", "project_grid", "row1", "run_all", "sample_grid",
-    "stereographic", "stereographic_inverse",
+    "BergerParams", "CheckReport", "Constant", "HelixConstants", "HelixSurface",
+    "Linear", "ProjectedMesh", "Sinusoid", "SurfaceGrid", "VerifyConfig",
+    "XiProfile", "compute_constants", "derive_xi3", "example_profile",
+    "export_csv", "export_obj", "make_surface", "profile_from_config",
+    "project_grid", "run_all", "sample_grid",
 ]

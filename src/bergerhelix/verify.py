@@ -1,7 +1,12 @@
 """Numerical certification of every checkable identity of a helix surface.
 
-Each check measures a residual against a stated tolerance and feeds one
-entry of a CheckReport.  Sample points come from a deterministic
+The checks form one registry, CHECKS.  Each maps a surface and a
+VerifyConfig to named residuals with their sample counts, and evaluates F
+and its partials through one surface.tangent_data call over all of its
+points.  run_all is a loop over the registry: it skips the helix-only
+checks on a Hopf tube, looks up each tolerance, reduces every residual
+with a NaN-propagating max (so a NaN fails its entry) and collects the
+entries in a CheckReport.  Sample points come from a deterministic
 low-discrepancy sequence, so two runs with the same configuration
 produce byte-identical reports.
 """
@@ -12,26 +17,27 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ambient import J1, connection_table, frame_components
+from .ambient import J1, connection_table
 from .constants import AuxFieldParams, ab_coefficients, lambda_field, phi_field
 from .errors import DegenerateTangentPlane, NearPole, SingularMetric
-from .family import assemble, assemble_derivative, detect_hopf_tube
+from .family import assemble, detect_hopf_tube
 from .surface import (
+    DEGENERATE,
     GRAM_DET_TOL,
     HelixSurface,
+    _dot,
     beta,
     beta_derivatives,
     first_fundamental_form,
     first_order_system_residual,
     fit_phase_constant,
-    partials,
-    position,
     recover_coefficient_fields,
     sample_grid,
+    tangent_data,
 )
 
 INFO = math.inf   # tolerance marker for report-only entries
@@ -61,6 +67,12 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 PHASE_READING_NOTE = (
     "closed-form normal check reads the first-component phase as xi2 - xi3"
 )
+
+H_CURVATURE = 1e-3    # finite-difference step of the curvature stencil
+H_SHAPE = 1e-3        # finite-difference step of the normal's derivative
+H_FIELD = 1e-5        # finite-difference step of the lambda / (a, b) / phi fields
+FIELD_SAMPLES = 200
+SEED = 0
 
 
 @dataclass(frozen=True)
@@ -111,19 +123,19 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Sampling sizes, finite-difference steps, and tolerance overrides."""
+    """Grid size of the angle sweep and tolerance overrides."""
 
     nu: int = 81
     nv: int = 81
-    n_samples: int = 200
-    h_curvature: float = 1e-3
-    h_shape: float = 1e-3
-    h_field: float = 1e-5
-    seed: int = 0
     tolerances: Dict[str, float] = field(default_factory=dict)
 
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
+    def tol(self, name: str, surface: HelixSurface) -> float:
+        """The tolerance an entry is judged by; the curvature one widens to
+        1e-2 |K| for large K."""
+        tol = self.tolerances.get(name, DEFAULT_TOLERANCES[name])
+        if name == "gauss_curvature":
+            tol = max(tol, 1e-2 * abs(surface.consts.gauss_k))
+        return tol
 
 
 def low_discrepancy(n: int, seed: int = 0) -> np.ndarray:
@@ -147,22 +159,135 @@ def _sample_points(surface: HelixSurface, n: int, seed: int,
             v0 + dv + pts[:, 1] * (v1 - v0 - 2 * dv))
 
 
+def _matrix(rows):
+    """Stack nested rows of broadcastable arrays into (..., n, m) matrices."""
+    return np.stack([np.stack(np.broadcast_arrays(*row), -1) for row in rows], -2)
+
+
+def _covariant(coord_comps, field_comps, d_field, gamma):
+    """Covariant derivative in frame components:
+    (d_field)_k + sum_ij coord_i field_j Gamma[i,j,k]."""
+    return d_field + np.einsum('...i,...j,ijk->...k', coord_comps, field_comps, gamma)
+
+
+def _unit_normals(normal):
+    """Unit normal frame components, flipped so the fiber component is >= 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        n = normal / np.sqrt(_dot(normal, normal))[..., None]
+    return np.where(n[..., :1] < 0, -n, n)
+
+
 # --------------------------------------------------------------------------
-# individual checks
+# differential probes
 # --------------------------------------------------------------------------
 
-def check_fourth_order_ode(surface: HelixSurface, samples: int = 1000,
-                           seed: int = 0) -> CheckEntry:
-    """Residual of F_uuuu + (b~^2 - 2 a~) F_uu + a~^2 F = 0."""
-    us, vs = _sample_points(surface, samples, seed)
-    c = surface.consts
-    comb = beta_derivatives(us, c, 4) \
-        + (c.b_tilde ** 2 - 2.0 * c.a_tilde) * beta_derivatives(us, c, 2) \
-        + c.a_tilde ** 2 * beta(us, c)
-    A = assemble(surface.profile, vs)
-    resid = float(np.max(np.abs(np.einsum('kij,kj->ki', A, comb))))
-    return CheckEntry("fourth_order_ode", resid, DEFAULT_TOLERANCES["fourth_order_ode"],
-                      resid <= DEFAULT_TOLERANCES["fourth_order_ode"], samples)
+def gauss_curvature_numeric(surface: HelixSurface, u, v, h: float = H_CURVATURE):
+    """Intrinsic curvature from the first fundamental form alone.
+
+    Builds (E, F, G) on a 3x3 stencil around each point (u, v), forms the
+    required first and second parameter derivatives by second-order
+    central differences, and evaluates the two-determinant curvature
+    formula det(M1) - det(M2) over (EG - F^2)^2.
+    """
+    u = np.asarray(u, dtype=float)[..., None, None]
+    v = np.asarray(v, dtype=float)[..., None, None]
+    step = np.array([-1.0, 0.0, 1.0]) * h
+    # Q[k, ..., i, j] is the k-th of (E, F, G) at (u + (i - 1) h, v + (j - 1) h)
+    Q = np.stack(first_fundamental_form(surface, u + step[:, None], v + step[None, :]))
+    E, Fc, G = Q[..., 1, 1]
+    det = E * G - Fc * Fc
+    if np.any(det < GRAM_DET_TOL):
+        raise SingularMetric(f"EG - F^2 = {np.min(det):.3e} at (u={u}, v={v})")
+    E_u, F_u, G_u = (Q[..., 2, 1] - Q[..., 0, 1]) / (2 * h)
+    E_v, F_v, G_v = (Q[..., 1, 2] - Q[..., 1, 0]) / (2 * h)
+    E_vv = (Q[0, ..., 1, 2] - 2 * E + Q[0, ..., 1, 0]) / h ** 2
+    G_uu = (Q[2, ..., 2, 1] - 2 * G + Q[2, ..., 0, 1]) / h ** 2
+    F_uv = (Q[1, ..., 2, 2] - Q[1, ..., 2, 0] - Q[1, ..., 0, 2] + Q[1, ..., 0, 0]) / (4 * h ** 2)
+    M1 = _matrix([
+        [-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v],
+        [F_v - 0.5 * G_u, E, Fc],
+        [0.5 * G_v, Fc, G],
+    ])
+    M2 = _matrix([
+        [0.0, 0.5 * E_v, 0.5 * G_u],
+        [0.5 * E_v, E, Fc],
+        [0.5 * G_u, Fc, G],
+    ])
+    return ((np.linalg.det(M1) - np.linalg.det(M2)) / det ** 2)[()]
+
+
+def _interior_points(surface: HelixSurface, n_side: int = 3,
+                     h: float = H_CURVATURE) -> np.ndarray:
+    """n_side^2 interior points as (u, v) rows, nudged off near-singular
+    parameter lines.
+
+    Finite differences of the induced metric amplify like the inverse
+    square of EG - F^2, so candidates keep stepping in u until the
+    relative determinant is healthy.
+    """
+    u0, u1 = surface.u_domain
+    v0, v1 = surface.v_domain
+    fracs = (np.arange(n_side) + 1.0) / (n_side + 1.0)
+    u = u0 + np.repeat(fracs, n_side) * (u1 - u0)
+    v = v0 + np.tile(fracs, n_side) * (v1 - v0)
+    for _ in range(16):
+        E, Fc, G = first_fundamental_form(surface, u, v)
+        nudge = ~(E * G - Fc * Fc > 0.05 * E * G)
+        if not np.any(nudge):
+            break
+        u = np.where(nudge, u0 + ((u - u0 + (u1 - u0) / 7.3) % (u1 - u0 - 2 * h)) + h, u)
+    return np.stack([u, v], axis=-1)
+
+
+def _shape_operators(surface: HelixSurface, u, v, h: float):
+    """Shape operators at the points (u, v), and where a normal of their
+    stencil degenerates (those operators are meaningless)."""
+    u = np.asarray(u, dtype=float)[..., None]
+    v = np.asarray(v, dtype=float)[..., None]
+    td = tangent_data(surface, u + np.array([0.0, h, -h, 0.0, 0.0]),
+                      v + np.array([0.0, 0.0, 0.0, h, -h]))
+    n = _unit_normals(td.normal)
+    n0, cu, cv = n[..., 0, :], td.cu[..., 0, :], td.cv[..., 0, :]
+    dNu = (n[..., 1, :] - n[..., 2, :]) / (2 * h)
+    dNv = (n[..., 3, :] - n[..., 4, :]) / (2 * h)
+    gamma = connection_table(surface.params)
+    Au = -_covariant(cu, n0, dNu, gamma)
+    Av = -_covariant(cv, n0, dNv, gamma)
+    e1 = cu / math.sin(surface.params.theta)
+    e2 = np.cross(n0, e1)
+    P = _matrix([[_dot(cu, e1), _dot(cv, e1)], [_dot(cu, e2), _dot(cv, e2)]])
+    M = _matrix([[_dot(Au, e1), _dot(Av, e1)], [_dot(Au, e2), _dot(Av, e2)]])
+    degenerate = np.any(td.defect == DEGENERATE, axis=-1)
+    invertible = ~degenerate & np.all(np.isfinite(P), axis=(-2, -1))
+    return M @ np.linalg.inv(np.where(invertible[..., None, None], P, np.eye(2))), degenerate
+
+
+def shape_operator_matrix(surface: HelixSurface, u, v, h: float = H_SHAPE) -> np.ndarray:
+    """The shape operator in the orthonormal tangent basis (T, JT)/sin(th).
+
+    The normal is differentiated along both coordinate directions by
+    central differences of its frame components, corrected by the
+    ambient connection; the operator is then expressed in the basis
+    made of the normalized tangent F_u and its quarter-turn.  Batched
+    over (u, v); raises DegenerateTangentPlane when a normal of the
+    stencil degenerates.
+    """
+    S, degenerate = _shape_operators(surface, u, v, h)
+    if np.any(degenerate):
+        raise DegenerateTangentPlane(f"degenerate tangent plane near (u={u}, v={v})")
+    return S
+
+
+def tangent_turn_coefficient(surface: HelixSurface, u: float, v: float,
+                             h: float = 1e-3) -> float:
+    """g(nabla_T T, JT) / sin^2(th), expected -2 eps cos(th)."""
+    th = surface.params.theta
+    td = tangent_data(surface, u + np.array([0.0, h, -h]), v)
+    cu = td.cu[0]
+    dT = (td.cu[1] - td.cu[2]) / (2 * h)
+    cov = _covariant(cu, cu, dT, connection_table(surface.params))
+    e2 = np.cross(_unit_normals(td.normal[0]), cu / math.sin(th))
+    return float(cov @ e2) / math.sin(th)
 
 
 def product_table_targets(consts) -> Dict[Tuple[int, int], float]:
@@ -181,211 +306,6 @@ def product_table_targets(consts) -> Dict[Tuple[int, int], float]:
         (3, 3): c.e_const,
     }
     return t
-
-
-def check_product_table(surface: HelixSurface, samples: int = 32,
-                        seed: int = 0) -> CheckEntry:
-    """The ten euclidean products of F and its first three u-derivatives.
-
-    The products are v-independent (the family acts orthogonally), so
-    sampling runs along u at the first v of the domain.  Residuals are
-    relative where the target exceeds 1 in magnitude.
-    """
-    us, _ = _sample_points(surface, samples, seed)
-    v0 = surface.v_domain[0]
-    c = surface.consts
-    A = assemble(surface.profile, v0)
-    ders = [(A @ beta_derivatives(us, c, k).T).T for k in range(4)]
-    worst = 0.0
-    for (i, j), target in product_table_targets(c).items():
-        got = np.sum(ders[i] * ders[j], axis=-1)
-        err = np.max(np.abs(got - target))
-        if abs(target) > 1.0:
-            err /= abs(target)
-        worst = max(worst, float(err))
-    tol = DEFAULT_TOLERANCES["product_table"]
-    return CheckEntry("product_table", worst, tol, worst <= tol, samples)
-
-
-def check_j1_products(surface: HelixSurface, samples: int = 32,
-                      seed: int = 0) -> CheckEntry:
-    """Products mixing J1 with the u-derivatives of F.
-
-    <J1 F, F_u> = sin^2(th)/eps, <J1 F, F_uu> = 0,
-    <F_u, J1 F_uu> = i_const, <J1 F_u, F_uuu> = 0.
-    """
-    us, vs = _sample_points(surface, samples, seed)
-    c = surface.consts
-    eps = surface.params.epsilon
-    th = surface.params.theta
-    A = assemble(surface.profile, vs)
-    d = [np.einsum('kij,kj->ki', A, beta_derivatives(us, c, k)) for k in range(4)]
-    j1 = [x @ J1.T for x in d]
-    worst = max(
-        float(np.max(np.abs(np.sum(j1[0] * d[1], -1) - math.sin(th) ** 2 / eps))),
-        float(np.max(np.abs(np.sum(j1[0] * d[2], -1)))),
-        float(np.max(np.abs(np.sum(d[1] * j1[2], -1) - c.i_const))
-              / max(1.0, abs(c.i_const))),
-        float(np.max(np.abs(np.sum(j1[1] * d[3], -1)))),
-    )
-    tol = DEFAULT_TOLERANCES["j1_products"]
-    return CheckEntry("j1_products", worst, tol, worst <= tol, samples)
-
-
-def gauss_curvature_numeric(surface: HelixSurface, u: float, v: float,
-                            h: float = 1e-3) -> float:
-    """Intrinsic curvature from the first fundamental form alone.
-
-    Builds (E, F, G) on a 3x3 stencil around (u, v), forms the required
-    first and second parameter derivatives by second-order central
-    differences, and evaluates the two-determinant curvature formula
-    det(M1) - det(M2) over (EG - F^2)^2.
-    """
-    S = {}
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            S[di, dj] = first_fundamental_form(surface, u + di * h, v + dj * h)
-    E, Fc, G = S[0, 0]
-    if E * G - Fc * Fc < GRAM_DET_TOL:
-        raise SingularMetric(f"EG - F^2 = {E * G - Fc * Fc:.3e} at (u={u}, v={v})")
-    E_u = (S[1, 0][0] - S[-1, 0][0]) / (2 * h)
-    E_v = (S[0, 1][0] - S[0, -1][0]) / (2 * h)
-    G_u = (S[1, 0][2] - S[-1, 0][2]) / (2 * h)
-    G_v = (S[0, 1][2] - S[0, -1][2]) / (2 * h)
-    F_u = (S[1, 0][1] - S[-1, 0][1]) / (2 * h)
-    F_v = (S[0, 1][1] - S[0, -1][1]) / (2 * h)
-    E_vv = (S[0, 1][0] - 2 * E + S[0, -1][0]) / h ** 2
-    G_uu = (S[1, 0][2] - 2 * G + S[-1, 0][2]) / h ** 2
-    F_uv = (S[1, 1][1] - S[1, -1][1] - S[-1, 1][1] + S[-1, -1][1]) / (4 * h ** 2)
-    M1 = np.array([
-        [-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v],
-        [F_v - 0.5 * G_u, E, Fc],
-        [0.5 * G_v, Fc, G],
-    ])
-    M2 = np.array([
-        [0.0, 0.5 * E_v, 0.5 * G_u],
-        [0.5 * E_v, E, Fc],
-        [0.5 * G_u, Fc, G],
-    ])
-    return float((np.linalg.det(M1) - np.linalg.det(M2)) / (E * G - Fc * Fc) ** 2)
-
-
-def _interior_points(surface: HelixSurface, n_side: int = 3,
-                     h: float = 1e-3) -> List[Tuple[float, float]]:
-    """n_side^2 interior points, nudged off near-singular parameter lines.
-
-    Finite differences of the induced metric amplify like the inverse
-    square of EG - F^2, so candidates keep stepping in u until the
-    relative determinant is healthy.
-    """
-    u0, u1 = surface.u_domain
-    v0, v1 = surface.v_domain
-    fracs = [(k + 1.0) / (n_side + 1.0) for k in range(n_side)]
-    pts = []
-    for fu in fracs:
-        for fv in fracs:
-            u = u0 + fu * (u1 - u0)
-            v = v0 + fv * (v1 - v0)
-            for _ in range(16):
-                E, Fc, G = first_fundamental_form(surface, u, v)
-                if E * G - Fc * Fc > 0.05 * E * G:
-                    break
-                u = u0 + ((u - u0 + (u1 - u0) / 7.3) % (u1 - u0 - 2 * h)) + h
-            pts.append((u, v))
-    return pts
-
-
-def check_gauss_curvature(surface: HelixSurface, point: Tuple[float, float],
-                          h: float = 1e-3) -> CheckEntry:
-    """Compare numeric intrinsic curvature with 4 (1 - eps^2) cos^2(th)."""
-    K = surface.consts.gauss_k
-    K_num = gauss_curvature_numeric(surface, point[0], point[1], h)
-    resid = abs(K_num - K)
-    tol = max(DEFAULT_TOLERANCES["gauss_curvature"], 1e-2 * abs(K))
-    return CheckEntry("gauss_curvature", resid, tol, resid <= tol, 1)
-
-
-def _oriented_unit_normal(surface: HelixSurface, u: float, v: float) -> np.ndarray:
-    """Unit normal frame components, flipped so the fiber component is >= 0."""
-    F = position(surface, u, v)
-    fu, fv = partials(surface, u, v)
-    gram = float(fu @ fu) * float(fv @ fv) - float(fu @ fv) ** 2
-    if gram < GRAM_DET_TOL:
-        raise DegenerateTangentPlane(f"Gram determinant {gram:.3e} at ({u}, {v})")
-    n = np.cross(frame_components(surface.params, F, fu),
-                 frame_components(surface.params, F, fv))
-    n = n / np.linalg.norm(n)
-    return -n if n[0] < 0 else n
-
-
-def _covariant_along(surface: HelixSurface, coord_comps: np.ndarray,
-                     field_comps: np.ndarray, d_field: np.ndarray,
-                     gamma: np.ndarray) -> np.ndarray:
-    """Covariant derivative in frame components:
-    (d_field)_k + sum_ij coord_i field_j Gamma[i,j,k]."""
-    return d_field + np.einsum('i,j,ijk->k', coord_comps, field_comps, gamma)
-
-
-def shape_operator_matrix(surface: HelixSurface, u: float, v: float,
-                          h: float = 1e-3) -> np.ndarray:
-    """The shape operator in the orthonormal tangent basis (T, JT)/sin(th).
-
-    The normal is differentiated along both coordinate directions by
-    central differences of its frame components, corrected by the
-    ambient connection; the operator is then expressed in the basis
-    made of the normalized tangent F_u and its quarter-turn.
-    """
-    gamma = connection_table(surface.params)
-    th = surface.params.theta
-    F = position(surface, u, v)
-    fu, fv = partials(surface, u, v)
-    cu = frame_components(surface.params, F, fu)
-    cv = frame_components(surface.params, F, fv)
-    n0 = _oriented_unit_normal(surface, u, v)
-    dNu = (_oriented_unit_normal(surface, u + h, v)
-           - _oriented_unit_normal(surface, u - h, v)) / (2 * h)
-    dNv = (_oriented_unit_normal(surface, u, v + h)
-           - _oriented_unit_normal(surface, u, v - h)) / (2 * h)
-    Au = -_covariant_along(surface, cu, n0, dNu, gamma)
-    Av = -_covariant_along(surface, cv, n0, dNv, gamma)
-    e1 = cu / math.sin(th)
-    e2 = np.cross(n0, e1)
-    P = np.array([[cu @ e1, cv @ e1], [cu @ e2, cv @ e2]])
-    M = np.array([[Au @ e1, Av @ e1], [Au @ e2, Av @ e2]])
-    return M @ np.linalg.inv(P)
-
-
-def check_shape_operator(surface: HelixSurface, point: Tuple[float, float],
-                         h: float = 1e-3) -> CheckEntry:
-    """Entries of the shape operator against [[0, -eps], [-eps, lambda]].
-
-    The (2,2) entry is the measured lambda and is reported, never
-    asserted (its eta(v) gauge is free).
-    """
-    eps = surface.params.epsilon
-    S = shape_operator_matrix(surface, point[0], point[1], h)
-    resid = max(abs(S[0, 0]), abs(S[0, 1] + eps), abs(S[1, 0] + eps))
-    tol = DEFAULT_TOLERANCES["shape_operator"]
-    return CheckEntry("shape_operator", resid, tol, resid <= tol, 1)
-
-
-def tangent_turn_coefficient(surface: HelixSurface, u: float, v: float,
-                             h: float = 1e-3) -> float:
-    """g(nabla_T T, JT) / sin^2(th), expected -2 eps cos(th)."""
-    gamma = connection_table(surface.params)
-    th = surface.params.theta
-
-    def tangent_comps(uu, vv):
-        F = position(surface, uu, vv)
-        fu, _ = partials(surface, uu, vv)
-        return frame_components(surface.params, F, fu)
-
-    cu = tangent_comps(u, v)
-    dT = (tangent_comps(u + h, v) - tangent_comps(u - h, v)) / (2 * h)
-    cov = _covariant_along(surface, cu, cu, dT, gamma)
-    n0 = _oriented_unit_normal(surface, u, v)
-    e2 = np.cross(n0, cu / math.sin(th))
-    return float(cov @ e2) / math.sin(th)
 
 
 def normal_closed_form_n1(surface: HelixSurface, u, v):
@@ -410,68 +330,127 @@ def normal_closed_form_n1(surface: HelixSurface, u, v):
         * np.sin(2.0 * x1) * np.sin((c.alpha1 - c.alpha2) * u + x2 - x3) * drift
 
 
-def check_normal_closed_form(surface: HelixSurface, samples: int = 100,
-                             seed: int = 0) -> CheckEntry:
-    """Numeric N1 from the cross product against the closed form."""
-    # the fd path needs room for its v-stencil near the domain edges
-    inset = 1e-4 if surface.fv_method == "fd" else 0.0
-    us, vs = _sample_points(surface, samples, seed, inset)
-    F = position(surface, us, vs)
+# --------------------------------------------------------------------------
+# the registry: fn(surface, config) -> {entry: (residual, samples[, note])}
+# --------------------------------------------------------------------------
+
+def _family_vs(surface: HelixSurface, config: VerifyConfig) -> np.ndarray:
+    return np.linspace(surface.v_domain[0], surface.v_domain[1], max(config.nv, 2))
+
+
+def _family(surface, config):
+    vs = _family_vs(surface, config)
     A = assemble(surface.profile, vs)
-    fu = np.einsum('kij,kj->ki', A, beta_derivatives(us, surface.consts, 1))
-    if surface.fv_method == "analytic":
-        fv = np.einsum('kij,kj->ki', assemble_derivative(surface.profile, vs),
-                       beta(us, surface.consts))
-    else:
-        fv = np.stack([partials(surface, float(uu), float(vv))[1]
-                       for uu, vv in zip(us, vs)])
-    cu = frame_components(surface.params, F, fu)
-    cv = frame_components(surface.params, F, fv)
-    n1_num = np.cross(cu, cv)[:, 0]
-    n1_closed = normal_closed_form_n1(surface, us, vs)
-    resid = float(np.max(np.abs(n1_num - n1_closed)))
-    tol = DEFAULT_TOLERANCES["normal_closed_form"]
-    return CheckEntry("normal_closed_form", resid, tol, resid <= tol, samples)
+    return {
+        "family_orthogonality": (np.abs(np.einsum('kij,kil->kjl', A, A) - np.eye(4)), vs.size),
+        "family_j1_commutation": (np.abs(A @ J1 - J1 @ A), vs.size),
+    }
 
 
-# --------------------------------------------------------------------------
-# aggregate run
-# --------------------------------------------------------------------------
+def _profile_constraint(surface, config):
+    vs = _family_vs(surface, config)
+    return {"profile_constraint": (surface.profile.constraint_residual(vs), vs.size)}
 
-def _check_angle_sweep(surface: HelixSurface, report: CheckReport,
-                       config: VerifyConfig, hopf_tube: bool):
+
+def _angle_sweep(surface, config):
+    """The constant angle over the grid (pi/2 on a Hopf tube), counting
+    non-finite samples so that they fail it, and the report-only spread
+    of |F_v| in both metrics."""
     grid = sample_grid(surface, config.nu, config.nv)
+    hopf_tube = detect_hopf_tube(surface.profile)[0]
     target = math.pi / 2 if hopf_tube else surface.params.theta
-    ok = ~np.isnan(grid.angles)
-    dev = float(np.max(np.abs(grid.angles[ok] - target))) if np.any(ok) else math.inf
-    report.add("angle_constancy", dev, config.tol("angle_constancy"), int(np.sum(ok)))
+    counted = ~np.isnan(grid.angles)
+    for i, j, kind in grid.defects:
+        counted[i, j] |= kind == "non_finite"
 
-    fv_ok = ~np.isnan(grid.fv[..., 0])
     fv_e = np.sum(grid.fv ** 2, axis=-1)
     j1f = grid.positions @ J1.T
     fv_b = fv_e + (surface.params.epsilon ** 2 - 1.0) * np.sum(grid.fv * j1f, -1) ** 2
-    for name, vals in (("fv_norm_spread_euclidean", fv_e[fv_ok]),
-                       ("fv_norm_spread_berger", fv_b[fv_ok])):
-        spread = float(np.max(vals) - np.min(vals)) if vals.size else math.inf
-        report.add(name, spread, config.tol(name), int(vals.size))
+    finite = np.isfinite(fv_b)
+    n = int(np.sum(finite))
+    return {
+        "angle_constancy": (np.abs(grid.angles[counted] - target), int(np.sum(counted))),
+        "fv_norm_spread_euclidean": (np.ptp(fv_e[finite]) if n else math.inf, n),
+        "fv_norm_spread_berger": (np.ptp(fv_b[finite]) if n else math.inf, n),
+    }
 
 
-def _check_fields(surface: HelixSurface, report: CheckReport, config: VerifyConfig):
+def _fourth_order_ode(surface, config):
+    """Residual of F_uuuu + (b~^2 - 2 a~) F_uu + a~^2 F = 0."""
+    us, vs = _sample_points(surface, 1000, SEED)
+    c = surface.consts
+    comb = beta_derivatives(us, c, 4) \
+        + (c.b_tilde ** 2 - 2.0 * c.a_tilde) * beta_derivatives(us, c, 2) \
+        + c.a_tilde ** 2 * beta(us, c)
+    A = assemble(surface.profile, vs)
+    return {"fourth_order_ode": (np.abs(np.einsum('kij,kj->ki', A, comb)), us.size)}
+
+
+def _product_table(surface, config):
+    """The ten euclidean products of F and its first three u-derivatives.
+
+    The products are v-independent (the family acts orthogonally), so
+    sampling runs along u at the first v of the domain.  Residuals are
+    relative where the target exceeds 1 in magnitude.
+    """
+    us, _ = _sample_points(surface, 32, SEED)
+    c = surface.consts
+    A = assemble(surface.profile, surface.v_domain[0])
+    ders = [(A @ beta_derivatives(us, c, k).T).T for k in range(4)]
+    errs = []
+    for (i, j), target in product_table_targets(c).items():
+        err = np.abs(np.sum(ders[i] * ders[j], axis=-1) - target)
+        errs.append(err / abs(target) if abs(target) > 1.0 else err)
+    return {"product_table": (errs, us.size)}
+
+
+def _j1_products(surface, config):
+    """Products mixing J1 with the u-derivatives of F.
+
+    <J1 F, F_u> = sin^2(th)/eps, <J1 F, F_uu> = 0,
+    <F_u, J1 F_uu> = i_const, <J1 F_u, F_uuu> = 0.
+    """
+    us, vs = _sample_points(surface, 32, SEED)
+    c = surface.consts
+    eps = surface.params.epsilon
+    th = surface.params.theta
+    A = assemble(surface.profile, vs)
+    d = [np.einsum('kij,kj->ki', A, beta_derivatives(us, c, k)) for k in range(4)]
+    j1 = [x @ J1.T for x in d]
+    return {"j1_products": ([
+        np.abs(np.sum(j1[0] * d[1], -1) - math.sin(th) ** 2 / eps),
+        np.abs(np.sum(j1[0] * d[2], -1)),
+        np.abs(np.sum(d[1] * j1[2], -1) - c.i_const) / max(1.0, abs(c.i_const)),
+        np.abs(np.sum(j1[1] * d[3], -1)),
+    ], us.size)}
+
+
+def _normal_closed_form(surface, config):
+    """Numeric N1 from the cross product against the closed form."""
+    # the fd path needs room for its v-stencil near the domain edges
+    inset = 1e-4 if surface.fv_method == "fd" else 0.0
+    us, vs = _sample_points(surface, 100, SEED, inset)
+    n1 = tangent_data(surface, us, vs).normal[:, 0]
+    return {"normal_closed_form": (np.abs(n1 - normal_closed_form_n1(surface, us, vs)),
+                                   us.size)}
+
+
+def _fields(surface, config):
     """Residuals of the lambda / (a, b) / phi closed forms under central
     differences in u, plus the exact (B/eps^2) a^2 + b^2 = 1 identity."""
     params, consts = surface.params, surface.consts
     aux = AuxFieldParams()
-    h = config.h_field
+    h = H_FIELD
     eps, th = params.epsilon, params.theta
     ct = math.cos(th)
     sB = math.sqrt(consts.B)
     # keep the tan argument well inside (-pi/2, pi/2)
     u_cap = 0.6 / (2.0 * ct * sB)
-    pts = low_discrepancy(config.n_samples, config.seed + 17)
+    pts = low_discrepancy(FIELD_SAMPLES, SEED + 17)
     us = (pts[:, 0] - 0.5) * 2.0 * (u_cap - 2 * h)
     vs = surface.v_domain[0] + pts[:, 1] * (surface.v_domain[1] - surface.v_domain[0])
 
-    worst_l = worst_ab = worst_unit = worst_phi = 0.0
+    lam_r, ab_r, unit_r, phi_r = [], [], [], []
     for u, v in zip(us, vs):
         try:
             lam = lambda_field(u, aux, v, consts, params)
@@ -479,122 +458,124 @@ def _check_fields(surface: HelixSurface, report: CheckReport, config: VerifyConf
                   - lambda_field(u - h, aux, v, consts, params)) / (2 * h)
         except NearPole:
             continue
-        worst_l = max(worst_l, abs(dl + lam * lam * ct
-                                   + 4.0 * (eps * eps - 1.0) * ct ** 3 + 4.0 * ct))
+        lam_r.append(abs(dl + lam * lam * ct + 4.0 * (eps * eps - 1.0) * ct ** 3 + 4.0 * ct))
         a, b = ab_coefficients(u, aux, v, consts, params)
-        ap = (ab_coefficients(u + h, aux, v, consts, params)[0]
-              - ab_coefficients(u - h, aux, v, consts, params)[0]) / (2 * h)
-        bp = (ab_coefficients(u + h, aux, v, consts, params)[1]
-              - ab_coefficients(u - h, aux, v, consts, params)[1]) / (2 * h)
-        worst_ab = max(worst_ab, abs(ap + 2.0 * eps * b * ct), abs(bp - b * lam * ct))
-        worst_unit = max(worst_unit, abs(consts.B / eps ** 2 * a * a + b * b - 1.0))
+        ap, bp = (np.subtract(ab_coefficients(u + h, aux, v, consts, params),
+                              ab_coefficients(u - h, aux, v, consts, params)) / (2 * h))
+        ab_r += [abs(ap + 2.0 * eps * b * ct), abs(bp - b * lam * ct)]
+        unit_r.append(abs(consts.B / eps ** 2 * a * a + b * b - 1.0))
         dphi = (phi_field(u + h, aux, consts, params)
                 - phi_field(u - h, aux, consts, params)) / (2 * h)
-        worst_phi = max(worst_phi, abs(dphi + 2.0 * consts.B / eps))
-    n = config.n_samples
-    report.add("lambda_ode", worst_l, config.tol("lambda_ode"), n)
-    report.add("ab_system", worst_ab, config.tol("ab_system"), n)
-    report.add("ab_unit_identity", worst_unit, config.tol("ab_unit_identity"), n)
-    report.add("phi_slope", worst_phi, config.tol("phi_slope"), n)
+        phi_r.append(abs(dphi + 2.0 * consts.B / eps))
+    n = FIELD_SAMPLES
+    return {"lambda_ode": (lam_r, n), "ab_system": (ab_r, n),
+            "ab_unit_identity": (unit_r, n), "phi_slope": (phi_r, n)}
 
 
-def _check_first_order_system(surface: HelixSurface, report: CheckReport,
-                              config: VerifyConfig):
+def _first_order_system(surface, config):
     c = fit_phase_constant(surface)
-    v0 = surface.v_domain[0]
-    us = surface.u_domain[0] + low_discrepancy(100, config.seed + 5)[:, 0] \
+    us = surface.u_domain[0] + low_discrepancy(100, SEED + 5)[:, 0] \
         * (surface.u_domain[1] - surface.u_domain[0])
-    worst = max(first_order_system_residual(surface, float(u), v0, c) for u in us)
-    report.add("first_order_system", worst, config.tol("first_order_system"), us.size)
+    return {"first_order_system": (
+        first_order_system_residual(surface, us, surface.v_domain[0], c), us.size)}
 
 
-def _check_gram(surface: HelixSurface, report: CheckReport, config: VerifyConfig):
+def _gram(surface, config):
+    """The recovered coefficient vectors are orthogonal with squared norms
+    g11, g11, g33, g33, at seven v across the domain."""
     c = surface.consts
-    worst_off = worst_diag = 0.0
     vs = np.linspace(surface.v_domain[0], surface.v_domain[1], 7)
-    for v in vs:
-        g = recover_coefficient_fields(surface, float(v))
-        G = g @ g.T
-        worst_off = max(worst_off, float(np.max(np.abs(G - np.diag(np.diag(G))))))
-        worst_diag = max(worst_diag,
-                         abs(G[0, 0] - c.g11), abs(G[1, 1] - c.g11),
-                         abs(G[2, 2] - c.g33), abs(G[3, 3] - c.g33))
-    report.add("gram_off_diagonal", worst_off, config.tol("gram_off_diagonal"), vs.size)
-    report.add("gram_diagonal", worst_diag, config.tol("gram_diagonal"), vs.size)
+    g = recover_coefficient_fields(surface, vs)
+    G = g @ np.swapaxes(g, -1, -2)
+    return {
+        "gram_off_diagonal": (np.abs(G * (1.0 - np.eye(4))), vs.size),
+        "gram_diagonal": (np.abs(np.diagonal(G, axis1=-2, axis2=-1)
+                                 - [c.g11, c.g11, c.g33, c.g33]), vs.size),
+    }
+
+
+def _gauss_curvature(surface, config):
+    """Numeric intrinsic curvature against 4 (1 - eps^2) cos^2(th)."""
+    pts = _interior_points(surface, 3, H_CURVATURE)
+    try:
+        K = gauss_curvature_numeric(surface, pts[:, 0], pts[:, 1], H_CURVATURE)
+        resid = np.abs(K - surface.consts.gauss_k)
+    except SingularMetric:
+        resid = math.inf
+    return {"gauss_curvature": (resid, len(pts))}
+
+
+def _shape_operator(surface, config):
+    """Entries of the shape operator against [[0, -eps], [-eps, lambda]].
+
+    The (2,2) entry is the measured lambda and is reported in a note,
+    never asserted (its eta(v) gauge is free).
+    """
+    pts = _interior_points(surface, 3, H_CURVATURE)
+    S, degenerate = _shape_operators(surface, pts[:, 0], pts[:, 1], H_SHAPE)
+    eps = surface.params.epsilon
+    resid = np.abs(np.stack([S[:, 0, 0], S[:, 0, 1] + eps, S[:, 1, 0] + eps], -1))
+    resid[degenerate] = math.inf
+    out = (resid, len(pts))
+    if not np.all(degenerate):
+        lam = S[np.argmin(degenerate), 1, 1]
+        out += (f"measured shape-operator trace at first probe point: {lam:.12g}",)
+    return {"shape_operator": out}
+
+
+@dataclass(frozen=True)
+class Check:
+    """A registered check.  fn(surface, config) returns, per entry name,
+    (residual, samples) plus optional notes; the residual is a number or
+    an array of per-sample residuals.  helix_only checks are skipped on a
+    Hopf tube."""
+
+    name: str
+    fn: Callable[[HelixSurface, VerifyConfig], dict]
+    helix_only: bool = False
+
+
+CHECKS: Tuple[Check, ...] = (
+    Check("family", _family),
+    Check("profile_constraint", _profile_constraint, helix_only=True),
+    Check("angle_sweep", _angle_sweep),
+    Check("fourth_order_ode", _fourth_order_ode),
+    Check("product_table", _product_table),
+    Check("j1_products", _j1_products),
+    Check("normal_closed_form", _normal_closed_form),
+    Check("fields", _fields),
+    Check("first_order_system", _first_order_system, helix_only=True),
+    Check("gram", _gram, helix_only=True),
+    Check("gauss_curvature", _gauss_curvature, helix_only=True),
+    Check("shape_operator", _shape_operator, helix_only=True),
+)
 
 
 def run_all(surface: HelixSurface, config: Optional[VerifyConfig] = None) -> CheckReport:
     """Execute the whole certification suite and collect the report.
 
-    Checks never abort the suite; each contributes its own entry.  On a
+    Checks never abort the suite; each contributes its own entries.  On a
     Hopf-tube (degenerate) profile the angle target switches to pi/2 and
-    the helix-only checks (curvature, shape operator, first-order
-    system, Gram recovery, profile constraint) are skipped with a note.
+    the helix-only checks are skipped with a note.
     """
     if config is None:
         config = VerifyConfig()
-    report = CheckReport()
-    report.notes.append(PHASE_READING_NOTE)
-
     hopf_tube, diag = detect_hopf_tube(surface.profile)
+    report = CheckReport(notes=[PHASE_READING_NOTE], degenerate_hopf_tube=hopf_tube)
     if hopf_tube:
-        report.degenerate_hopf_tube = True
         report.notes.append(f"degenerate: Hopf tube ({diag})")
 
-    vs = np.linspace(surface.v_domain[0], surface.v_domain[1], max(config.nv, 2))
-    A = assemble(surface.profile, vs)
-    ortho = float(np.max(np.abs(np.einsum('kij,kil->kjl', A, A) - np.eye(4))))
-    comm = float(np.max(np.abs(A @ J1 - J1 @ A)))
-    report.add("family_orthogonality", ortho, config.tol("family_orthogonality"), vs.size)
-    report.add("family_j1_commutation", comm, config.tol("family_j1_commutation"), vs.size)
-    if not hopf_tube:
-        constraint = float(np.max(surface.profile.constraint_residual(vs)))
-        report.add("profile_constraint", constraint,
-                   config.tol("profile_constraint"), vs.size)
+    for check in CHECKS:
+        if hopf_tube and check.helix_only:
+            continue
+        for name, (residual, samples, *notes) in check.fn(surface, config).items():
+            r = np.asarray(residual, dtype=float)
+            # np.max keeps a NaN, so a NaN residual fails its entry
+            report.add(name, float(np.max(r)) if r.size else math.inf,
+                       config.tol(name, surface), samples)
+            report.notes.extend(notes)
 
-    _check_angle_sweep(surface, report, config, hopf_tube)
-
-    for entry in (check_fourth_order_ode(surface, 1000, config.seed),
-                  check_product_table(surface, 32, config.seed),
-                  check_j1_products(surface, 32, config.seed),
-                  check_normal_closed_form(surface, 100, config.seed)):
-        report.add(entry.name, entry.residual, config.tol(entry.name), entry.samples)
-    _check_fields(surface, report, config)
-
-    if not hopf_tube:
-        _check_first_order_system(surface, report, config)
-        _check_gram(surface, report, config)
-        pts = _interior_points(surface, 3, config.h_curvature)
-        worst_k = 0.0
-        k_tol = max(config.tol("gauss_curvature"), 1e-2 * abs(surface.consts.gauss_k))
-        worst_s = 0.0
-        measured_lambda = None
-        for (u, v) in pts:
-            try:
-                worst_k = max(worst_k, abs(
-                    gauss_curvature_numeric(surface, u, v, config.h_curvature)
-                    - surface.consts.gauss_k))
-            except SingularMetric:
-                worst_k = math.inf
-            try:
-                S = shape_operator_matrix(surface, u, v, config.h_shape)
-                eps = surface.params.epsilon
-                worst_s = max(worst_s, abs(S[0, 0]), abs(S[0, 1] + eps),
-                              abs(S[1, 0] + eps))
-                if measured_lambda is None:
-                    measured_lambda = S[1, 1]
-            except DegenerateTangentPlane:
-                worst_s = math.inf
-        report.add("gauss_curvature", worst_k, k_tol, len(pts))
-        report.add("shape_operator", worst_s, config.tol("shape_operator"), len(pts))
-        if measured_lambda is not None:
-            # the trace field carries a free gauge, so it is reported only
-            report.notes.append(
-                f"measured shape-operator trace at first probe point: "
-                f"{measured_lambda:.12g}")
-    else:
-        report.notes.append(
-            "skipped helix-only checks: profile_constraint, first_order_system, "
-            "gram, gauss_curvature, shape_operator")
-
+    if hopf_tube:
+        report.notes.append("skipped helix-only checks: " + ", ".join(
+            c.name for c in CHECKS if c.helix_only))
     return report.finalize()

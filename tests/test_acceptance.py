@@ -19,7 +19,7 @@ from bergerhelix.family import Constant, Linear, Sinusoid, XiProfile, assemble, 
     derive_xi3, example_profile
 from bergerhelix.surface import make_surface, normal_components, recover_coefficient_fields, \
     sample_grid
-from bergerhelix.verify import VerifyConfig, _interior_points, check_fourth_order_ode, \
+from bergerhelix.verify import CHECKS, VerifyConfig, _interior_points, \
     gauss_curvature_numeric, run_all, shape_operator_matrix
 
 EPSILONS = (0.5, 0.8, 1.0, 1.5)
@@ -34,6 +34,12 @@ def _report(num: int, ok: bool, desc: str, detail: str):
 
 def _surface(eps, th, **kw):
     return make_surface(BergerParams(eps, th), example_profile(), **kw)
+
+
+def _fourth_order_residual(surface):
+    """The registry's fourth-order recursion residual over its 1000 samples."""
+    check = next(c for c in CHECKS if c.name == "fourth_order_ode")
+    return float(np.max(check.fn(surface, VerifyConfig())["fourth_order_ode"][0]))
 
 
 def test_criterion_01_constant_angle_reproduction():
@@ -73,12 +79,10 @@ def test_criterion_02_gauss_curvature_constant():
 
 
 def test_criterion_03_fourth_order_ode_and_fault_detection():
-    worst = max(check_fourth_order_ode(_surface(e, t), 1000).residual
-                for e, t in PAIRS)
+    worst = max(_fourth_order_residual(_surface(e, t)) for e, t in PAIRS)
     s = _surface(1.0, math.pi / 4)
     bad = dataclasses.replace(s.consts, alpha1=s.consts.alpha1 * 1.01)
-    faulted = check_fourth_order_ode(
-        make_surface(s.params, s.profile, consts=bad), 1000).residual
+    faulted = _fourth_order_residual(make_surface(s.params, s.profile, consts=bad))
     ok = worst <= 1e-10 and faulted > 1e-3
     _report(3, ok, "fourth-order recursion of the position vector",
             f"max residual {worst:.2e} <= 1e-10 over 1000 samples x 12 pairs; "

@@ -275,6 +275,22 @@ def test_grid_records_degenerate_samples():
     assert all(np.isnan(g.angles[i, j]) for i, j, _ in g.defects)
 
 
+@pytest.mark.parametrize("fv_method", ["analytic", "fd"])
+def test_pointwise_views_equal_grid_at_nodes(fv_method):
+    s = surface_ref(fv_method=fv_method)
+    g = sample_grid(s, 11, 9)
+    defects = {(i, j) for i, j, _ in g.defects}
+    nodes = [(i, j) for i in (1, 4, 7, 10) for j in (1, 3, 4, 7)]
+    assert not defects & set(nodes)          # fd: interior columns only
+    for i, j in nodes:
+        u, v = g.us[i], g.vs[j]
+        assert np.array_equal(position(s, u, v), g.positions[i, j])
+        fu, fv = partials(s, u, v)
+        assert np.array_equal(fu, g.fu[i, j]) and np.array_equal(fv, g.fv[i, j])
+        assert np.array_equal(normal_components(s, u, v), g.normals[i, j])
+        assert measured_angle(s, u, v) == g.angles[i, j]
+
+
 def test_grid_rejects_trivial_sizes():
     with pytest.raises(OutOfDomain):
         sample_grid(surface_ref(), 1, 5)

@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 
 from bergerhelix.ambient import BergerParams
-from bergerhelix.family import Constant, Linear, XiProfile, example_profile
-from bergerhelix.surface import make_surface
+from bergerhelix.family import Constant, FromCallable, Linear, XiProfile, example_profile
+from bergerhelix.surface import make_surface, sample_grid
 from bergerhelix.verify import (
+    CHECKS,
+    DEFAULT_TOLERANCES,
     VerifyConfig,
-    check_fourth_order_ode,
-    check_gauss_curvature,
-    check_j1_products,
-    check_normal_closed_form,
-    check_product_table,
-    check_shape_operator,
     gauss_curvature_numeric,
     low_discrepancy,
     normal_closed_form_n1,
@@ -24,6 +20,15 @@ from bergerhelix.verify import (
 )
 
 P_REF = BergerParams(1.0, math.pi / 4)
+REGISTRY = {c.name: c for c in CHECKS}
+
+
+def registry_entry(surface, name):
+    """(residual, passed) of the entry a registered check names after
+    itself, at the default config, reduced and judged as run_all does."""
+    cfg = VerifyConfig()
+    residual = float(np.max(REGISTRY[name].fn(surface, cfg)[name][0]))
+    return residual, residual <= cfg.tol(name, surface)
 
 
 def ref_surface(eps=1.0, th=math.pi / 4, **kw):
@@ -33,6 +38,19 @@ def ref_surface(eps=1.0, th=math.pi / 4, **kw):
 def hopf_tube():
     prof = XiProfile(xi=math.pi / 2, xi1=Constant(0.0), xi2=Linear(1.0),
                      xi3=Constant(0.0), v_min=0.0, v_max=2 * math.pi)
+    return make_surface(P_REF, prof)
+
+
+def nan_tail_surface():
+    """The reference surface with an xi2 that turns NaN for v > 6, so the
+    samples at v = 2 pi are not finite."""
+    def xi2(v):
+        v = np.asarray(v, dtype=float)
+        return np.where(v > 6, np.nan, v)
+
+    prof = XiProfile(xi=math.pi / 2, xi1=Constant(math.pi / 4),
+                     xi2=FromCallable(xi2, lambda v: np.ones_like(np.asarray(v, dtype=float))),
+                     xi3=Linear(1.0), v_min=0.0, v_max=2 * math.pi)
     return make_surface(P_REF, prof)
 
 
@@ -46,8 +64,8 @@ def skewed_profile(shift=0.0):
 # -------------------------------------------------------------------- checks
 
 def test_fourth_order_ode_reference():
-    e = check_fourth_order_ode(ref_surface())
-    assert e.passed and e.residual < 1e-10
+    residual, passed = registry_entry(ref_surface(), "fourth_order_ode")
+    assert passed and residual < 1e-10
 
 
 def test_fourth_order_ode_coefficients_reference_values():
@@ -60,13 +78,13 @@ def test_fourth_order_ode_detects_fault():
     s = ref_surface()
     bad = dataclasses.replace(s.consts, alpha1=s.consts.alpha1 * 1.01)
     s_bad = make_surface(s.params, s.profile, consts=bad)
-    assert check_fourth_order_ode(s_bad).residual > 1e-3
+    assert registry_entry(s_bad, "fourth_order_ode")[0] > 1e-3
 
 
 def test_product_table_reference():
     for s in (ref_surface(), ref_surface(0.5, math.pi / 3)):
-        e = check_product_table(s)
-        assert e.passed, e
+        e = registry_entry(s, "product_table")
+        assert e[1], e
 
 
 def test_product_table_frozen_targets():
@@ -82,8 +100,8 @@ def test_product_table_frozen_targets():
 def test_j1_products_reference():
     s = ref_surface()
     assert s.consts.i_const == pytest.approx(-0.75, abs=1e-15)
-    e = check_j1_products(s)
-    assert e.passed and e.residual < 1e-9
+    residual, passed = registry_entry(s, "j1_products")
+    assert passed and residual < 1e-9
 
 
 def test_j1_first_product_value():
@@ -103,8 +121,7 @@ def test_j1_first_product_value():
 ])
 def test_gauss_curvature_values(eps, th, expected):
     s = ref_surface(eps, th)
-    e = check_gauss_curvature(s, (0.9, 1.1))
-    assert e.passed
+    assert registry_entry(s, "gauss_curvature")[1]
     got = gauss_curvature_numeric(s, 0.9, 1.1)
     assert got == pytest.approx(expected, abs=1e-3)
 
@@ -121,8 +138,8 @@ def test_gauss_curvature_step_convergence():
 def test_shape_operator_form():
     for eps, th in [(1.0, math.pi / 4), (0.5, math.pi / 3), (1.5, math.pi / 6)]:
         s = ref_surface(eps, th)
-        e = check_shape_operator(s, (0.9, 1.1))
-        assert e.passed, (eps, th, e)
+        e = registry_entry(s, "shape_operator")
+        assert e[1], (eps, th, e)
         S = shape_operator_matrix(s, 0.9, 1.1)
         assert S[0, 1] == pytest.approx(-eps, abs=1e-4)
         assert S[1, 0] == pytest.approx(-eps, abs=1e-4)
@@ -155,14 +172,13 @@ def test_shape_operator_trace_matches_reported_lambda():
 
 
 def test_normal_closed_form_reference():
-    e = check_normal_closed_form(ref_surface())
-    assert e.passed and e.residual < 1e-8
+    residual, passed = registry_entry(ref_surface(), "normal_closed_form")
+    assert passed and residual < 1e-8
 
 
 def test_normal_closed_form_hopf_tube_both_zero():
     s = hopf_tube()
-    e = check_normal_closed_form(s)
-    assert e.passed
+    assert registry_entry(s, "normal_closed_form")[1]
     us = np.linspace(0.1, 3.0, 7)
     vs = np.linspace(0.1, 3.0, 7)
     assert np.max(np.abs(normal_closed_form_n1(s, us, vs))) == 0.0
@@ -183,8 +199,8 @@ def test_normal_closed_form_scales_with_phase_drift():
 def test_normal_closed_form_on_generic_profile():
     # the dual-path identity holds without the admissibility constraint
     s = make_surface(BergerParams(0.8, math.pi / 4), skewed_profile())
-    e = check_normal_closed_form(s)
-    assert e.passed, e
+    e = registry_entry(s, "normal_closed_form")
+    assert e[1], e
 
 
 # ------------------------------------------------------------------- run_all
@@ -262,3 +278,47 @@ def test_low_discrepancy_deterministic_and_in_unit_square():
     assert np.array_equal(a, b)
     assert np.all((a >= 0) & (a < 1))
     assert not np.array_equal(a, low_discrepancy(100, seed=4))
+
+
+def test_run_all_entries_are_the_tolerance_table():
+    rep = run_all(ref_surface(), VerifyConfig(nu=31, nv=31))
+    assert sorted(e.name for e in rep.entries) == sorted(DEFAULT_TOLERANCES)
+
+
+def test_hopf_tube_skips_the_registry_helix_only_checks():
+    rep = run_all(hopf_tube(), VerifyConfig(nu=31, nv=31))
+    helix_only = [c.name for c in CHECKS if c.helix_only]
+    assert helix_only == ["profile_constraint", "first_order_system", "gram",
+                          "gauss_curvature", "shape_operator"]
+    assert rep.notes[-1] == ("skipped helix-only checks: profile_constraint, "
+                             "first_order_system, gram, gauss_curvature, shape_operator")
+    skipped = {"profile_constraint", "first_order_system", "gram_diagonal",
+               "gram_off_diagonal", "gauss_curvature", "shape_operator"}
+    assert {e.name for e in rep.entries} == set(DEFAULT_TOLERANCES) - skipped
+
+
+# ------------------------------------------------------- non-finite samples
+
+def test_nan_residual_fails_gram_entries():
+    # a NaN seen after finite residuals must not drop out of the reduction
+    rep = run_all(nan_tail_surface())
+    for name in ("gram_diagonal", "gram_off_diagonal"):
+        e = rep.entry(name)
+        assert e.samples == 7
+        assert math.isnan(e.residual) and not e.passed, e
+    assert not rep.overall_pass
+
+
+def test_grid_labels_non_finite_samples():
+    g = sample_grid(nan_tail_surface(), 81, 81)
+    non_finite = [(i, j) for i, j, kind in g.defects if kind == "non_finite"]
+    degenerate = [(i, j) for i, j, kind in g.defects if kind == "degenerate_tangent_plane"]
+    assert len(non_finite) == 324                        # the columns v > 6
+    assert all(g.vs[j] > 6 for _, j in non_finite)
+    assert not any(np.all(np.isfinite(g.positions[i, j])) for i, j in non_finite)
+    assert degenerate and all(np.all(np.isfinite(g.positions[i, j])) for i, j in degenerate)
+
+
+def test_non_finite_samples_fail_angle_constancy():
+    e = run_all(nan_tail_surface()).entry("angle_constancy")
+    assert math.isnan(e.residual) and not e.passed, e
