@@ -120,7 +120,8 @@ def _emit(data: bytes, output: Optional[str]):
         with open(output, "wb") as fh:
             fh.write(data)
     else:
-        sys.stdout.write(data.decode("ascii"))
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
 
 
 def _run(args) -> int:

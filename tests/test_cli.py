@@ -64,6 +64,15 @@ def test_generate_csv(tmp_path):
     assert len(rows) == 1 + 30
 
 
+def test_generate_stdout_equals_output_file(tmp_path, capsysbinary):
+    for fmt in ("csv", "obj"):
+        path = tmp_path / f"grid.{fmt}"
+        argv = ["generate", "--nu", "7", "--nv", "9", "--format", fmt]
+        assert main(argv + ["--output", str(path)]) == 0
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == path.read_bytes()
+
+
 def test_generate_obj_deterministic(tmp_path):
     a, b = tmp_path / "a.obj", tmp_path / "b.obj"
     for path in (a, b):

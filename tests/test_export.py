@@ -16,12 +16,70 @@ from bergerhelix.export import (
 )
 from bergerhelix.family import example_profile
 from bergerhelix.surface import make_surface, sample_grid
+from test_verify import nan_tail_surface
 
 P_REF = BergerParams(1.0, math.pi / 4)
 
 
 def ref_grid(nu=6, nv=5):
     return sample_grid(make_surface(P_REF, example_profile()), nu, nv)
+
+
+# Per-value formatters of the original emitters: the byte-level reference.
+
+def csv_reference(grid):
+    nu, nv = grid.shape
+    lines = [",".join(CSV_COLUMNS)]
+    for i in range(nu):
+        for j in range(nv):
+            x1, y1, x2, y2 = grid.positions[i, j]
+            n1, n2, n3 = grid.normals[i, j]
+            row = (grid.us[i], grid.vs[j], x1, y1, x2, y2, n1, n2, n3, grid.angles[i, j])
+            lines.append(",".join(f"{val:.17g}" for val in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def obj_reference(mesh):
+    lines = []
+    for x, y, z in mesh.vertices:
+        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
+    for a, b, c in mesh.faces:
+        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def faces_reference(nu, nv, defects):
+    faces = []
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            a = i * nv + j
+            b, c = a + 1, a + nv
+            d = c + 1
+            if defects.intersection((a, b, c, d)):
+                continue
+            faces += [(a, c, d), (a, d, b)]
+    return faces
+
+
+def planted_pole_grid():
+    g = ref_grid(9, 7)
+    g.positions[3, 4] = [0.0, 0.0, 0.0, 1.0]
+    g.positions[0, 0] = [0.0, 0.0, 0.0, 1.0]
+    return g
+
+
+BYTE_GRIDS = {
+    "analytic": lambda: sample_grid(make_surface(P_REF, example_profile()), 17, 13),
+    "fd": lambda: sample_grid(make_surface(BergerParams(0.8, math.pi / 3), example_profile(),
+                                           fv_method="fd"), 17, 13),
+    "degenerate_u0": lambda: ref_grid(21, 21),
+    "planted_pole": planted_pole_grid,
+    "nu_ne_nv": lambda: ref_grid(5, 31),
+    "two_by_two": lambda: ref_grid(2, 2),
+    "non_finite": lambda: sample_grid(nan_tail_surface(), 11, 11),
+    "large": lambda: sample_grid(make_surface(BergerParams(1.5, math.pi / 6),
+                                              example_profile()), 101, 103),
+}
 
 
 # ------------------------------------------------------------- stereographic
@@ -92,6 +150,42 @@ def test_projection_excludes_pole_hits_from_faces():
     assert np.all(np.isfinite(mesh.vertices))
 
 
+def test_projection_excludes_non_finite_positions():
+    g = sample_grid(nan_tail_surface(), 11, 11)   # xi2 is NaN for v > 6: the j = 10 line
+    mesh = project_grid(g)
+    assert mesh.defects == [(i, 10) for i in range(11)]
+    assert len(mesh.faces) == 180
+    assert not np.any(mesh.faces % 11 == 10)
+    assert np.all(np.isfinite(mesh.vertices))
+    assert b"nan" not in export_obj(mesh)
+
+
+def test_projection_keeps_degenerate_tangent_samples():
+    g = ref_grid(9, 4)
+    assert any(kind == "degenerate_tangent_plane" for _, _, kind in g.defects)
+    mesh = project_grid(g)
+    assert mesh.defects == [] and len(mesh.faces) == 2 * 8 * 3
+
+
+@pytest.mark.parametrize("pole", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["degenerate_u0", "planted_pole", "nu_ne_nv"])
+def test_faces_array_matches_loop_triangulation(name, pole):
+    g = BYTE_GRIDS[name]()
+    mesh = project_grid(g, pole)
+    nu, nv = g.shape
+    flat = {i * nv + j for i, j in mesh.defects}
+    assert mesh.faces.dtype == np.int64 and mesh.faces.shape[1] == 3
+    assert mesh.faces.tolist() == [list(f) for f in faces_reference(nu, nv, flat)]
+
+
+def test_obj_faces_list_and_array_same_bytes():
+    mesh = project_grid(planted_pole_grid())
+    as_list = ProjectedMesh(nu=mesh.nu, nv=mesh.nv, vertices=mesh.vertices,
+                            faces=[tuple(f) for f in mesh.faces.tolist()],
+                            defects=mesh.defects)
+    assert export_obj(as_list) == export_obj(mesh)
+
+
 def test_obj_empty_mesh_rejected():
     empty = ProjectedMesh(nu=0, nv=0, vertices=np.zeros((0, 3)), faces=[])
     with pytest.raises(EmptyGrid):
@@ -127,6 +221,14 @@ def test_csv_roundtrip_exact():
 def test_csv_deterministic():
     g = ref_grid(4, 4)
     assert export_csv(g) == export_csv(g)
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_GRIDS))
+def test_exports_match_per_value_reference(name):
+    g = BYTE_GRIDS[name]()
+    assert export_csv(g) == csv_reference(g)
+    mesh = project_grid(g)
+    assert export_obj(mesh) == obj_reference(mesh)
 
 
 def test_csv_nan_for_defect_samples():
