@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidAngle, NotOnSphere, NotTangent
+from .errors import InvalidAngle, OutOfDomain
 
 SPHERE_TOL = 1e-9
 TANGENT_TOL = 1e-8
@@ -30,39 +30,27 @@ TANGENT_TOL = 1e-8
 # cases (fiber-orthogonal normal impossible / Hopf tube).
 ANGLE_MARGIN = 1e-7
 
-_J1 = np.array([
+J1 = np.array([
     [0.0, -1.0, 0.0, 0.0],
     [1.0, 0.0, 0.0, 0.0],
     [0.0, 0.0, 0.0, -1.0],
     [0.0, 0.0, 1.0, 0.0],
 ])
-_J2 = np.array([
+J2 = np.array([
     [0.0, 0.0, 0.0, -1.0],
     [0.0, 0.0, -1.0, 0.0],
     [0.0, 1.0, 0.0, 0.0],
     [1.0, 0.0, 0.0, 0.0],
 ])
-_J3 = np.array([
+J3 = np.array([
     [0.0, 0.0, -1.0, 0.0],
     [0.0, 0.0, 0.0, 1.0],
     [1.0, 0.0, 0.0, 0.0],
     [0.0, -1.0, 0.0, 0.0],
 ])
-for _m in (_J1, _J2, _J3):
+# read-only; J_i^2 = -Id and J2 @ J3 = -J1 (regression constant: minus sign)
+for _m in (J1, J2, J3):
     _m.setflags(write=False)
-
-J1 = _J1
-J2 = _J2
-J3 = _J3
-
-
-def complex_structures():
-    """Return the three constant complex structures (J1, J2, J3).
-
-    The arrays are read-only module-level constants.  They satisfy
-    Ji^2 = -Id and J2 @ J3 = -J1 (regression constant: minus sign).
-    """
-    return J1, J2, J3
 
 
 @dataclass(frozen=True)
@@ -81,7 +69,7 @@ class BergerParams:
 
     def __post_init__(self):
         if not (self.epsilon > 0.0) or not np.isfinite(self.epsilon):
-            raise InvalidAngle(f"epsilon must be a positive real, got {self.epsilon}")
+            raise OutOfDomain(f"epsilon must be a positive real, got {self.epsilon}")
         if not np.isfinite(self.theta):
             raise InvalidAngle(f"theta must be finite, got {self.theta}")
         if self.theta < ANGLE_MARGIN:
@@ -96,28 +84,19 @@ class BergerParams:
             )
 
 
-@dataclass(frozen=True)
-class FrameTriple:
-    """Values of the orthonormal frame (E1, E2, E3) at one point."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-
-
 def _check_on_sphere(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
-        raise NotOnSphere(f"expected a 4-vector, got shape {p.shape}")
+        raise OutOfDomain(f"expected a 4-vector, got shape {p.shape}")
     if abs(np.linalg.norm(p) - 1.0) > SPHERE_TOL:
-        raise NotOnSphere(f"|p| = {np.linalg.norm(p)} deviates from 1 beyond {SPHERE_TOL}")
+        raise OutOfDomain(f"|p| = {np.linalg.norm(p)} deviates from 1 beyond {SPHERE_TOL}")
     return p
 
 
 def _check_tangent(p: np.ndarray, X: np.ndarray, name: str = "X") -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if abs(float(X @ p)) > TANGENT_TOL:
-        raise NotTangent(f"<{name}, p> = {float(X @ p)} exceeds {TANGENT_TOL}")
+        raise OutOfDomain(f"<{name}, p> = {float(X @ p)} exceeds {TANGENT_TOL}")
     return X
 
 
@@ -143,10 +122,10 @@ def hopf_frame(p):
     return J1 @ p, J2 @ p, J3 @ p
 
 
-def frame_triple(params: BergerParams, p) -> FrameTriple:
+def frame_triple(params: BergerParams, p):
     """The g-orthonormal frame (E1, E2, E3) at p."""
     x1, x2, x3 = hopf_frame(p)
-    return FrameTriple(x1 / params.epsilon, x2, x3)
+    return x1 / params.epsilon, x2, x3
 
 
 def berger_metric(params: BergerParams, p, X, Y) -> float:
@@ -197,36 +176,20 @@ def frame_reconstruct(params: BergerParams, p, comps) -> np.ndarray:
     return c1 / params.epsilon * (J1 @ p) + c2 * (J2 @ p) + c3 * (J3 @ p)
 
 
-def connection_coefficients(params: BergerParams, i: int, j: int):
-    """Coefficients of the Levi-Civita derivative of E_j along E_i.
-
-    Returns the triple expressing nabla_{E_i} E_j in the frame
-    (E1, E2, E3); indices are 1-based.  The only nonzero entries are
+def connection_table(params: BergerParams) -> np.ndarray:
+    """Connection coefficients as a (3, 3, 3) array, 0-based: out[i, j] holds
+    the components of nabla_{E_(i+1)} E_(j+1) in the frame (E1, E2, E3).
+    The only nonzero entries are
 
         nabla_{E1} E2 =  (2 - eps^2)/eps * E3
         nabla_{E1} E3 = -(2 - eps^2)/eps * E2
         nabla_{E2} E1 = -eps E3        nabla_{E2} E3 =  eps E1
         nabla_{E3} E1 =  eps E2        nabla_{E3} E2 = -eps E1
     """
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise IndexOutOfRange(f"frame indices must be in {{1,2,3}}, got ({i}, {j})")
     eps = params.epsilon
     k = (2.0 - eps * eps) / eps
-    table = {
-        (1, 2): (0.0, 0.0, k),
-        (1, 3): (0.0, -k, 0.0),
-        (2, 1): (0.0, 0.0, -eps),
-        (2, 3): (eps, 0.0, 0.0),
-        (3, 1): (0.0, eps, 0.0),
-        (3, 2): (-eps, 0.0, 0.0),
-    }
-    return table.get((i, j), (0.0, 0.0, 0.0))
-
-
-def connection_table(params: BergerParams) -> np.ndarray:
-    """Full (3,3,3) array of connection coefficients, 0-based indices."""
     out = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = connection_coefficients(params, i + 1, j + 1)
+    out[0, 1, 2], out[0, 2, 1] = k, -k
+    out[1, 0, 2], out[1, 2, 0] = -eps, eps
+    out[2, 0, 1], out[2, 1, 0] = eps, -eps
     return out

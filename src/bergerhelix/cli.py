@@ -14,31 +14,15 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .ambient import BergerParams
 from .constants import compute_constants
 from .errors import GeometryError
 from .export import export_csv, export_obj, project_grid
-from .family import XiProfile, example_profile, profile_from_config
+from .family import example_profile, profile_from_config
 from .surface import make_surface, sample_grid
 from .verify import DEFAULT_TOLERANCES, VerifyConfig, run_all
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, validated before any computation."""
-
-    params: BergerParams
-    profile: XiProfile
-    nu: int
-    nv: int
-    output: Optional[str]
-    fmt: str
-    pole: int = 4
-    fv_method: Optional[str] = None
-    tolerances: Dict[str, float] = field(default_factory=dict)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,8 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu", type=int, default=101, help="u samples (default 101)")
         p.add_argument("--nv", type=int, default=101, help="v samples (default 101)")
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--pole", type=int, default=4, choices=(1, 2, 3, 4),
-                       help="stereographic pole axis (default 4)")
         p.add_argument("--fv-method", choices=("analytic", "fd"), default=None,
                        help="how F_v is computed (default: analytic when available)")
 
@@ -73,13 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the certification suite")
     common(p_ver)
-    p_ver.add_argument("--format", choices=("json",), default="json")
     p_ver.add_argument("--tolerance", action="append", default=[],
                        metavar="NAME=VALUE", help="override a check tolerance (repeatable)")
 
     p_proj = sub.add_parser("project", help="export the stereographic projection as OBJ")
     common(p_proj)
-    p_proj.add_argument("--format", choices=("obj",), default="obj")
+    for p in (p_gen, p_proj):
+        p.add_argument("--pole", type=int, default=4, choices=(1, 2, 3, 4),
+                       help="stereographic pole axis (default 4)")
     return parser
 
 
@@ -98,23 +81,6 @@ def _parse_tolerances(pairs) -> Dict[str, float]:
     return out
 
 
-def _config_from_args(args) -> RunConfig:
-    params = BergerParams(epsilon=args.epsilon, theta=args.theta)
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            profile = profile_from_config(json.load(fh))
-    else:
-        profile = example_profile()
-    if args.nu < 2 or args.nv < 2:
-        raise GeometryError(f"grid needs --nu and --nv >= 2, got ({args.nu}, {args.nv})")
-    fmt = "obj" if args.command == "project" else args.format
-    return RunConfig(
-        params=params, profile=profile, nu=args.nu, nv=args.nv,
-        output=args.output, fmt=fmt, pole=args.pole, fv_method=args.fv_method,
-        tolerances=_parse_tolerances(getattr(args, "tolerance", [])),
-    )
-
-
 def _emit(data: bytes, output: Optional[str]):
     if output:
         with open(output, "wb") as fh:
@@ -125,26 +91,33 @@ def _emit(data: bytes, output: Optional[str]):
 
 
 def _run(args) -> int:
+    params = BergerParams(epsilon=args.epsilon, theta=args.theta)
     if args.command == "constants":
-        consts = compute_constants(BergerParams(epsilon=args.epsilon, theta=args.theta))
-        text = json.dumps(dataclasses.asdict(consts), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(dataclasses.asdict(compute_constants(params)),
+                          indent=2, sort_keys=True) + "\n"
         _emit(text.encode("ascii"), args.output)
         return 0
 
-    cfg = _config_from_args(args)
-    surface = make_surface(cfg.params, cfg.profile, fv_method=cfg.fv_method)
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            profile = profile_from_config(json.load(fh))
+    else:
+        profile = example_profile()
+    if args.nu < 2 or args.nv < 2:
+        raise GeometryError(f"grid needs --nu and --nv >= 2, got ({args.nu}, {args.nv})")
+    tolerances = _parse_tolerances(getattr(args, "tolerance", []))
+    surface = make_surface(params, profile, fv_method=args.fv_method)
 
     if args.command == "verify":
-        report = run_all(surface, VerifyConfig(nu=cfg.nu, nv=cfg.nv,
-                                               tolerances=cfg.tolerances))
-        _emit((report.to_json() + "\n").encode("ascii"), cfg.output)
+        report = run_all(surface, VerifyConfig(nu=args.nu, nv=args.nv, tolerances=tolerances))
+        _emit((report.to_json() + "\n").encode("ascii"), args.output)
         return 0 if report.overall_pass else 1
 
-    grid = sample_grid(surface, cfg.nu, cfg.nv)
-    if cfg.fmt == "csv":
-        _emit(export_csv(grid), cfg.output)
+    grid = sample_grid(surface, args.nu, args.nv)
+    if args.command == "generate" and args.format == "csv":
+        _emit(export_csv(grid), args.output)
     else:
-        _emit(export_obj(project_grid(grid, pole=cfg.pole)), cfg.output)
+        _emit(export_obj(project_grid(grid, pole=args.pole)), args.output)
     return 0
 
 
@@ -156,10 +129,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _run(args)
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Closed-form constants and auxiliary scalar fields of a helix surface.
+"""Closed-form constants and auxiliary fields of a helix surface.
 
 Every quantity here is an explicit function of (epsilon, theta); nothing
 is obtained by integrating an ODE.  The ODE residual checks elsewhere
@@ -8,11 +8,12 @@ treat these closed forms as the candidate solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+
+import numpy as np
 
 from .ambient import BergerParams
-from .errors import InvalidAngle, NearPole
+from .errors import InvalidAngle, OutOfDomain
 
 LAMBDA_POLE_TOL = 1e-6
 
@@ -80,59 +81,35 @@ def compute_constants(params: BergerParams) -> HelixConstants:
     )
 
 
-def _zero_eta(v: float) -> float:
-    return 0.0
+def _tan_argument(u, consts: HelixConstants, params: BergerParams, eta):
+    return np.asarray(eta, dtype=float) \
+        - 2.0 * math.cos(params.theta) * math.sqrt(consts.B) * np.asarray(u, dtype=float)
 
 
-@dataclass(frozen=True)
-class AuxFieldParams:
-    """Free data of the auxiliary fields: eta(v) and the phase offset c.
-
-    eta may be a constant or any smooth callable of v; it enters only
-    the field-level residual checks, never the surface generator.
-    """
-
-    eta: Union[float, Callable[[float], float]] = field(default_factory=lambda: _zero_eta)
-    c_phi: float = 0.0
-
-    def eta_at(self, v: float) -> float:
-        if callable(self.eta):
-            return float(self.eta(v))
-        return float(self.eta)
-
-
-def _tan_argument(u: float, aux: AuxFieldParams, v: float,
-                  consts: HelixConstants, params: BergerParams) -> float:
-    return aux.eta_at(v) - 2.0 * math.cos(params.theta) * math.sqrt(consts.B) * u
-
-
-def lambda_field(u: float, aux: AuxFieldParams, v: float,
-                 consts: HelixConstants, params: BergerParams) -> float:
+def lambda_field(u, consts: HelixConstants, params: BergerParams, eta=0.0):
     """The shape-operator trace field 2 sqrt(B) tan(eta(v) - 2 cos(theta) sqrt(B) u).
 
-    Refuses to evaluate within LAMBDA_POLE_TOL of a pole of tan, where
-    the adapted coordinates break down.
+    u broadcasts against eta, the values of the free function eta(v).
+    Refuses to evaluate when any element lies within LAMBDA_POLE_TOL of a
+    pole of tan, where the adapted coordinates break down.
     """
-    arg = _tan_argument(u, aux, v, consts, params)
+    arg = _tan_argument(u, consts, params, eta)
     r = (arg - math.pi / 2) % math.pi
-    if min(r, math.pi - r) < LAMBDA_POLE_TOL:
-        raise NearPole(f"tan argument {arg} within {LAMBDA_POLE_TOL} of a pole")
-    return 2.0 * math.sqrt(consts.B) * math.tan(arg)
+    if np.any(np.minimum(r, math.pi - r) < LAMBDA_POLE_TOL):
+        raise OutOfDomain(f"tan argument within {LAMBDA_POLE_TOL} of a pole")
+    return 2.0 * math.sqrt(consts.B) * np.tan(arg)
 
 
-def ab_coefficients(u: float, aux: AuxFieldParams, v: float,
-                    consts: HelixConstants, params: BergerParams):
+def ab_coefficients(u, consts: HelixConstants, params: BergerParams, eta=0.0):
     """Coefficients (a, b) expanding the v-coordinate field in (T, JT).
 
-    They satisfy the exact identity (B/eps^2) a^2 + b^2 = 1.
+    u broadcasts against the values eta of eta(v).  They satisfy the exact
+    identity (B/eps^2) a^2 + b^2 = 1.
     """
-    arg = _tan_argument(u, aux, v, consts, params)
-    a = params.epsilon / math.sqrt(consts.B) * math.sin(arg)
-    b = math.cos(arg)
-    return a, b
+    arg = _tan_argument(u, consts, params, eta)
+    return params.epsilon / math.sqrt(consts.B) * np.sin(arg), np.cos(arg)
 
 
-def phi_field(u: float, aux: AuxFieldParams,
-              consts: HelixConstants, params: BergerParams) -> float:
+def phi_field(u, consts: HelixConstants, params: BergerParams, c_phi: float = 0.0):
     """The normal-rotation phase, affine in u with slope -2B/eps."""
-    return -2.0 * consts.B / params.epsilon * u + aux.c_phi
+    return -2.0 * consts.B / params.epsilon * np.asarray(u, dtype=float) + c_phi

@@ -1,57 +1,35 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one range check."""
+
+import numpy as np
 
 
 class GeometryError(ValueError):
     """Base class for all domain errors raised by this package."""
 
 
-class NotOnSphere(GeometryError):
-    """Point fails the unit-sphere membership test."""
-
-
-class NotTangent(GeometryError):
-    """Vector is not tangent to the sphere at the given base point."""
-
-
-class IndexOutOfRange(GeometryError):
-    """Frame index outside {1, 2, 3}."""
-
-
 class InvalidAngle(GeometryError):
-    """Angle parameter outside the admissible open interval."""
-
-
-class NearPole(GeometryError):
-    """Evaluation too close to a pole of tan; the field blows up."""
+    """theta outside the admissible open interval (0, pi/2)."""
 
 
 class OutOfDomain(GeometryError):
-    """Parameter outside the declared (u, v) or profile domain."""
-
-
-class DegenerateXi1(GeometryError):
-    """sin(xi1) vanishes somewhere, so xi3 cannot be derived by quadrature."""
+    """A value outside the domain where it is defined: a parameter, a point
+    off the sphere, a vector off its tangent space, a pole of a projection
+    or of tan, an empty grid or an unsupported derivative order."""
 
 
 class DegenerateTangentPlane(GeometryError):
     """F_u and F_v are (numerically) linearly dependent at the sample."""
 
 
-class BadOrder(GeometryError):
-    """Unsupported derivative order."""
-
-
-class SingularMetric(GeometryError):
-    """First fundamental form is singular at the evaluation point."""
-
-
-class AtPole(GeometryError):
-    """Stereographic projection evaluated at its pole."""
-
-
-class EmptyGrid(GeometryError):
-    """Mesh export requested for an empty grid."""
-
-
 class ConfigError(GeometryError):
-    """Malformed profile or run configuration."""
+    """Malformed profile or run configuration, or a profile whose xi3
+    cannot be derived."""
+
+
+def check_range(x, lo: float, hi: float, name: str) -> np.ndarray:
+    """x as a float array, raising OutOfDomain when a value lies more than
+    1e-12 outside [lo, hi]."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
+        raise OutOfDomain(f"{name} outside [{lo}, {hi}]")
+    return x

@@ -12,7 +12,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import AtPole, EmptyGrid, OutOfDomain
+from .errors import OutOfDomain
 from .surface import SurfaceGrid
 
 POLE_TOL = 1e-9
@@ -29,7 +29,7 @@ def stereographic(p, pole: int = 4) -> np.ndarray:
     k = pole - 1
     denom = 1.0 - p[k]
     if abs(denom) < POLE_TOL:
-        raise AtPole(f"point lies within {POLE_TOL} of the projection pole")
+        raise OutOfDomain(f"point lies within {POLE_TOL} of the projection pole")
     return np.delete(p, k) / denom
 
 
@@ -105,7 +105,7 @@ def _format_lines(line: bytes, rows: np.ndarray) -> List[bytes]:
 def export_obj(mesh: ProjectedMesh) -> bytes:
     """Serialize a projected mesh as OBJ text (1-based face indices)."""
     if mesh.vertices.size == 0:
-        raise EmptyGrid("no vertices to export")
+        raise OutOfDomain("no vertices to export")
     faces = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3) + 1
     return b"".join(_format_lines(b"v %.17g %.17g %.17g\n", mesh.vertices)
                     + _format_lines(b"f %d %d %d\n", faces))
@@ -122,7 +122,7 @@ def export_csv(grid: SurfaceGrid) -> bytes:
     """
     nu, nv = grid.shape
     if nu == 0 or nv == 0:
-        raise EmptyGrid("no samples to export")
+        raise OutOfDomain("no samples to export")
     tail = b",%.17g" * 8 + b"\n"
     # u_text.join(pieces) is the template of row i: b"u,v_j,%.17g...\n" per j
     pieces = [b""] + [b",%.17g" % v + tail for v in grid.vs.tolist()]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -22,7 +23,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from .ambient import J1, J2, J3
-from .errors import ConfigError, DegenerateXi1, OutOfDomain
+from .errors import ConfigError, check_range
 
 CONSTRAINT_TOL = 1e-8
 HOPF_TUBE_TOL = 1e-9
@@ -98,22 +99,17 @@ class Tabulated:
         if not np.all(np.diff(v_nodes) > 0):
             raise ConfigError("tabulated v nodes must be strictly increasing")
         self.v_nodes = v_nodes
-        self.values = values
         self._spline = CubicSpline(v_nodes, values)
-        self._dspline = self._spline.derivative()
 
-    def _check(self, v):
-        v = np.asarray(v, dtype=float)
-        if np.any(v < self.v_nodes[0] - 1e-12) or np.any(v > self.v_nodes[-1] + 1e-12):
-            raise OutOfDomain(
-                f"v outside tabulated range [{self.v_nodes[0]}, {self.v_nodes[-1]}]")
-        return v
+    @cached_property
+    def _dspline(self):
+        return self._spline.derivative()
 
     def __call__(self, v):
-        return self._spline(self._check(v))
+        return self._spline(check_range(v, self.v_nodes[0], self.v_nodes[-1], "v"))
 
     def derivative(self, v):
-        return self._dspline(self._check(v))
+        return self._dspline(check_range(v, self.v_nodes[0], self.v_nodes[-1], "v"))
 
 
 class FromCallable:
@@ -136,7 +132,7 @@ class FromCallable:
         return (self(v + self.h) - self(v - self.h)) / (2.0 * self.h)
 
 
-class _DerivedXi3:
+class _DerivedXi3(Tabulated):
     """xi3 produced by quadrature of the admissibility constraint.
 
     Values come from cumulative composite Simpson on a dense node grid,
@@ -145,19 +141,10 @@ class _DerivedXi3:
     identically.
     """
 
-    exact_derivative = True
-
     def __init__(self, xi1, xi2, v_nodes, values):
+        super().__init__(v_nodes, values)
         self._xi1 = xi1
         self._xi2 = xi2
-        self.v_nodes = v_nodes
-        self._spline = CubicSpline(v_nodes, values)
-
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        if np.any(v < self.v_nodes[0] - 1e-12) or np.any(v > self.v_nodes[-1] + 1e-12):
-            raise OutOfDomain("derived xi3 evaluated outside its quadrature range")
-        return self._spline(v)
 
     def derivative(self, v):
         x1 = self._xi1(v)
@@ -195,10 +182,7 @@ class XiProfile:
         return all(f is not None and getattr(f, "exact_derivative", False) for f in funcs)
 
     def check_domain(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if np.any(v < self.v_min - 1e-12) or np.any(v > self.v_max + 1e-12):
-            raise OutOfDomain(f"v outside [{self.v_min}, {self.v_max}]")
-        return v
+        return check_range(v, self.v_min, self.v_max, "v")
 
     def constraint_residual(self, v) -> np.ndarray:
         """Pointwise |cos^2(xi1) xi2' - sin^2(xi1) xi3'|."""
@@ -293,7 +277,7 @@ def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0,
     x1 = np.asarray(profile.xi1(vs), dtype=float)
     s1 = np.sin(x1)
     if np.min(np.abs(s1)) < XI1_SIN_FLOOR:
-        raise DegenerateXi1(
+        raise ConfigError(
             f"|sin(xi1)| drops to {np.min(np.abs(s1)):.2e} on the domain; "
             "the constraint degenerates there, supply xi3 explicitly")
     integrand = (np.cos(x1) / s1) ** 2 * np.asarray(profile.xi2.derivative(vs), dtype=float)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ambient import J1, J2, J3, BergerParams, frame_components
 from .constants import HelixConstants, compute_constants
-from .errors import BadOrder, DegenerateTangentPlane, OutOfDomain
+from .errors import DegenerateTangentPlane, OutOfDomain, check_range
 from .family import XiProfile, assemble, assemble_derivative
 
 GRAM_DET_TOL = 1e-12
@@ -49,7 +49,7 @@ def beta_derivatives(u, consts: HelixConstants, order: int = 1) -> np.ndarray:
     the frequency and permutes (cos, sin) -> (-sin, cos) without phase
     arithmetic, so exact zeros stay exact."""
     if order not in (0, 1, 2, 3, 4):
-        raise BadOrder(f"derivative order must be in 0..4, got {order}")
+        raise OutOfDomain(f"derivative order must be in 0..4, got {order}")
     u = np.asarray(u, dtype=float)
     a1, a2 = consts.alpha1, consts.alpha2
     r1, r3 = math.sqrt(consts.g11), math.sqrt(consts.g33)
@@ -90,13 +90,7 @@ class HelixSurface:
             raise OutOfDomain(f"fv_method must be 'analytic' or 'fd', got {self.fv_method}")
 
     def check_domain(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if np.any(u < self.u_domain[0] - 1e-12) or np.any(u > self.u_domain[1] + 1e-12):
-            raise OutOfDomain(f"u outside {self.u_domain}")
-        if np.any(v < self.v_domain[0] - 1e-12) or np.any(v > self.v_domain[1] + 1e-12):
-            raise OutOfDomain(f"v outside {self.v_domain}")
-        return u, v
+        return check_range(u, *self.u_domain, "u"), check_range(v, *self.v_domain, "v")
 
 
 def make_surface(params: BergerParams, profile: XiProfile,

@@ -13,8 +13,7 @@ import numpy as np
 
 from bergerhelix.ambient import BergerParams
 from bergerhelix.cli import main
-from bergerhelix.constants import AuxFieldParams, ab_coefficients, compute_constants, \
-    lambda_field, phi_field
+from bergerhelix.constants import ab_coefficients, compute_constants, lambda_field, phi_field
 from bergerhelix.family import Constant, Linear, Sinusoid, XiProfile, assemble, \
     derive_xi3, example_profile
 from bergerhelix.surface import make_surface, normal_components, recover_coefficient_fields, \
@@ -198,28 +197,27 @@ def test_criterion_08_field_checks():
     for eps, th in PAIRS:
         params = BergerParams(eps, th)
         c = compute_constants(params)
-        aux = AuxFieldParams(eta=lambda v: 0.2 * math.sin(v))
         ct = math.cos(th)
         u_cap = 0.6 / (2 * ct * math.sqrt(c.B))
         rng = np.random.default_rng(5)
         for _ in range(100):
             u = float(rng.uniform(-u_cap, u_cap))
             v = float(rng.uniform(0, 2 * math.pi))
-            lam = lambda_field(u, aux, v, c, params)
-            dl = (lambda_field(u + h, aux, v, c, params)
-                  - lambda_field(u - h, aux, v, c, params)) / (2 * h)
+            eta = 0.2 * math.sin(v)
+            lam = lambda_field(u, c, params, eta)
+            dl = (lambda_field(u + h, c, params, eta)
+                  - lambda_field(u - h, c, params, eta)) / (2 * h)
             worst_ode = max(worst_ode, abs(
                 dl + lam ** 2 * ct + 4 * (eps ** 2 - 1) * ct ** 3 + 4 * ct))
-            a, b = ab_coefficients(u, aux, v, c, params)
-            ap = (ab_coefficients(u + h, aux, v, c, params)[0]
-                  - ab_coefficients(u - h, aux, v, c, params)[0]) / (2 * h)
-            bp = (ab_coefficients(u + h, aux, v, c, params)[1]
-                  - ab_coefficients(u - h, aux, v, c, params)[1]) / (2 * h)
+            a, b = ab_coefficients(u, c, params, eta)
+            ap = (ab_coefficients(u + h, c, params, eta)[0]
+                  - ab_coefficients(u - h, c, params, eta)[0]) / (2 * h)
+            bp = (ab_coefficients(u + h, c, params, eta)[1]
+                  - ab_coefficients(u - h, c, params, eta)[1]) / (2 * h)
             worst_ode = max(worst_ode, abs(ap + 2 * eps * b * ct),
                             abs(bp - b * lam * ct))
             worst_exact = max(worst_exact, abs(c.B / eps ** 2 * a * a + b * b - 1.0))
-            dphi = (phi_field(u + h, aux, c, params)
-                    - phi_field(u - h, aux, c, params)) / (2 * h)
+            dphi = (phi_field(u + h, c, params) - phi_field(u - h, c, params)) / (2 * h)
             worst_ode = max(worst_ode, abs(dphi + 2 * c.B / eps))
     ok = worst_ode <= 1e-6 and worst_exact <= 1e-12
     _report(8, ok, "auxiliary field residuals under h=1e-5 central differences",

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergerhelix.ambient import (
+    J1,
+    J2,
+    J3,
     BergerParams,
     berger_metric,
-    complex_structures,
-    connection_coefficients,
     connection_table,
     frame_decompose,
     frame_reconstruct,
@@ -15,7 +16,7 @@ from bergerhelix.ambient import (
     hopf_frame,
     hopf_map,
 )
-from bergerhelix.errors import IndexOutOfRange, InvalidAngle, NotOnSphere, NotTangent
+from bergerhelix.errors import InvalidAngle, OutOfDomain
 
 RNG = np.random.default_rng(20260810)
 
@@ -33,18 +34,16 @@ def random_tangent(p, rng=RNG):
 # ---------------------------------------------------------------- structures
 
 def test_j1_first_column():
-    J1, _, _ = complex_structures()
     assert np.array_equal(J1 @ np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]))
 
 
 def test_squares_are_minus_identity():
-    for J in complex_structures():
+    for J in (J1, J2, J3):
         assert np.array_equal(J @ J, -np.eye(4))
 
 
 def test_j2_j3_product_sign():
     # regression constant: J2 @ J3 == -J1 under this component convention
-    J1, J2, J3 = complex_structures()
     assert np.array_equal(J2 @ J3, -J1)
     assert np.array_equal(J3 @ J2, J1)
 
@@ -61,7 +60,6 @@ def test_frame_fields_are_j_actions():
 
 
 def test_x1_equals_j1p_componentwise():
-    J1, _, _ = complex_structures()
     for _ in range(20):
         p = random_unit()
         assert np.array_equal(hopf_frame(p)[0], J1 @ p)
@@ -90,7 +88,6 @@ def test_hopf_map_lands_on_half_sphere():
 
 
 def test_hopf_map_fiber_invariance():
-    J1, _, _ = complex_structures()
     for _ in range(50):
         p = random_unit()
         phi = RNG.uniform(0, 2 * np.pi)
@@ -99,7 +96,7 @@ def test_hopf_map_fiber_invariance():
 
 
 def test_hopf_map_rejects_off_sphere():
-    with pytest.raises(NotOnSphere):
+    with pytest.raises(OutOfDomain, match="deviates from 1"):
         hopf_map([1.1, 0, 0, 0])
 
 
@@ -138,17 +135,17 @@ def test_frame_is_orthonormal():
     for eps in (0.3, 1.0, 2.0):
         params = BergerParams(eps, np.pi / 4)
         p = random_unit()
-        tri = frame_triple(params, p)
-        for e in (tri.e1, tri.e2, tri.e3):
+        e1, e2, e3 = frame_triple(params, p)
+        for e in (e1, e2, e3):
             assert abs(berger_metric(params, p, e, e) - 1.0) < 1e-12
-        assert abs(berger_metric(params, p, tri.e1, tri.e2)) < 1e-12
-        assert abs(berger_metric(params, p, tri.e2, tri.e3)) < 1e-12
+        assert abs(berger_metric(params, p, e1, e2)) < 1e-12
+        assert abs(berger_metric(params, p, e2, e3)) < 1e-12
 
 
 def test_metric_rejects_non_tangent():
     params = BergerParams(1.0, np.pi / 4)
     p = random_unit()
-    with pytest.raises(NotTangent):
+    with pytest.raises(OutOfDomain, match="<X, p>"):
         berger_metric(params, p, p, random_tangent(p))
 
 
@@ -157,13 +154,12 @@ def test_metric_rejects_non_tangent():
 def test_decompose_frame_vector():
     params = BergerParams(0.8, np.pi / 4)
     p = random_unit()
-    e2 = frame_triple(params, p).e2
+    e2 = frame_triple(params, p)[1]
     c = frame_decompose(params, p, e2)
     assert np.allclose(c, [0, 1, 0], atol=1e-12)
 
 
 def test_decompose_first_component_formula():
-    J1, _, _ = complex_structures()
     params = BergerParams(1.4, np.pi / 6)
     for _ in range(20):
         p = random_unit()
@@ -198,24 +194,17 @@ def test_decompose_reconstruct_roundtrip(eps, seed):
 ])
 def test_connection_fixed_entries(i, j, expected):
     params = BergerParams(1.0, np.pi / 4)
-    assert connection_coefficients(params, i, j) == expected
+    assert tuple(connection_table(params)[i - 1, j - 1]) == expected
 
 
 def test_connection_vertical_rotation_entries():
     eps = 0.7
     params = BergerParams(eps, np.pi / 4)
-    assert connection_coefficients(params, 2, 1) == (0.0, 0.0, -eps)
+    t = connection_table(params)
+    assert tuple(t[1, 0]) == (0.0, 0.0, -eps)
     k = (2 - eps ** 2) / eps
-    assert connection_coefficients(params, 1, 2) == (0.0, 0.0, k)
-    assert connection_coefficients(params, 1, 3) == (0.0, -k, 0.0)
-
-
-def test_connection_index_check():
-    params = BergerParams(1.0, np.pi / 4)
-    with pytest.raises(IndexOutOfRange):
-        connection_coefficients(params, 0, 1)
-    with pytest.raises(IndexOutOfRange):
-        connection_coefficients(params, 1, 4)
+    assert tuple(t[0, 1]) == (0.0, 0.0, k)
+    assert tuple(t[0, 2]) == (0.0, -k, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,5 +225,5 @@ def test_params_reject_degenerate_angles():
         BergerParams(1.0, np.pi / 2)
     with pytest.raises(InvalidAngle):
         BergerParams(1.0, 1.5707963)   # within the pi/2 guard margin
-    with pytest.raises(InvalidAngle):
+    with pytest.raises(OutOfDomain, match="epsilon must be a positive real"):
         BergerParams(-1.0, np.pi / 4)

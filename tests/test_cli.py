@@ -129,3 +129,10 @@ def test_generate_fd_method(tmp_path):
     assert main(["generate", "--nu", "5", "--nv", "7", "--fv-method", "fd",
                  "--output", str(out)]) == 0
     assert out.read_text().count("\n") == 1 + 35
+
+
+def test_verify_rejects_export_flags(capsys):
+    # --pole and --format belong to the export subcommands only
+    assert main(["verify", "--pole", "2"]) == 2
+    assert main(["verify", "--format", "json"]) == 2
+    assert main(["project", "--format", "obj"]) == 2

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from bergerhelix.ambient import BergerParams
-from bergerhelix.constants import (
-    AuxFieldParams,
-    ab_coefficients,
-    compute_constants,
-    lambda_field,
-    phi_field,
-)
-from bergerhelix.errors import InvalidAngle, NearPole
+from bergerhelix.constants import ab_coefficients, compute_constants, lambda_field, phi_field
+from bergerhelix.errors import InvalidAngle, OutOfDomain
 
 # Frozen from a 40-digit evaluation of the closed forms.
 FROZEN = {
@@ -94,31 +88,30 @@ def test_product_constants_reproduce_from_ode_coefficients():
 def test_lambda_zero_at_matched_argument():
     params = BergerParams(0.9, np.pi / 5)
     c = compute_constants(params)
-    aux = AuxFieldParams(eta=0.4)
     u0 = 0.4 / (2 * math.cos(params.theta) * math.sqrt(c.B))
-    assert abs(lambda_field(u0, aux, 0.0, c, params)) < 1e-12
+    assert abs(lambda_field(u0, c, params, eta=0.4)) < 1e-12
 
 
 def test_lambda_frozen_value():
     # eps=1, theta=pi/4, eta=0, u=0.1: 2*tan(-0.1*sqrt(2))
     params = BergerParams(1.0, np.pi / 4)
     c = compute_constants(params)
-    got = lambda_field(0.1, AuxFieldParams(), 0.0, c, params)
+    got = lambda_field(0.1, c, params)
     assert got == pytest.approx(-0.2847435386164549, rel=1e-14)
 
 
 def test_lambda_ode_residual_with_smooth_eta():
     params = BergerParams(0.8, np.pi / 3)
     c = compute_constants(params)
-    aux = AuxFieldParams(eta=lambda v: 0.3 * math.sin(v))
     h = 1e-5
     ct = math.cos(params.theta)
     rng = np.random.default_rng(3)
     for _ in range(100):
         u, v = rng.uniform(-0.3, 0.3), rng.uniform(0, 2)
-        lam = lambda_field(u, aux, v, c, params)
-        dl = (lambda_field(u + h, aux, v, c, params)
-              - lambda_field(u - h, aux, v, c, params)) / (2 * h)
+        eta = 0.3 * math.sin(v)
+        lam = lambda_field(u, c, params, eta)
+        dl = (lambda_field(u + h, c, params, eta)
+              - lambda_field(u - h, c, params, eta)) / (2 * h)
         resid = dl + lam ** 2 * ct + 4 * (params.epsilon ** 2 - 1) * ct ** 3 + 4 * ct
         assert abs(resid) < 1e-6
 
@@ -127,20 +120,20 @@ def test_lambda_refuses_pole():
     params = BergerParams(1.0, np.pi / 4)
     c = compute_constants(params)
     u_pole = (math.pi / 2) / (2 * math.cos(params.theta) * math.sqrt(c.B))
-    with pytest.raises(NearPole):
-        lambda_field(-u_pole, AuxFieldParams(), 0.0, c, params)
+    with pytest.raises(OutOfDomain, match="of a pole"):
+        lambda_field(-u_pole, c, params)
 
 
 def test_ab_at_zero_argument():
     params = BergerParams(1.3, np.pi / 6)
     c = compute_constants(params)
-    assert ab_coefficients(0.0, AuxFieldParams(), 0.0, c, params) == (0.0, 1.0)
+    assert ab_coefficients(0.0, c, params) == (0.0, 1.0)
 
 
 def test_ab_at_quarter_turn():
     params = BergerParams(1.0, np.pi / 4)
     c = compute_constants(params)
-    a, b = ab_coefficients(0.0, AuxFieldParams(eta=math.pi / 2), 0.0, c, params)
+    a, b = ab_coefficients(0.0, c, params, eta=math.pi / 2)
     assert a == pytest.approx(1.0, abs=1e-15)
     assert b == pytest.approx(0.0, abs=1e-15)
 
@@ -148,19 +141,19 @@ def test_ab_at_quarter_turn():
 def test_ab_unit_identity_and_derivatives():
     params = BergerParams(0.6, 1.1)
     c = compute_constants(params)
-    aux = AuxFieldParams(eta=0.2)
+    eta = 0.2
     h = 1e-5
     ct = math.cos(params.theta)
     rng = np.random.default_rng(4)
     for _ in range(100):
         u, v = rng.uniform(-0.5, 0.5), rng.uniform(0, 1)
-        a, b = ab_coefficients(u, aux, v, c, params)
+        a, b = ab_coefficients(u, c, params, eta)
         assert abs(c.B / params.epsilon ** 2 * a * a + b * b - 1.0) < 1e-12
-        ap = (ab_coefficients(u + h, aux, v, c, params)[0]
-              - ab_coefficients(u - h, aux, v, c, params)[0]) / (2 * h)
-        bp = (ab_coefficients(u + h, aux, v, c, params)[1]
-              - ab_coefficients(u - h, aux, v, c, params)[1]) / (2 * h)
-        lam = lambda_field(u, aux, v, c, params)
+        ap = (ab_coefficients(u + h, c, params, eta)[0]
+              - ab_coefficients(u - h, c, params, eta)[0]) / (2 * h)
+        bp = (ab_coefficients(u + h, c, params, eta)[1]
+              - ab_coefficients(u - h, c, params, eta)[1]) / (2 * h)
+        lam = lambda_field(u, c, params, eta)
         assert abs(ap + 2 * params.epsilon * b * ct) < 1e-6
         assert abs(bp - b * lam * ct) < 1e-6
 
@@ -168,9 +161,38 @@ def test_ab_unit_identity_and_derivatives():
 def test_phi_affine_structure():
     params = BergerParams(1.0, np.pi / 4)
     c = compute_constants(params)
-    aux = AuxFieldParams(c_phi=0.3)
-    assert phi_field(0.0, aux, c, params) == 0.3
+    assert phi_field(0.0, c, params, c_phi=0.3) == 0.3
     # slope is exact: phi is affine, a symmetric difference recovers it exactly
-    d = (phi_field(1.5, aux, c, params) - phi_field(-0.5, aux, c, params)) / 2.0
+    d = (phi_field(1.5, c, params, c_phi=0.3) - phi_field(-0.5, c, params, c_phi=0.3)) / 2.0
     assert d == -2 * c.B / params.epsilon
-    assert phi_field(1.0, AuxFieldParams(), c, params) == -2.0
+    assert phi_field(1.0, c, params) == -2.0
+
+
+def test_array_fields_equal_elementwise_calls():
+    params = BergerParams(0.8, np.pi / 3)
+    c = compute_constants(params)
+    rng = np.random.default_rng(6)
+    us = rng.uniform(-0.3, 0.3, 64)
+    etas = 0.3 * np.sin(rng.uniform(0, 2, 64))
+    lam = lambda_field(us, c, params, etas)
+    a, b = ab_coefficients(us, c, params, etas)
+    phi = phi_field(us, c, params, c_phi=0.3)
+    for k, (u, eta) in enumerate(zip(us.tolist(), etas.tolist())):
+        assert lam[k] == lambda_field(u, c, params, eta)
+        assert (a[k], b[k]) == ab_coefficients(u, c, params, eta)
+        assert phi[k] == phi_field(u, c, params, c_phi=0.3)
+    # u broadcasts against eta: a row of u against a column of eta values
+    grid = lambda_field(us[None, :8], c, params, etas[:5, None])
+    assert grid.shape == (5, 8)
+    assert grid[3, 6] == lambda_field(us[6], c, params, etas[3])
+
+
+def test_array_lambda_refuses_a_single_pole():
+    params = BergerParams(1.0, np.pi / 4)
+    c = compute_constants(params)
+    u_pole = (math.pi / 2) / (2 * math.cos(params.theta) * math.sqrt(c.B))
+    us = np.linspace(-0.3, 0.3, 11)
+    lambda_field(us, c, params)
+    us[4] = -u_pole
+    with pytest.raises(OutOfDomain, match="of a pole"):
+        lambda_field(us, c, params)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bergerhelix.ambient import BergerParams
-from bergerhelix.errors import AtPole, EmptyGrid
+from bergerhelix.errors import OutOfDomain
 from bergerhelix.export import (
     CSV_COLUMNS,
     ProjectedMesh,
@@ -90,7 +90,7 @@ def test_stereographic_axis_points():
 
 
 def test_stereographic_pole_error():
-    with pytest.raises(AtPole):
+    with pytest.raises(OutOfDomain, match="of the projection pole"):
         stereographic([0, 0, 0, 1])
 
 
@@ -188,7 +188,7 @@ def test_obj_faces_list_and_array_same_bytes():
 
 def test_obj_empty_mesh_rejected():
     empty = ProjectedMesh(nu=0, nv=0, vertices=np.zeros((0, 3)), faces=[])
-    with pytest.raises(EmptyGrid):
+    with pytest.raises(OutOfDomain, match="no vertices to export"):
         export_obj(empty)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bergerhelix.ambient import J1
-from bergerhelix.errors import ConfigError, DegenerateXi1, OutOfDomain
+from bergerhelix.errors import ConfigError, OutOfDomain
 from bergerhelix.family import (
     Constant,
     FromCallable,
@@ -177,7 +177,7 @@ def test_derive_xi3_simpson_value_accuracy_nonlinear():
 def test_derive_xi3_refuses_degenerate_xi1():
     prof = XiProfile(xi=0.0, xi1=Sinusoid(0.5, 1.0), xi2=Linear(1.0),
                      xi3=None, v_min=0.0, v_max=6.0)   # xi1 crosses 0
-    with pytest.raises(DegenerateXi1):
+    with pytest.raises(ConfigError, match=r"\|sin\(xi1\)\| drops to"):
         derive_xi3(prof)
 
 

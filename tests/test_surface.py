@@ -5,7 +5,7 @@ import pytest
 
 from bergerhelix.ambient import BergerParams, frame_components
 from bergerhelix.constants import compute_constants
-from bergerhelix.errors import BadOrder, DegenerateTangentPlane, OutOfDomain
+from bergerhelix.errors import DegenerateTangentPlane, OutOfDomain
 from bergerhelix.family import Constant, Linear, XiProfile, assemble, example_profile
 from bergerhelix.surface import (
     HelixSurface,
@@ -86,7 +86,7 @@ def test_beta_derivative_values_at_zero():
 
 
 def test_beta_rejects_bad_order():
-    with pytest.raises(BadOrder):
+    with pytest.raises(OutOfDomain, match="derivative order must be in 0..4"):
         beta_derivatives(0.0, C_REF, 5)
 
 

@@ -135,6 +135,16 @@ def test_gauss_curvature_step_convergence():
     assert e1 / e2 >= 3.0
 
 
+def test_gauss_curvature_inf_on_singular_metric():
+    # u = pi / (alpha1 - alpha2) lies on a degenerate line of the reference
+    # surface, where EG - F^2 vanishes; a regular point beside it stays finite
+    s = ref_surface()
+    u = math.pi / (s.consts.alpha1 - s.consts.alpha2)
+    assert gauss_curvature_numeric(s, u, 1.0) == math.inf
+    K = gauss_curvature_numeric(s, np.array([u, 0.9]), np.array([1.0, 1.1]))
+    assert K[0] == math.inf and K[1] == pytest.approx(0.0, abs=1e-3)
+
+
 def test_shape_operator_form():
     for eps, th in [(1.0, math.pi / 4), (0.5, math.pi / 3), (1.5, math.pi / 6)]:
         s = ref_surface(eps, th)
