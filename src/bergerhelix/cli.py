@@ -20,7 +20,7 @@ from .ambient import BergerParams
 from .constants import compute_constants
 from .errors import GeometryError
 from .export import export_csv, export_obj, project_grid
-from .family import example_profile, profile_from_config
+from .family import example_profile, profile_from_file
 from .surface import make_surface, sample_grid
 from .verify import DEFAULT_TOLERANCES, VerifyConfig, run_all
 
@@ -98,11 +98,7 @@ def _run(args) -> int:
         _emit(text.encode("ascii"), args.output)
         return 0
 
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            profile = profile_from_config(json.load(fh))
-    else:
-        profile = example_profile()
+    profile = profile_from_file(args.config) if args.config else example_profile()
     if args.nu < 2 or args.nv < 2:
         raise GeometryError(f"grid needs --nu and --nv >= 2, got ({args.nu}, {args.nv})")
     tolerances = _parse_tolerances(getattr(args, "tolerance", []))

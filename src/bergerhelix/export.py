@@ -18,15 +18,20 @@ from .surface import SurfaceGrid
 POLE_TOL = 1e-9
 
 
+def _pole_index(pole: int) -> int:
+    """The 0-based coordinate of a 1-based pole axis."""
+    if pole not in (1, 2, 3, 4):
+        raise OutOfDomain(f"pole axis must be in 1..4, got {pole}")
+    return pole - 1
+
+
 def stereographic(p, pole: int = 4) -> np.ndarray:
     """Project a point of S^3 to R^3 from the pole on the given axis.
 
     sigma(x) = (x_i)_{i != pole} / (1 - x_pole).  pole is 1-based.
     """
-    if pole not in (1, 2, 3, 4):
-        raise OutOfDomain(f"pole axis must be in 1..4, got {pole}")
+    k = _pole_index(pole)
     p = np.asarray(p, dtype=float)
-    k = pole - 1
     denom = 1.0 - p[k]
     if abs(denom) < POLE_TOL:
         raise OutOfDomain(f"point lies within {POLE_TOL} of the projection pole")
@@ -35,12 +40,10 @@ def stereographic(p, pole: int = 4) -> np.ndarray:
 
 def stereographic_inverse(y, pole: int = 4) -> np.ndarray:
     """Inverse of stereographic: R^3 back to the unit 3-sphere."""
-    if pole not in (1, 2, 3, 4):
-        raise OutOfDomain(f"pole axis must be in 1..4, got {pole}")
+    k = _pole_index(pole)
     y = np.asarray(y, dtype=float)
     s = float(y @ y)
-    out = np.insert(2.0 * y / (s + 1.0), pole - 1, (s - 1.0) / (s + 1.0))
-    return out
+    return np.insert(2.0 * y / (s + 1.0), k, (s - 1.0) / (s + 1.0))
 
 
 @dataclass
@@ -67,10 +70,8 @@ def project_grid(grid: SurfaceGrid, pole: int = 4) -> ProjectedMesh:
     Each quad contributes the triangles (a, c, d) and (a, d, b), quads in
     row-major order; a quad with a defect corner is dropped.
     """
-    if pole not in (1, 2, 3, 4):
-        raise OutOfDomain(f"pole axis must be in 1..4, got {pole}")
+    k = _pole_index(pole)
     nu, nv = grid.shape
-    k = pole - 1
     P = grid.positions.reshape(nu * nv, 4)
     denom = 1.0 - P[:, k]
     bad = (np.abs(denom) < POLE_TOL) | ~np.all(np.isfinite(P), axis=1)

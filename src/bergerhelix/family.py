@@ -13,14 +13,14 @@ is helix-admissible when cos^2(xi1) xi2' - sin^2(xi1) xi3' vanishes.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .ambient import J1, J2, J3
 from .errors import ConfigError, check_range
@@ -98,6 +98,8 @@ class Tabulated:
             raise ConfigError("tabulated profile needs matching 1-d arrays of >= 4 nodes")
         if not np.all(np.diff(v_nodes) > 0):
             raise ConfigError("tabulated v nodes must be strictly increasing")
+        from scipy.interpolate import CubicSpline   # here, so closed forms never load scipy
+
         self.v_nodes = v_nodes
         self._spline = CubicSpline(v_nodes, values)
 
@@ -270,6 +272,8 @@ def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0,
     interpolation between them.  Requires |sin(xi1)| bounded away from
     zero on the whole domain.
     """
+    from scipy.integrate import cumulative_simpson   # here, so closed forms never load scipy
+
     n = max(int(n_nodes), DERIVE_GRID_MIN)
     if n % 2 == 0:
         n += 1
@@ -314,22 +318,34 @@ def detect_hopf_tube(profile: XiProfile, n_samples: int = 257):
 # JSON config schema
 # --------------------------------------------------------------------------
 
+def _number(value, what: str) -> float:
+    """A finite JSON number as a float; any other value (a string, null,
+    a list, the NaN and Infinity that Python's json accepts, or an integer
+    beyond the double range) is a ConfigError."""
+    # the comparison is exact for ints and false for NaN
+    if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _func_from_spec(spec, name: str):
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError(f"{name}: expected a single-key object, got {spec!r}")
     kind, body = next(iter(spec.items()))
     if kind == "constant":
-        if not isinstance(body, (int, float)):
-            raise ConfigError(f"{name}: 'constant' takes a number")
-        return Constant(float(body))
+        return Constant(_number(body, f"{name}: 'constant'"))
     if kind == "linear":
         if not isinstance(body, dict) or "slope" not in body:
             raise ConfigError(f"{name}: 'linear' takes {{'slope': s, 'offset': o}}")
-        return Linear(float(body["slope"]), float(body.get("offset", 0.0)))
+        return Linear(_number(body["slope"], f"{name}: 'slope'"),
+                      _number(body.get("offset", 0.0), f"{name}: 'offset'"))
     if kind == "table":
-        if not isinstance(body, dict) or "v" not in body or "value" not in body:
+        if not (isinstance(body, dict) and isinstance(body.get("v"), list)
+                and isinstance(body.get("value"), list)):
             raise ConfigError(f"{name}: 'table' takes {{'v': [...], 'value': [...]}}")
-        return Tabulated(body["v"], body["value"])
+        v, value = ([_number(x, f"{name}: table '{key}' entry") for x in body[key]]
+                    for key in ("v", "value"))
+        return Tabulated(v, value)
     raise ConfigError(f"{name}: unknown function kind {kind!r}")
 
 
@@ -347,20 +363,29 @@ def profile_from_config(cfg: dict) -> XiProfile:
     missing = [k for k in ("xi", "xi1", "xi2", "xi3", "v_min", "v_max") if k not in cfg]
     if missing:
         raise ConfigError(f"profile config missing keys: {missing}")
-    if not isinstance(cfg["xi"], (int, float)):
-        raise ConfigError("xi must be a number (the family requires a constant xi)")
     xi3_spec = cfg["xi3"]
     profile = XiProfile(
-        xi=float(cfg["xi"]),
+        xi=_number(cfg["xi"], "xi"),
         xi1=_func_from_spec(cfg["xi1"], "xi1"),
         xi2=_func_from_spec(cfg["xi2"], "xi2"),
         xi3=None if xi3_spec == "auto" else _func_from_spec(xi3_spec, "xi3"),
-        v_min=float(cfg["v_min"]),
-        v_max=float(cfg["v_max"]),
+        v_min=_number(cfg["v_min"], "v_min"),
+        v_max=_number(cfg["v_max"], "v_max"),
     )
     if xi3_spec == "auto":
         profile = derive_xi3(profile)
     return profile
+
+
+def profile_from_file(path: str) -> XiProfile:
+    """Read a JSON profile config file and build the profile; text that
+    is not JSON is a ConfigError, like any malformed config."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:   # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigError(f"{path}: not a JSON document ({exc})") from exc
+    return profile_from_config(cfg)
 
 
 def example_profile(v_min: float = 0.0, v_max: float = 2.0 * math.pi) -> XiProfile:

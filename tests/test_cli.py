@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bergerhelix import BergerParams, export_csv, make_surface, profile_from_config, sample_grid
 from bergerhelix.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXAMPLE_CONFIG = {
     "xi": math.pi / 2,
@@ -115,6 +122,21 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps(dict(EXAMPLE_CONFIG, xi2={"linear": {"slope": "x"}})),
+    json.dumps(dict(EXAMPLE_CONFIG, xi2={"linear": {"slope": None}})),
+    json.dumps(EXAMPLE_CONFIG)[:40],
+    json.dumps(dict(EXAMPLE_CONFIG, xi2={"linear": {"slope": math.nan}}, xi3="auto")),
+], ids=["string-slope", "null-slope", "truncated-json", "nan-slope"])
+def test_malformed_config_values_exit_two(tmp_path, capsys, text):
+    cfg = tmp_path / "broken.json"
+    cfg.write_text(text)
+    assert main(["verify", "--config", str(cfg), "--nu", "5", "--nv", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_missing_config_file_exits_two(tmp_path):
     assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -136,3 +158,48 @@ def test_verify_rejects_export_flags(capsys):
     assert main(["verify", "--pole", "2"]) == 2
     assert main(["verify", "--format", "json"]) == 2
     assert main(["project", "--format", "obj"]) == 2
+
+
+# Runs main on each argv of a JSON list in one fresh interpreter and prints
+# the exit codes and whether scipy got imported on the way.
+_FRESH_CLI = """
+import json, sys
+from bergerhelix.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def _fresh_cli(*argvs):
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, json.dumps(argvs)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cold_start_without_scipy(tmp_path):
+    # closed-form profiles never need scipy, so these calls must not import it
+    cfg = tmp_path / "linear.json"
+    cfg.write_text(json.dumps(EXAMPLE_CONFIG))
+    out = str(tmp_path / "out")
+    result = _fresh_cli(
+        ["constants", "--output", out],
+        ["verify", "--nu", "11", "--nv", "11", "--output", out],
+        ["generate", "--nu", "11", "--nv", "11", "--format", "obj", "--output", out],
+        ["project", "--config", str(cfg), "--nu", "11", "--nv", "11", "--output", out])
+    assert result == {"codes": [0, 0, 0, 0], "scipy": False}
+
+
+def test_table_profile_loads_scipy_and_keeps_bytes(tmp_path):
+    vs = np.linspace(0.0, 2.0, 9)
+    config = dict(EXAMPLE_CONFIG, xi1={"table": {"v": vs.tolist(),
+                                                 "value": (0.7 + 0.1 * np.sin(vs)).tolist()}},
+                  xi3="auto", v_max=2.0)
+    cfg, out = tmp_path / "table.json", tmp_path / "grid.csv"
+    cfg.write_text(json.dumps(config))
+    result = _fresh_cli(["generate", "--config", str(cfg), "--nu", "9", "--nv", "9",
+                         "--output", str(out)])
+    assert result == {"codes": [0], "scipy": True}
+    surface = make_surface(BergerParams(1.0, math.pi / 4), profile_from_config(config))
+    assert out.read_bytes() == export_csv(sample_grid(surface, 9, 9))

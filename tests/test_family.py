@@ -272,6 +272,18 @@ def test_profile_from_config_table():
     {"xi1": {"constant": 1}},
     {"xi": 0.0, "xi1": {"constant": 1}, "xi2": {"constant": 1},
      "xi3": {"constant": 1}, "v_min": 1, "v_max": 0},
+    {"xi": 0.0, "xi1": {"constant": 1}, "xi2": {"linear": {"slope": 1, "offset": "x"}},
+     "xi3": {"constant": 1}, "v_min": 0, "v_max": 1},
+    {"xi": 0.0, "xi1": {"constant": 1}, "xi2": {"constant": 1},
+     "xi3": {"constant": 1}, "v_min": None, "v_max": 1},
+    {"xi": 0.0, "xi1": {"constant": 1}, "xi2": {"constant": 1},
+     "xi3": {"constant": 1}, "v_min": 0, "v_max": 10 ** 400},
+    {"xi": 0.0, "xi1": {"table": {"v": [0, 0.5, 1, 1.5], "value": [1, 1, "x", 1]}},
+     "xi2": {"constant": 1}, "xi3": {"constant": 1}, "v_min": 0, "v_max": 1},
+    {"xi": 0.0, "xi1": {"table": {"v": 3, "value": [1, 1, 1, 1]}},
+     "xi2": {"constant": 1}, "xi3": {"constant": 1}, "v_min": 0, "v_max": 1},
+    {"xi": 0.0, "xi1": {"table": {"v": [0, 0.5, 1, 1.5], "value": [1, 1, math.inf, 1]}},
+     "xi2": {"constant": 1}, "xi3": "auto", "v_min": 0, "v_max": 1},
 ])
 def test_profile_from_config_rejects_malformed(broken):
     with pytest.raises(ConfigError):
