@@ -86,7 +86,8 @@ class Tabulated:
     """Cubic-spline interpolation through (v, value) nodes.
 
     The derivative is the spline's own derivative, exact for the
-    interpolant; evaluation outside the node range is refused.
+    interpolant; evaluation outside the node range is refused, and so are
+    nodes or values that are not finite.
     """
 
     exact_derivative = True
@@ -96,6 +97,8 @@ class Tabulated:
         values = np.asarray(values, dtype=float)
         if v_nodes.ndim != 1 or v_nodes.shape != values.shape or v_nodes.size < 4:
             raise ConfigError("tabulated profile needs matching 1-d arrays of >= 4 nodes")
+        if not (np.all(np.isfinite(v_nodes)) and np.all(np.isfinite(values))):
+            raise ConfigError("tabulated v nodes and values must be finite")
         if not np.all(np.diff(v_nodes) > 0):
             raise ConfigError("tabulated v nodes must be strictly increasing")
         from scipy.interpolate import CubicSpline   # here, so closed forms never load scipy

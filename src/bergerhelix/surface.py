@@ -5,11 +5,19 @@ One batched kernel, tangent_data, evaluates F, F_u, F_v, the normal and the
 Gram determinant at any (u, v) that broadcast against each other: a point,
 matched arrays, or us[:, None] against vs[None, :] for a grid, where A is
 built once per distinct v.  position, partials, normal_components,
-measured_angle, first_fundamental_form and sample_grid are views of it.
-Samples the kernel cannot use carry one of three defect kinds:
-out_of_domain (the finite-difference stencil of F_v leaves the profile
-domain), non_finite (some value is NaN or infinite) and
-degenerate_tangent_plane (the Gram determinant of (F_u, F_v) is below
+measured_angle, first_fundamental_form and sample_grid (and through it the
+exports) are views of it.
+
+verify's angle sweep has its own grid kernel, sweep_grid.  All of the
+u-dependence of F sits in b = beta(u), and beta' = K b for a constant
+block rotation K, so every product the sweep needs is a quadratic form
+b^T Q(v) b: a (rows x 10) @ (10 x nv) product over the monomials b_i b_j,
+i <= j, for each block of u rows, and no (nu, nv, 4) array is built.
+
+Samples a kernel cannot use carry one of three defect kinds, by one rule
+for both kernels: out_of_domain (the finite-difference stencil of F_v
+leaves the profile domain), non_finite (some value is NaN or infinite)
+and degenerate_tangent_plane (the Gram determinant of (F_u, F_v) is below
 GRAM_DET_TOL).
 """
 
@@ -28,6 +36,7 @@ from .family import XiProfile, assemble, assemble_derivative
 
 GRAM_DET_TOL = 1e-12
 FD_STEP_V = 1e-5
+SWEEP_BLOCK = 1 << 15    # grid samples per block of u rows in sweep_grid
 
 # defect codes of TangentData.defect: 0 marks a usable sample, code k + 1 the
 # kind DEFECT_KINDS[k]; a sample gets the first kind that applies
@@ -148,6 +157,15 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _fd_stencil(prof: XiProfile, v):
+    """Where the stencil [v - FD_STEP_V, v + FD_STEP_V] of a finite-difference
+    F_v fits in the profile domain, and v with every other value moved to
+    the domain midpoint, where it is evaluated and then discarded."""
+    h = FD_STEP_V
+    fv_ok = (v - h >= prof.v_min - 1e-15) & (v + h <= prof.v_max + 1e-15)
+    return fv_ok, np.where(fv_ok, v, 0.5 * (prof.v_min + prof.v_max))
+
+
 def tangent_data(surface: HelixSurface, u, v) -> TangentData:
     """Evaluate F = A(v) beta(u), its partials and the normal data.
 
@@ -170,13 +188,9 @@ def tangent_data(surface: HelixSurface, u, v) -> TangentData:
         fv_ok = np.ones(v.shape, dtype=bool)
     else:
         h = FD_STEP_V
-        fv_ok = (v - h >= prof.v_min - 1e-15) & (v + h <= prof.v_max + 1e-15)
+        fv_ok, vin = _fd_stencil(prof, v)
         fv = np.full(F.shape, np.nan)
         if np.any(fv_ok):
-            # stencils that do not fit are evaluated at the domain midpoint
-            # and then discarded
-            vin = np.where(fv_ok, v, 0.5 * (prof.v_min + prof.v_max))
-
             def diff(step):
                 Ad = assemble(prof, vin + step) - assemble(prof, vin - step)
                 return _apply(Ad, b) / (2.0 * step)
@@ -188,18 +202,28 @@ def tangent_data(surface: HelixSurface, u, v) -> TangentData:
     cv = frame_components(surface.params, F, fv)
     normal = np.cross(cu, cv)
     gram = np.sum(fu * fu, -1) * np.sum(fv * fv, -1) - np.sum(fu * fv, -1) ** 2
+    defect, angle = _classify(fv_ok, gram, *np.moveaxis(normal, -1, 0))
+    return TangentData(F=F, fu=fu, fv=fv, cu=cu, cv=cv, normal=normal, gram=gram,
+                       angle=angle, defect=defect)
 
-    finite = np.isfinite(gram) & np.all(np.isfinite(normal), axis=-1)
+
+def _classify(fv_ok, gram, n1, n2, n3):
+    """Defect codes and angles of both kernels from the v-mask of a
+    formable F_v, the Gram determinant and the normal's frame components.
+
+    A sample gets the first defect kind that applies; the angle
+    arccos(|N1| / |N|) is NaN wherever the code is nonzero.
+    """
+    finite = np.isfinite(gram) & np.isfinite(n1) & np.isfinite(n2) & np.isfinite(n3)
     with np.errstate(invalid="ignore"):
         flat = gram < GRAM_DET_TOL
     defect = np.select([~np.broadcast_to(fv_ok, gram.shape), ~finite, flat],
                        [OUT_OF_DOMAIN, NON_FINITE, DEGENERATE], 0).astype(np.int8)
     good = defect == 0
-    norm = np.linalg.norm(normal, axis=-1)
+    norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
     angle = np.full(gram.shape, np.nan)
-    angle[good] = np.arccos(np.clip(np.abs(normal[good, 0]) / norm[good], 0.0, 1.0))
-    return TangentData(F=F, fu=fu, fv=fv, cu=cu, cv=cv, normal=normal, gram=gram,
-                       angle=angle, defect=defect)
+    angle[good] = np.arccos(np.clip(np.abs(n1[good]) / norm[good], 0.0, 1.0))
+    return defect, angle
 
 
 def _view(surface: HelixSurface, u, v, *refused: int) -> TangentData:
@@ -280,15 +304,20 @@ class SurfaceGrid:
         return self.positions.shape[:2]
 
 
+def grid_axes(surface: HelixSurface, nu: int, nv: int):
+    """The axes (us, vs) of the uniform nu x nv grid over the surface domain."""
+    if nu < 2 or nv < 2:
+        raise OutOfDomain(f"grid needs nu, nv >= 2, got ({nu}, {nv})")
+    return (np.linspace(surface.u_domain[0], surface.u_domain[1], nu),
+            np.linspace(surface.v_domain[0], surface.v_domain[1], nv))
+
+
 def sample_grid(surface: HelixSurface, nu: int, nv: int) -> SurfaceGrid:
     """Evaluate the surface on a uniform nu x nv grid.
 
-    One kernel call; defective samples are recorded, not fatal.
+    One tangent_data call; defective samples are recorded, not fatal.
     """
-    if nu < 2 or nv < 2:
-        raise OutOfDomain(f"grid needs nu, nv >= 2, got ({nu}, {nv})")
-    us = np.linspace(surface.u_domain[0], surface.u_domain[1], nu)
-    vs = np.linspace(surface.v_domain[0], surface.v_domain[1], nv)
+    us, vs = grid_axes(surface, nu, nv)
     td = tangent_data(surface, us[:, None], vs[None, :])
     td.normal[td.defect != 0] = np.nan
     defects = [(int(i), int(j), DEFECT_KINDS[td.defect[i, j] - 1])
@@ -296,6 +325,94 @@ def sample_grid(surface: HelixSurface, nu: int, nv: int) -> SurfaceGrid:
     return SurfaceGrid(us=us, vs=vs, positions=td.F, fu=td.fu, fv=td.fv,
                        normals=td.normal, angles=td.angle,
                        fv_method=surface.fv_method, defects=defects)
+
+
+# the ten monomials b_i b_j, i <= j, of the sweep's quadratic forms
+_ROW, _COL = np.triu_indices(4)
+
+
+@dataclass
+class SweepData:
+    """The angle sweep on an nu x nv grid, indexed [i, j] for (us[i], vs[j]).
+
+    angle and defect are as in TangentData; fv_euclidean and fv_berger
+    are |F_v|^2 in the euclidean and the Berger metric.
+    """
+
+    angle: np.ndarray
+    defect: np.ndarray
+    fv_euclidean: np.ndarray
+    fv_berger: np.ndarray
+
+
+def _sweep_forms(surface: HelixSurface, vs: np.ndarray):
+    """Monomial coefficients of the sweep's nine quadratic forms in b.
+
+    Returns (C, fv_ok): C is (9, 10, nv), holding per v the coefficients
+    of <F_u, J_k F> (k = 1, 2, 3), <F_v, J_k F> (k = 1, 2, 3), |F_u|^2,
+    |F_v|^2 and <F_u, F_v>, with F = A b, F_u = A K b and F_v = D b; D is
+    dA/dv or the Richardson difference of tangent_data, NaN where its
+    stencil leaves the profile domain.  Every Q(v) is built from the
+    assembled matrices, so the sweep leans on no identity of the family
+    (orthogonality, A J1 = J1 A) that the family checks certify.
+    """
+    prof, c = surface.profile, surface.consts
+    A = assemble(prof, vs)
+    if surface.fv_method == "analytic":
+        D = assemble_derivative(prof, vs)
+        fv_ok = np.ones(vs.shape, dtype=bool)
+    else:
+        h = FD_STEP_V
+        fv_ok, vin = _fd_stencil(prof, vs)
+        D = np.full(A.shape, np.nan)
+        if np.any(fv_ok):
+            def diff(step):
+                return (assemble(prof, vin + step) - assemble(prof, vin - step)) / (2.0 * step)
+
+            D = (4.0 * diff(h / 2) - diff(h)) / 3.0
+            D[~fv_ok] = np.nan
+    # beta' = K beta: K turns each complex coordinate of beta at its frequency
+    K = np.zeros((4, 4))
+    K[1, 0], K[3, 2] = c.alpha1, c.alpha2
+    K -= K.T
+    AK, JA = A @ K, [J @ A for J in (J1, J2, J3)]
+    AKt, Dt = np.swapaxes(AK, -1, -2), np.swapaxes(D, -1, -2)
+    Q = np.stack([AKt @ M for M in JA] + [Dt @ M for M in JA]
+                 + [AKt @ AK, Dt @ D, AKt @ D])
+    # b^T Q b = sum over i <= j of (Q + Q^T)_ij b_i b_j, halved on the diagonal
+    S = (Q + np.swapaxes(Q, -1, -2))[..., _ROW, _COL]
+    S[..., _ROW == _COL] *= 0.5
+    return np.ascontiguousarray(np.swapaxes(S, -1, -2)), fv_ok
+
+
+def sweep_grid(surface: HelixSurface, us, vs) -> SweepData:
+    """The angle, defect code and |F_v|^2 of the surface on the grid
+    us x vs, from the separable quadratic forms of _sweep_forms.
+
+    The products run over blocks of about SWEEP_BLOCK samples (whole u
+    rows), so every temporary stays small however large the grid.  Agrees
+    with tangent_data(surface, us[:, None], vs[None, :]) in every defect
+    code and to rounding in every value; the domain is not checked.
+    """
+    us = np.asarray(us, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    C, fv_ok = _sweep_forms(surface, vs)
+    b = beta(us, surface.consts)
+    monomials = b[:, _ROW] * b[:, _COL]
+    eps = surface.params.epsilon
+    out = SweepData(*(np.empty((us.size, vs.size), dtype)
+                      for dtype in (float, np.int8, float, float)))
+    rows = max(1, SWEEP_BLOCK // max(vs.size, 1))
+    for i in range(0, us.size, rows):
+        block = slice(i, i + rows)
+        j1_fu, cu2, cu3, j1_fv, cv2, cv3, fuu, fvv, fuv = (monomials[block] @ Ck for Ck in C)
+        cu1, cv1 = eps * j1_fu, eps * j1_fv
+        out.defect[block], out.angle[block] = _classify(
+            fv_ok, fuu * fvv - fuv ** 2,
+            cu2 * cv3 - cu3 * cv2, cu3 * cv1 - cu1 * cv3, cu1 * cv2 - cu2 * cv1)
+        out.fv_euclidean[block] = fvv
+        out.fv_berger[block] = fvv + (eps * eps - 1.0) * j1_fv ** 2
+    return out
 
 
 # --------------------------------------------------------------------------

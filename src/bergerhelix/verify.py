@@ -3,10 +3,13 @@
 The checks form one registry, CHECKS.  Each maps a surface and a
 VerifyConfig to named residuals with their sample counts, and evaluates F
 and its partials through one surface.tangent_data call over all of its
-points.  run_all is a loop over the registry: it skips the helix-only
-checks on a Hopf tube, looks up each tolerance, reduces every residual
-with a NaN-propagating max (so a NaN fails its entry) and collects the
-entries in a CheckReport.  Sample points come from a deterministic
+points, except the angle sweep: it covers the whole nu x nv grid through
+the separable kernel surface.sweep_grid, and the check separable_vs_direct
+compares that kernel with tangent_data on a subgrid of at most 21 x 21 of
+the same points.  run_all is a loop over the registry: it skips the
+helix-only checks on a Hopf tube, looks up each tolerance, reduces every
+residual with a NaN-propagating max (so a NaN fails its entry) and
+collects the entries in a CheckReport.  Sample points come from a deterministic
 low-discrepancy sequence, so two runs with the same configuration
 produce byte-identical reports.
 """
@@ -28,6 +31,7 @@ from .family import assemble, detect_hopf_tube
 from .surface import (
     DEGENERATE,
     GRAM_DET_TOL,
+    NON_FINITE,
     HelixSurface,
     _dot,
     beta,
@@ -35,8 +39,9 @@ from .surface import (
     first_fundamental_form,
     first_order_system_residual,
     fit_phase_constant,
+    grid_axes,
     recover_coefficient_fields,
-    sample_grid,
+    sweep_grid,
     tangent_data,
 )
 
@@ -61,6 +66,7 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "phi_slope": 1e-6,
     "product_table": 1e-9,
     "profile_constraint": 1e-8,
+    "separable_vs_direct": 1e-10,
     "shape_operator": 1e-4,
 }
 
@@ -72,6 +78,7 @@ H_CURVATURE = 1e-3    # finite-difference step of the curvature stencil
 H_SHAPE = 1e-3        # finite-difference step of the normal's derivative
 H_FIELD = 1e-5        # finite-difference step of the lambda / (a, b) / phi fields
 FIELD_SAMPLES = 200
+SUBGRID_SIDE = 21     # points per axis that separable_vs_direct compares
 SEED = 0
 
 
@@ -354,26 +361,34 @@ def _profile_constraint(surface, config):
 
 
 def _angle_sweep(surface, config):
-    """The constant angle over the grid (pi/2 on a Hopf tube), counting
-    non-finite samples so that they fail it, and the report-only spread
-    of |F_v| in both metrics."""
-    grid = sample_grid(surface, config.nu, config.nv)
+    """The constant angle over the nu x nv grid (pi/2 on a Hopf tube),
+    counting non-finite samples so that they fail it, and the report-only
+    spread of |F_v|^2 in both metrics, all from the separable kernel."""
+    sweep = sweep_grid(surface, *grid_axes(surface, config.nu, config.nv))
     hopf_tube = detect_hopf_tube(surface.profile)[0]
     target = math.pi / 2 if hopf_tube else surface.params.theta
-    counted = ~np.isnan(grid.angles)
-    for i, j, kind in grid.defects:
-        counted[i, j] |= kind == "non_finite"
-
-    fv_e = np.sum(grid.fv ** 2, axis=-1)
-    j1f = grid.positions @ J1.T
-    fv_b = fv_e + (surface.params.epsilon ** 2 - 1.0) * np.sum(grid.fv * j1f, -1) ** 2
+    counted = ~np.isnan(sweep.angle) | (sweep.defect == NON_FINITE)
+    fv_e, fv_b = sweep.fv_euclidean, sweep.fv_berger
     finite = np.isfinite(fv_b)
     n = int(np.sum(finite))
     return {
-        "angle_constancy": (np.abs(grid.angles[counted] - target), int(np.sum(counted))),
+        "angle_constancy": (np.abs(sweep.angle[counted] - target), int(np.sum(counted))),
         "fv_norm_spread_euclidean": (np.ptp(fv_e[finite]) if n else math.inf, n),
         "fv_norm_spread_berger": (np.ptp(fv_b[finite]) if n else math.inf, n),
     }
+
+
+def _separable_vs_direct(surface, config):
+    """The sweep's separable kernel against tangent_data on at most
+    SUBGRID_SIDE^2 points of the sweep grid: inf where the defect codes
+    differ, else the largest angle difference over usable samples."""
+    us, vs = (axis[np.linspace(0, axis.size - 1, min(axis.size, SUBGRID_SIDE)).round().astype(int)]
+              for axis in grid_axes(surface, config.nu, config.nv))
+    sep = sweep_grid(surface, us, vs)
+    direct = tangent_data(surface, us[:, None], vs[None, :])
+    diff = np.where(direct.defect == 0, np.abs(sep.angle - direct.angle), 0.0)
+    return {"separable_vs_direct": (np.where(sep.defect == direct.defect, diff, math.inf),
+                                    diff.size)}
 
 
 def _fourth_order_ode(surface, config):
@@ -525,6 +540,7 @@ CHECKS: Tuple[Check, ...] = (
     Check("family", _family),
     Check("profile_constraint", _profile_constraint, helix_only=True),
     Check("angle_sweep", _angle_sweep),
+    Check("separable_vs_direct", _separable_vs_direct),
     Check("fourth_order_ode", _fourth_order_ode),
     Check("product_table", _product_table),
     Check("j1_products", _j1_products),

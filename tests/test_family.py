@@ -300,3 +300,13 @@ def test_tabulated_refuses_extrapolation():
     t = Tabulated([0, 1, 2, 3], [0, 1, 4, 9])
     with pytest.raises(OutOfDomain):
         t(3.5)
+
+
+@pytest.mark.parametrize("v_nodes,values", [
+    ([0, 1, 2, 3], [0, math.nan, 0, 0]),
+    ([0, 1, 2, 3], [0, math.inf, 0, 0]),
+    ([0, math.nan, 2, 3], [0, 0, 0, 0]),
+])
+def test_tabulated_refuses_non_finite(v_nodes, values):
+    with pytest.raises(ConfigError, match="must be finite"):
+        Tabulated(v_nodes, values)

@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bergerhelix.ambient import BergerParams, frame_components
+from bergerhelix.ambient import J1, BergerParams, frame_components
 from bergerhelix.constants import compute_constants
 from bergerhelix.errors import DegenerateTangentPlane, OutOfDomain
-from bergerhelix.family import Constant, Linear, XiProfile, assemble, example_profile
+from bergerhelix.family import (
+    Constant,
+    Linear,
+    Sinusoid,
+    XiProfile,
+    assemble,
+    derive_xi3,
+    example_profile,
+)
 from bergerhelix.surface import (
     HelixSurface,
     beta,
@@ -14,6 +24,7 @@ from bergerhelix.surface import (
     first_fundamental_form,
     first_order_system_residual,
     fit_phase_constant,
+    grid_axes,
     make_surface,
     measured_angle,
     normal_components,
@@ -21,6 +32,8 @@ from bergerhelix.surface import (
     position,
     recover_coefficient_fields,
     sample_grid,
+    sweep_grid,
+    tangent_data,
 )
 
 P_REF = BergerParams(1.0, math.pi / 4)
@@ -304,6 +317,49 @@ def test_grid_fd_mode_flags_boundary_columns():
     assert {(i, 10) for i in range(11)} <= od
     interior = ~np.isnan(g.angles)
     assert np.max(np.abs(g.angles[interior] - P_REF.theta)) < 1e-5
+
+
+# ------------------------------------------------------------- angle sweep
+
+@st.composite
+def sweep_surfaces(draw):
+    """A surface of the reference, a generic constant-xi1 or a sinusoid-xi1
+    profile (xi3 "auto"), at log-uniform eps and theta across their range,
+    with either F_v method."""
+    eps = math.exp(draw(st.floats(math.log(0.05), math.log(10.0))))
+    th = draw(st.floats(0.01, 1.55))
+    kind = draw(st.sampled_from(["reference", "generic", "sinusoid"]))
+    if kind == "reference":
+        prof = example_profile()
+    elif kind == "generic":
+        c, s = draw(st.floats(0.35, 1.2)), draw(st.floats(0.5, 1.5))
+        prof = XiProfile(xi=draw(st.floats(0.0, math.pi)), xi1=Constant(c), xi2=Linear(s),
+                         xi3=Linear(s / math.tan(c) ** 2), v_min=0.0, v_max=2 * math.pi)
+    else:
+        xi1 = Sinusoid(draw(st.floats(0.01, 0.2)), draw(st.sampled_from([1.0, 2.0])),
+                       draw(st.floats(0.0, 2 * math.pi)), draw(st.floats(0.5, 1.0)))
+        prof = derive_xi3(XiProfile(xi=draw(st.floats(0.0, math.pi)), xi1=xi1,
+                                    xi2=Linear(draw(st.floats(0.5, 1.5))), xi3=None,
+                                    v_min=0.0, v_max=2 * math.pi))
+    fv = draw(st.sampled_from(["analytic", "fd"]))
+    return make_surface(BergerParams(eps, th), prof, fv_method=fv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_surfaces())
+def test_sweep_grid_matches_tangent_data(s):
+    us, vs = grid_axes(s, 17, 13)
+    sweep = sweep_grid(s, us, vs)
+    td = tangent_data(s, us[:, None], vs[None, :])
+    assert np.array_equal(sweep.defect, td.defect)
+    assert np.array_equal(np.isnan(sweep.angle), np.isnan(td.angle))
+    good = td.defect == 0
+    assert np.max(np.abs(sweep.angle[good] - td.angle[good]), initial=0.0) <= 1e-10
+    fv_e = np.sum(td.fv ** 2, axis=-1)
+    j1_fv = np.sum(td.fv * (td.F @ J1.T), axis=-1)
+    fv_b = fv_e + (s.params.epsilon ** 2 - 1.0) * j1_fv ** 2
+    for got, want in ((sweep.fv_euclidean, fv_e), (sweep.fv_berger, fv_b)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True)
 
 
 # -------------------------------------------------- first-order system, gram

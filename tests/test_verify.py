@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import bergerhelix.surface as surface_module
 from bergerhelix.ambient import BergerParams
 from bergerhelix.family import Constant, FromCallable, Linear, XiProfile, example_profile
-from bergerhelix.surface import make_surface, sample_grid
+from bergerhelix.surface import NON_FINITE, make_surface, sample_grid, sweep_grid
 from bergerhelix.verify import (
     CHECKS,
     DEFAULT_TOLERANCES,
@@ -332,3 +333,47 @@ def test_grid_labels_non_finite_samples():
 def test_non_finite_samples_fail_angle_constancy():
     e = run_all(nan_tail_surface()).entry("angle_constancy")
     assert math.isnan(e.residual) and not e.passed, e
+
+
+def test_sweep_grid_labels_non_finite_samples_as_the_grid_does():
+    s = nan_tail_surface()
+    g = sample_grid(s, 81, 81)
+    sweep = sweep_grid(s, g.us, g.vs)
+    labelled = {(int(i), int(j)) for i, j in zip(*np.nonzero(sweep.defect == NON_FINITE))}
+    assert len(labelled) == 324
+    assert labelled == {(i, j) for i, j, kind in g.defects if kind == "non_finite"}
+    assert np.array_equal(np.isnan(sweep.angle), np.isnan(g.angles))
+
+
+# ------------------------------------------------- separable vs direct kernel
+
+def test_separable_vs_direct_reference_golden():
+    e = run_all(ref_surface(0.8)).entry("separable_vs_direct")
+    assert e.passed and e.samples == 21 * 21 and e.residual < 1e-12, e
+
+
+def test_separable_vs_direct_small_grid_compares_every_point():
+    _, samples = REGISTRY["separable_vs_direct"].fn(
+        ref_surface(), VerifyConfig(nu=7, nv=5))["separable_vs_direct"]
+    assert samples == 35
+
+
+@pytest.mark.parametrize("fault", ["coefficient", "defect"])
+def test_separable_vs_direct_detects_a_faulty_kernel(monkeypatch, fault):
+    forms = surface_module._sweep_forms
+
+    def faulty(surface, vs):
+        C, fv_ok = forms(surface, vs)
+        if fault == "coefficient":
+            C[1, 2] *= 1.0 + 1e-6      # the b_0 b_2 coefficient of <F_u, J2 F>
+        else:
+            C[6, :, 3] = np.nan        # |F_u|^2 at one v: those samples turn non_finite
+        return C, fv_ok
+
+    monkeypatch.setattr(surface_module, "_sweep_forms", faulty)
+    rep = run_all(ref_surface(0.8), VerifyConfig(nu=41, nv=41))
+    e = rep.entry("separable_vs_direct")
+    assert not e.passed and e.residual > 1e-9, e
+    if fault == "defect":
+        assert e.residual == math.inf
+    assert not rep.overall_pass
