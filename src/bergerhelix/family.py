@@ -9,6 +9,10 @@ profile functions (xi1, xi2, xi3) and a constant mixing angle xi:
 The quadruple (r1, J1 r1, J2 r1, J3 r1) is orthonormal for any unit r1,
 so A(v) is orthogonal and commutes with J1 by construction.  A profile
 is helix-admissible when cos^2(xi1) xi2' - sin^2(xi1) xi3' vanishes.
+
+Each profile function has one method, jet(v, order), giving (f,) or
+(f, f').  The rows are linear in r1 and xi is constant, so one assemble
+call maps the jet of r1 to A and, for order 1, dA/dv.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .ambient import J1, J2, J3
-from .errors import ConfigError, check_range
+from .errors import ConfigError, OutOfDomain, check_range
 
 CONSTRAINT_TOL = 1e-8
 HOPF_TUBE_TOL = 1e-9
@@ -39,13 +43,10 @@ DERIVE_GRID_MIN = 1001
 class Constant:
     value: float
 
-    exact_derivative = True
-
-    def __call__(self, v):
-        return np.full_like(np.asarray(v, dtype=float), self.value)
-
-    def derivative(self, v):
-        return np.zeros_like(np.asarray(v, dtype=float))
+    def jet(self, v, order=0):
+        v = np.asarray(v, dtype=float)
+        value = np.full_like(v, self.value)
+        return (value, np.zeros_like(v)) if order else (value,)
 
 
 @dataclass(frozen=True)
@@ -53,13 +54,10 @@ class Linear:
     slope: float
     offset: float = 0.0
 
-    exact_derivative = True
-
-    def __call__(self, v):
-        return self.slope * np.asarray(v, dtype=float) + self.offset
-
-    def derivative(self, v):
-        return np.full_like(np.asarray(v, dtype=float), self.slope)
+    def jet(self, v, order=0):
+        v = np.asarray(v, dtype=float)
+        value = self.slope * v + self.offset
+        return (value, np.full_like(v, self.slope)) if order else (value,)
 
 
 @dataclass(frozen=True)
@@ -71,15 +69,10 @@ class Sinusoid:
     phase: float = 0.0
     offset: float = 0.0
 
-    exact_derivative = True
-
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        return self.amplitude * np.sin(self.angular_freq * v + self.phase) + self.offset
-
-    def derivative(self, v):
-        v = np.asarray(v, dtype=float)
-        return self.amplitude * self.angular_freq * np.cos(self.angular_freq * v + self.phase)
+    def jet(self, v, order=0):
+        arg = self.angular_freq * np.asarray(v, dtype=float) + self.phase
+        value = self.amplitude * np.sin(arg) + self.offset
+        return (value, self.amplitude * self.angular_freq * np.cos(arg)) if order else (value,)
 
 
 class Tabulated:
@@ -89,8 +82,6 @@ class Tabulated:
     interpolant; evaluation outside the node range is refused, and so are
     nodes or values that are not finite.
     """
-
-    exact_derivative = True
 
     def __init__(self, v_nodes, values):
         v_nodes = np.asarray(v_nodes, dtype=float)
@@ -108,33 +99,12 @@ class Tabulated:
 
     @cached_property
     def _dspline(self):
+        # the derivative PPoly rather than spline(v, 1): the two differ in the last bit
         return self._spline.derivative()
 
-    def __call__(self, v):
-        return self._spline(check_range(v, self.v_nodes[0], self.v_nodes[-1], "v"))
-
-    def derivative(self, v):
-        return self._dspline(check_range(v, self.v_nodes[0], self.v_nodes[-1], "v"))
-
-
-class FromCallable:
-    """Wrap an arbitrary smooth callable; derivative falls back to a
-    central difference of step h unless one is supplied."""
-
-    def __init__(self, fn, dfn=None, h: float = 1e-5):
-        self.fn = fn
-        self.dfn = dfn
-        self.h = h
-        self.exact_derivative = dfn is not None
-
-    def __call__(self, v):
-        return np.asarray(self.fn(np.asarray(v, dtype=float)), dtype=float)
-
-    def derivative(self, v):
-        v = np.asarray(v, dtype=float)
-        if self.dfn is not None:
-            return np.asarray(self.dfn(v), dtype=float)
-        return (self(v + self.h) - self(v - self.h)) / (2.0 * self.h)
+    def jet(self, v, order=0):
+        v = check_range(v, self.v_nodes[0], self.v_nodes[-1], "v")
+        return (self._spline(v), self._dspline(v)) if order else (self._spline(v),)
 
 
 class _DerivedXi3(Tabulated):
@@ -151,10 +121,13 @@ class _DerivedXi3(Tabulated):
         self._xi1 = xi1
         self._xi2 = xi2
 
-    def derivative(self, v):
-        x1 = self._xi1(v)
+    def jet(self, v, order=0):
+        value = super().jet(v)
+        if not order:
+            return value
+        x1, = self._xi1.jet(v)
         s = np.sin(x1)
-        return (np.cos(x1) / s) ** 2 * self._xi2.derivative(v)
+        return value + ((np.cos(x1) / s) ** 2 * self._xi2.jet(v, 1)[1],)
 
 
 # --------------------------------------------------------------------------
@@ -181,22 +154,22 @@ class XiProfile:
         if not self.v_min < self.v_max:
             raise ConfigError(f"empty profile domain [{self.v_min}, {self.v_max}]")
 
-    @property
-    def exact_derivatives(self) -> bool:
-        funcs = (self.xi1, self.xi2, self.xi3)
-        return all(f is not None and getattr(f, "exact_derivative", False) for f in funcs)
-
     def check_domain(self, v) -> np.ndarray:
         return check_range(v, self.v_min, self.v_max, "v")
 
-    def constraint_residual(self, v) -> np.ndarray:
-        """Pointwise |cos^2(xi1) xi2' - sin^2(xi1) xi3'|."""
+    def jets(self, v, order: int = 0):
+        """The jets of xi1, xi2 and xi3 at v: each (f,) for order 0, or
+        (f, f') for order 1."""
         if self.xi3 is None:
             raise ConfigError("profile has no xi3; call derive_xi3 first")
-        v = np.asarray(v, dtype=float)
-        x1 = self.xi1(v)
-        return np.abs(np.cos(x1) ** 2 * self.xi2.derivative(v)
-                      - np.sin(x1) ** 2 * self.xi3.derivative(v))
+        if order not in (0, 1):
+            raise OutOfDomain(f"profile jet order must be 0 or 1, got {order}")
+        return self.xi1.jet(v, order), self.xi2.jet(v, order), self.xi3.jet(v, order)
+
+    def constraint_residual(self, v) -> np.ndarray:
+        """Pointwise |cos^2(xi1) xi2' - sin^2(xi1) xi3'|."""
+        (x1, _), (_, d2), (_, d3) = self.jets(v, 1)
+        return np.abs(np.cos(x1) ** 2 * d2 - np.sin(x1) ** 2 * d3)
 
     def is_admissible(self, n_samples: int = 257, tol: float = CONSTRAINT_TOL) -> bool:
         """True when the sampled constraint residual stays below tol and
@@ -210,45 +183,32 @@ class XiProfile:
         return np.linspace(self.v_min, self.v_max, n)
 
 
-def row1(profile: XiProfile, v):
-    """First row of A(v); a unit 4-vector for every v.
+def row1(profile: XiProfile, v, order: int = 0):
+    """The first row of A(v), a unit 4-vector, and for order 1 its
+    v-derivative by the chain rule on the profile jets.
 
-    Vectorized: v of shape S gives output of shape S + (4,).
+    Vectorized: v of shape S gives output of shape (order + 1,) + S + (4,).
     """
-    v = profile.check_domain(v)
-    x1 = np.asarray(profile.xi1(v), dtype=float)
-    x2 = np.asarray(profile.xi2(v), dtype=float)
-    x3 = np.asarray(profile.xi3(v), dtype=float)
-    return np.stack([
-        np.cos(x1) * np.cos(x2),
-        -np.cos(x1) * np.sin(x2),
-        np.sin(x1) * np.cos(x3),
-        -np.sin(x1) * np.sin(x3),
-    ], axis=-1)
-
-
-def row1_derivative(profile: XiProfile, v):
-    """d/dv of row1 by the chain rule on the profile derivatives."""
-    v = profile.check_domain(v)
-    x1 = np.asarray(profile.xi1(v), dtype=float)
-    x2 = np.asarray(profile.xi2(v), dtype=float)
-    x3 = np.asarray(profile.xi3(v), dtype=float)
-    d1 = np.asarray(profile.xi1.derivative(v), dtype=float)
-    d2 = np.asarray(profile.xi2.derivative(v), dtype=float)
-    d3 = np.asarray(profile.xi3.derivative(v), dtype=float)
+    jets = profile.jets(profile.check_domain(v), order)
+    x1, x2, x3 = (jet[0] for jet in jets)
     c1, s1 = np.cos(x1), np.sin(x1)
     c2, s2 = np.cos(x2), np.sin(x2)
     c3, s3 = np.cos(x3), np.sin(x3)
-    return np.stack([
+    r1 = np.stack([c1 * c2, -c1 * s2, s1 * c3, -s1 * s3], axis=-1)
+    if not order:
+        return r1[None]
+    d1, d2, d3 = (jet[1] for jet in jets)
+    return np.stack([r1, np.stack([
         -d1 * s1 * c2 - d2 * c1 * s2,
         d1 * s1 * s2 - d2 * c1 * c2,
         d1 * c1 * c3 - d3 * s1 * s3,
         -d1 * c1 * s3 - d3 * s1 * c3,
-    ], axis=-1)
+    ], axis=-1)])
 
 
 def _rows_from_first(xi: float, r1: np.ndarray) -> np.ndarray:
-    """Stack the four rows generated by a (derivative of a) first row."""
+    """Stack the four rows generated by a first row; linear in r1, so it
+    maps the jet of the first row to the jet of A."""
     j1r = r1 @ J1.T
     j2r = r1 @ J2.T
     j3r = r1 @ J3.T
@@ -256,14 +216,11 @@ def _rows_from_first(xi: float, r1: np.ndarray) -> np.ndarray:
     return np.stack([r1, j1r, c * j2r + s * j3r, -c * j3r + s * j2r], axis=-2)
 
 
-def assemble(profile: XiProfile, v) -> np.ndarray:
-    """The orthogonal matrix A(v); batched v gives shape S + (4, 4)."""
-    return _rows_from_first(profile.xi, row1(profile, v))
-
-
-def assemble_derivative(profile: XiProfile, v) -> np.ndarray:
-    """dA/dv, valid because xi is constant on the whole family."""
-    return _rows_from_first(profile.xi, row1_derivative(profile, v))
+def assemble(profile: XiProfile, v, order: int = 0) -> np.ndarray:
+    """The orthogonal matrix A(v), and for order 1 also dA/dv (valid
+    because xi is constant on the whole family): v of shape S gives
+    shape (order + 1,) + S + (4, 4)."""
+    return _rows_from_first(profile.xi, row1(profile, v, order))
 
 
 def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0,
@@ -281,13 +238,13 @@ def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0,
     if n % 2 == 0:
         n += 1
     vs = np.linspace(profile.v_min, profile.v_max, n)
-    x1 = np.asarray(profile.xi1(vs), dtype=float)
+    x1, = profile.xi1.jet(vs)
     s1 = np.sin(x1)
     if np.min(np.abs(s1)) < XI1_SIN_FLOOR:
         raise ConfigError(
             f"|sin(xi1)| drops to {np.min(np.abs(s1)):.2e} on the domain; "
             "the constraint degenerates there, supply xi3 explicitly")
-    integrand = (np.cos(x1) / s1) ** 2 * np.asarray(profile.xi2.derivative(vs), dtype=float)
+    integrand = (np.cos(x1) / s1) ** 2 * profile.xi2.jet(vs, 1)[1]
     values = xi3_at_vmin + cumulative_simpson(integrand, x=vs, initial=0.0)
     xi3 = _DerivedXi3(profile.xi1, profile.xi2, vs, values)
     return replace(profile, xi3=xi3)
@@ -300,9 +257,7 @@ def detect_hopf_tube(profile: XiProfile, n_samples: int = 257):
     constant at a multiple of pi/2; or xi1 constant anywhere with
     -xi' + xi2' + xi3' identically zero (xi' = 0 since xi is constant).
     """
-    vs = profile.sample_vs(n_samples)
-    x1 = np.asarray(profile.xi1(vs), dtype=float)
-    d1 = np.asarray(profile.xi1.derivative(vs), dtype=float)
+    (x1, d1), (_, d2), (_, d3) = profile.jets(profile.sample_vs(n_samples), 1)
     xi1_constant = np.max(np.abs(d1)) <= HOPF_TUBE_TOL \
         and np.max(np.abs(x1 - x1[0])) <= HOPF_TUBE_TOL
     if not xi1_constant:
@@ -310,9 +265,7 @@ def detect_hopf_tube(profile: XiProfile, n_samples: int = 257):
     k_half_pi = x1[0] / (math.pi / 2)
     if abs(k_half_pi - round(k_half_pi)) * (math.pi / 2) <= HOPF_TUBE_TOL:
         return True, f"xi1 constant at {x1[0]:.6g}, a multiple of pi/2"
-    drift = np.asarray(profile.xi2.derivative(vs), dtype=float) \
-        + np.asarray(profile.xi3.derivative(vs), dtype=float)
-    if np.max(np.abs(drift)) <= HOPF_TUBE_TOL:
+    if np.max(np.abs(d2 + d3)) <= HOPF_TUBE_TOL:
         return True, "xi1 constant and -xi' + xi2' + xi3' vanishes identically"
     return False, "xi1 constant but the phase drift is nonzero"
 

@@ -32,7 +32,7 @@ import numpy as np
 from .ambient import J1, J2, J3, BergerParams, frame_components
 from .constants import HelixConstants, compute_constants
 from .errors import DegenerateTangentPlane, OutOfDomain, check_range
-from .family import XiProfile, assemble, assemble_derivative
+from .family import XiProfile, assemble
 
 GRAM_DET_TOL = 1e-12
 FD_STEP_V = 1e-5
@@ -111,8 +111,7 @@ def make_surface(params: BergerParams, profile: XiProfile,
 
     The u-domain covers one full period of the slow circle phase,
     [0, 2 pi / alpha2]; the v-domain is the profile's.  fv_method
-    defaults to "analytic" when the profile advertises exact
-    derivatives, "fd" otherwise.
+    defaults to "analytic": every profile function has an exact jet.
     """
     if consts is None:
         consts = compute_constants(params)
@@ -120,10 +119,9 @@ def make_surface(params: BergerParams, profile: XiProfile,
         u_domain = (0.0, 2.0 * math.pi / consts.alpha2)
     if v_domain is None:
         v_domain = (profile.v_min, profile.v_max)
-    if fv_method is None:
-        fv_method = "analytic" if profile.exact_derivatives else "fd"
     return HelixSurface(params=params, consts=consts, profile=profile,
-                        u_domain=u_domain, v_domain=v_domain, fv_method=fv_method)
+                        u_domain=u_domain, v_domain=v_domain,
+                        fv_method="analytic" if fv_method is None else fv_method)
 
 
 @dataclass
@@ -180,11 +178,12 @@ def tangent_data(surface: HelixSurface, u, v) -> TangentData:
     v = np.asarray(v, dtype=float)
     prof = surface.profile
     b = beta(u, surface.consts)
-    A = assemble(prof, v)
+    analytic = surface.fv_method == "analytic"
+    A, *dA = assemble(prof, v, int(analytic))
     F = _apply(A, b)
     fu = _apply(A, beta_derivatives(u, surface.consts, 1))
-    if surface.fv_method == "analytic":
-        fv = _apply(assemble_derivative(prof, v), b)
+    if analytic:
+        fv = _apply(dA[0], b)
         fv_ok = np.ones(v.shape, dtype=bool)
     else:
         h = FD_STEP_V
@@ -192,7 +191,7 @@ def tangent_data(surface: HelixSurface, u, v) -> TangentData:
         fv = np.full(F.shape, np.nan)
         if np.any(fv_ok):
             def diff(step):
-                Ad = assemble(prof, vin + step) - assemble(prof, vin - step)
+                Ad = assemble(prof, vin + step)[0] - assemble(prof, vin - step)[0]
                 return _apply(Ad, b) / (2.0 * step)
 
             fv = (4.0 * diff(h / 2) - diff(h)) / 3.0
@@ -357,9 +356,10 @@ def _sweep_forms(surface: HelixSurface, vs: np.ndarray):
     (orthogonality, A J1 = J1 A) that the family checks certify.
     """
     prof, c = surface.profile, surface.consts
-    A = assemble(prof, vs)
-    if surface.fv_method == "analytic":
-        D = assemble_derivative(prof, vs)
+    analytic = surface.fv_method == "analytic"
+    A, *dA = assemble(prof, vs, int(analytic))
+    if analytic:
+        D = dA[0]
         fv_ok = np.ones(vs.shape, dtype=bool)
     else:
         h = FD_STEP_V
@@ -367,7 +367,8 @@ def _sweep_forms(surface: HelixSurface, vs: np.ndarray):
         D = np.full(A.shape, np.nan)
         if np.any(fv_ok):
             def diff(step):
-                return (assemble(prof, vin + step) - assemble(prof, vin - step)) / (2.0 * step)
+                Ad = assemble(prof, vin + step)[0] - assemble(prof, vin - step)[0]
+                return Ad / (2.0 * step)
 
             D = (4.0 * diff(h / 2) - diff(h)) / 3.0
             D[~fv_ok] = np.nan

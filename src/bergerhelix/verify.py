@@ -26,7 +26,7 @@ import numpy as np
 
 from .ambient import J1, connection_table
 from .constants import ab_coefficients, lambda_field, phi_field
-from .errors import DegenerateTangentPlane
+from .errors import ConfigError, DegenerateTangentPlane
 from .family import assemble, detect_hopf_tube
 from .surface import (
     DEGENERATE,
@@ -135,6 +135,12 @@ class VerifyConfig:
     nu: int = 81
     nv: int = 81
     tolerances: Dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ConfigError(f"unknown tolerance names {unknown}; known names: "
+                              + ", ".join(sorted(DEFAULT_TOLERANCES)))
 
     def tol(self, name: str, surface: HelixSurface) -> float:
         """The tolerance an entry is judged by; the curvature one widens to
@@ -326,16 +332,10 @@ def normal_closed_form_n1(surface: HelixSurface, u, v):
     the cross-product orientation used by normal_components.
     """
     c = surface.consts
-    prof = surface.profile
     u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    x1 = np.asarray(prof.xi1(v), dtype=float)
-    x2 = np.asarray(prof.xi2(v), dtype=float)
-    x3 = np.asarray(prof.xi3(v), dtype=float)
-    drift = np.asarray(prof.xi2.derivative(v), dtype=float) \
-        + np.asarray(prof.xi3.derivative(v), dtype=float)
+    (x1, _), (x2, d2), (x3, d3) = surface.profile.jets(v, 1)
     return 0.5 * (c.alpha1 - c.alpha2) * math.sqrt(c.g11 * c.g33) \
-        * np.sin(2.0 * x1) * np.sin((c.alpha1 - c.alpha2) * u + x2 - x3) * drift
+        * np.sin(2.0 * x1) * np.sin((c.alpha1 - c.alpha2) * u + x2 - x3) * (d2 + d3)
 
 
 # --------------------------------------------------------------------------
@@ -348,7 +348,7 @@ def _family_vs(surface: HelixSurface, config: VerifyConfig) -> np.ndarray:
 
 def _family(surface, config):
     vs = _family_vs(surface, config)
-    A = assemble(surface.profile, vs)
+    A, = assemble(surface.profile, vs)
     return {
         "family_orthogonality": (np.abs(np.einsum('kij,kil->kjl', A, A) - np.eye(4)), vs.size),
         "family_j1_commutation": (np.abs(A @ J1 - J1 @ A), vs.size),
@@ -398,7 +398,7 @@ def _fourth_order_ode(surface, config):
     comb = beta_derivatives(us, c, 4) \
         + (c.b_tilde ** 2 - 2.0 * c.a_tilde) * beta_derivatives(us, c, 2) \
         + c.a_tilde ** 2 * beta(us, c)
-    A = assemble(surface.profile, vs)
+    A, = assemble(surface.profile, vs)
     return {"fourth_order_ode": (np.abs(np.einsum('kij,kj->ki', A, comb)), us.size)}
 
 
@@ -411,7 +411,7 @@ def _product_table(surface, config):
     """
     us, _ = _sample_points(surface, 32, SEED)
     c = surface.consts
-    A = assemble(surface.profile, surface.v_domain[0])
+    A, = assemble(surface.profile, surface.v_domain[0])
     ders = [(A @ beta_derivatives(us, c, k).T).T for k in range(4)]
     errs = []
     for (i, j), target in product_table_targets(c).items():
@@ -430,7 +430,7 @@ def _j1_products(surface, config):
     c = surface.consts
     eps = surface.params.epsilon
     th = surface.params.theta
-    A = assemble(surface.profile, vs)
+    A, = assemble(surface.profile, vs)
     d = [np.einsum('kij,kj->ki', A, beta_derivatives(us, c, k)) for k in range(4)]
     j1 = [x @ J1.T for x in d]
     return {"j1_products": ([

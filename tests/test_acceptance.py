@@ -157,7 +157,7 @@ def test_criterion_06_family_structure():
     vs = np.linspace(0.0, 2 * math.pi, 1000)
     worst_orth = worst_comm = worst_con = 0.0
     for prof in _random_admissible_profiles():
-        A = assemble(prof, vs)
+        A, = assemble(prof, vs)
         worst_orth = max(worst_orth, float(np.max(np.abs(
             np.einsum('kij,kil->kjl', A, A) - np.eye(4)))))
         worst_comm = max(worst_comm, float(np.max(np.abs(A @ J1 - J1 @ A))))

@@ -153,6 +153,22 @@ def test_generate_fd_method(tmp_path):
     assert out.read_text().count("\n") == 1 + 35
 
 
+@pytest.mark.parametrize("fmt,tail", [("csv", ""), ("obj", " projection=0")])
+def test_generate_counts_defects_on_stderr(capsys, fmt, tail):
+    # the fd stencil leaves the domain on the first and last v column, and
+    # the reference surface is singular along u = 0 (its Gram determinant
+    # vanishes like u^2), which leaves 5 degenerate samples in between
+    assert main(["generate", "--nu", "5", "--nv", "7", "--fv-method", "fd",
+                 "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    want = "defects: out_of_domain=10 non_finite=0 degenerate_tangent_plane=5"
+    assert err == want + tail + "\n"
+    if fmt == "csv":   # stdout carries the export alone
+        surface = make_surface(BergerParams(1.0, math.pi / 4),
+                               profile_from_config(EXAMPLE_CONFIG), fv_method="fd")
+        assert out.encode("ascii") == export_csv(sample_grid(surface, 5, 7))
+
+
 def test_verify_rejects_export_flags(capsys):
     # --pole and --format belong to the export subcommands only
     assert main(["verify", "--pole", "2"]) == 2

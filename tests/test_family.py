@@ -2,25 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bergerhelix.ambient import J1
+from bergerhelix.ambient import J1, BergerParams
 from bergerhelix.errors import ConfigError, OutOfDomain
 from bergerhelix.family import (
     Constant,
-    FromCallable,
     Linear,
     Sinusoid,
     Tabulated,
     XiProfile,
     assemble,
-    assemble_derivative,
     derive_xi3,
     detect_hopf_tube,
     example_profile,
     profile_from_config,
     row1,
-    row1_derivative,
 )
+from bergerhelix.surface import make_surface, sample_grid
+from bergerhelix.verify import run_all
 
 RNG = np.random.default_rng(99)
 
@@ -37,20 +38,90 @@ def random_profile(rng=RNG, v_min=0.0, v_max=2 * math.pi):
     )
 
 
+# ---------------------------------------------------------------------- jets
+
+TWO_PI = 2 * math.pi
+H_JET = 1e-5
+
+
+@st.composite
+def profile_functions(draw):
+    """A profile function on [0, 2 pi] of each of the five kinds: constant,
+    linear, sinusoid, a cubic-spline table, and an xi3 derived from a
+    sinusoid xi1."""
+    kind = draw(st.sampled_from(["constant", "linear", "sinusoid", "table", "derived"]))
+    if kind == "constant":
+        return Constant(draw(st.floats(-3.0, 3.0)))
+    if kind == "linear":
+        return Linear(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    if kind == "sinusoid":
+        return Sinusoid(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.1, 3.0)),
+                        draw(st.floats(0.0, TWO_PI)), draw(st.floats(-1.0, 1.0)))
+    if kind == "table":
+        values = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=12))
+        return Tabulated(np.linspace(0.0, TWO_PI, len(values)), values)
+    # an xi1 offset of 0.6 or more keeps the value (a spline through the
+    # quadrature) within 1e-6 of the exact derivative cot^2(xi1) xi2' when
+    # differenced; at 0.5 the two differ by up to 2e-6
+    xi1 = Sinusoid(draw(st.floats(0.01, 0.2)), draw(st.sampled_from([1.0, 2.0])),
+                   draw(st.floats(0.0, TWO_PI)), draw(st.floats(0.6, 1.0)))
+    return derive_xi3(XiProfile(xi=0.0, xi1=xi1, xi2=Linear(draw(st.floats(0.5, 1.5))),
+                                xi3=None, v_min=0.0, v_max=TWO_PI)).xi3
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile_functions(), st.floats(H_JET, TWO_PI - H_JET))
+def test_jet_orders_agree_and_derivative_matches_difference(f, v):
+    value, = f.jet(v)
+    same, derivative = f.jet(v, 1)
+    assert value.tobytes() == same.tobytes()
+    central = (f.jet(v + H_JET)[0] - f.jet(v - H_JET)[0]) / (2 * H_JET)
+    assert abs(derivative - central) <= 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, TWO_PI), profile_functions(), profile_functions(), profile_functions(),
+       st.lists(st.floats(0.0, TWO_PI), min_size=1, max_size=5))
+def test_assemble_order_one_keeps_a_bitwise(xi, xi1, xi2, xi3, vs):
+    prof = XiProfile(xi=xi, xi1=xi1, xi2=xi2, xi3=xi3, v_min=0.0, v_max=TWO_PI)
+    for v in (vs[0], np.array(vs)):
+        A, dA = assemble(prof, v, 1)
+        assert A.tobytes() == assemble(prof, v)[0].tobytes()
+        assert dA.shape == A.shape == np.shape(v) + (4, 4)
+
+
+def test_assemble_refuses_order_two():
+    with pytest.raises(OutOfDomain, match="order must be 0 or 1"):
+        assemble(example_profile(), 0.5, 2)
+
+
+@pytest.mark.parametrize("use", [
+    lambda prof: assemble(prof, 0.5),
+    lambda prof: sample_grid(make_surface(BergerParams(0.8, math.pi / 4), prof), 5, 5),
+    lambda prof: run_all(make_surface(BergerParams(0.8, math.pi / 4), prof)),
+    detect_hopf_tube,
+], ids=["assemble", "sample_grid", "run_all", "detect_hopf_tube"])
+def test_profile_without_xi3_is_a_config_error(use):
+    prof = XiProfile(xi=0.0, xi1=Constant(math.pi / 4), xi2=Linear(1.0), xi3=None,
+                     v_min=0.0, v_max=TWO_PI)
+    with pytest.raises(ConfigError, match="no xi3; call derive_xi3 first"):
+        use(prof)
+
+
 # ---------------------------------------------------------------------- row1
 
 def test_row1_reference_value():
     prof = XiProfile(xi=0.0, xi1=Constant(math.pi / 4), xi2=Constant(0.0),
                      xi3=Constant(0.0), v_min=0.0, v_max=1.0)
     s = 1 / math.sqrt(2)
-    assert np.allclose(row1(prof, 0.5), [s, 0, s, 0], atol=1e-15)
+    assert np.allclose(row1(prof, 0.5)[0], [s, 0, s, 0], atol=1e-15)
 
 
 def test_row1_collapses_when_xi1_vanishes():
     prof = XiProfile(xi=0.0, xi1=Constant(0.0), xi2=Linear(1.0),
                      xi3=Sinusoid(1.0, 2.0), v_min=0.0, v_max=3.0)
     for v in (0.0, 1.1, 2.7):
-        r = row1(prof, v)
+        r, = row1(prof, v)
         assert np.allclose(r, [math.cos(v), -math.sin(v), 0, 0], atol=1e-15)
 
 
@@ -58,7 +129,7 @@ def test_row1_is_unit_for_random_profiles():
     for _ in range(100):
         prof = random_profile()
         v = RNG.uniform(0, 2 * math.pi)
-        assert abs(np.linalg.norm(row1(prof, v)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(row1(prof, v)[0]) - 1.0) < 1e-12
 
 
 def test_row1_out_of_domain():
@@ -70,15 +141,15 @@ def test_row1_derivative_matches_finite_difference():
     prof = random_profile(v_min=-10, v_max=10)
     h = 1e-6
     for v in (0.3, 1.7, 4.1):
-        fd = (row1(prof, v + h) - row1(prof, v - h)) / (2 * h)
-        assert np.max(np.abs(row1_derivative(prof, v) - fd)) < 1e-9
+        fd = (row1(prof, v + h)[0] - row1(prof, v - h)[0]) / (2 * h)
+        assert np.max(np.abs(row1(prof, v, 1)[1] - fd)) < 1e-9
 
 
 # ------------------------------------------------------------------ assemble
 
 def test_assemble_reference_matrix():
     # the admissible reference profile at v=0
-    A = assemble(example_profile(), 0.0)
+    A, = assemble(example_profile(), 0.0)
     want = np.array([
         [1, 0, 1, 0],
         [0, 1, 0, 1],
@@ -92,7 +163,7 @@ def test_assemble_determinant_constant_plus_one():
     # brute-force determinant over sampled v, for several profiles
     for _ in range(5):
         prof = random_profile()
-        dets = [np.linalg.det(assemble(prof, v)) for v in np.linspace(0, 2 * math.pi, 17)]
+        dets = [np.linalg.det(assemble(prof, v)[0]) for v in np.linspace(0, 2 * math.pi, 17)]
         assert np.max(np.abs(np.asarray(dets) - 1.0)) < 1e-12
 
 
@@ -100,7 +171,7 @@ def test_assemble_orthogonal_and_commuting():
     for _ in range(100):
         prof = random_profile()
         v = RNG.uniform(0, 2 * math.pi)
-        A = assemble(prof, v)
+        A, = assemble(prof, v)
         assert np.max(np.abs(A @ A.T - np.eye(4))) < 1e-12
         assert np.max(np.abs(A @ J1 - J1 @ A)) < 1e-12
 
@@ -108,24 +179,24 @@ def test_assemble_orthogonal_and_commuting():
 def test_assemble_rows_orthonormal():
     prof = random_profile()
     for v in np.linspace(0, 2 * math.pi, 13):
-        A = assemble(prof, v)
+        A, = assemble(prof, v)
         assert np.max(np.abs(A @ A.T - np.eye(4))) < 1e-12
 
 
 def test_assemble_vectorized_matches_scalar():
     prof = random_profile()
     vs = np.linspace(0.2, 5.0, 9)
-    batch = assemble(prof, vs)
+    batch, = assemble(prof, vs)
     for k, v in enumerate(vs):
-        assert np.array_equal(batch[k], assemble(prof, v))
+        assert np.array_equal(batch[k], assemble(prof, v)[0])
 
 
 def test_assemble_derivative_matches_finite_difference():
     prof = random_profile(v_min=-10, v_max=10)
     h = 1e-6
     for v in (0.5, 2.2):
-        fd = (assemble(prof, v + h) - assemble(prof, v - h)) / (2 * h)
-        assert np.max(np.abs(assemble_derivative(prof, v) - fd)) < 1e-9
+        fd = (assemble(prof, v + h)[0] - assemble(prof, v - h)[0]) / (2 * h)
+        assert np.max(np.abs(assemble(prof, v, 1)[1] - fd)) < 1e-9
 
 
 # ---------------------------------------------------------------- derive_xi3
@@ -135,7 +206,7 @@ def test_derive_xi3_unit_cotangent():
                      xi3=None, v_min=0.5, v_max=3.0)
     out = derive_xi3(prof, xi3_at_vmin=0.0)
     for v in np.linspace(0.5, 3.0, 11):
-        assert out.xi3(v) == pytest.approx(v - 0.5, abs=1e-12)
+        assert out.xi3.jet(v)[0] == pytest.approx(v - 0.5, abs=1e-12)
 
 
 def test_derive_xi3_third_cotangent_vs_exact_antiderivative():
@@ -143,7 +214,7 @@ def test_derive_xi3_third_cotangent_vs_exact_antiderivative():
                      xi3=None, v_min=0.0, v_max=2 * math.pi, )
     out = derive_xi3(prof, xi3_at_vmin=0.25)
     for v in np.linspace(0.0, 2 * math.pi, 23):
-        assert out.xi3(v) == pytest.approx(v / 3 + 0.25, abs=1e-10)
+        assert out.xi3.jet(v)[0] == pytest.approx(v / 3 + 0.25, abs=1e-10)
 
 
 def test_derive_xi3_constant_xi2():
@@ -151,7 +222,7 @@ def test_derive_xi3_constant_xi2():
                      xi3=None, v_min=0.0, v_max=4.0)
     out = derive_xi3(prof, xi3_at_vmin=-1.5)
     vs = np.linspace(0.0, 4.0, 17)
-    assert np.max(np.abs(out.xi3(vs) + 1.5)) < 1e-12
+    assert np.max(np.abs(out.xi3.jet(vs)[0] + 1.5)) < 1e-12
 
 
 def test_derive_xi3_constraint_on_finer_grid():
@@ -168,10 +239,10 @@ def test_derive_xi3_simpson_value_accuracy_nonlinear():
                      xi3=None, v_min=0.0, v_max=3.0)
     out = derive_xi3(prof)
     vs = np.linspace(0.0, 3.0, 300001)
-    x1 = prof.xi1(vs)
+    x1, = prof.xi1.jet(vs)
     integrand = (np.cos(x1) / np.sin(x1)) ** 2
     oracle = np.trapezoid(integrand, vs)
-    assert out.xi3(3.0) == pytest.approx(oracle, abs=1e-9)
+    assert out.xi3.jet(3.0)[0] == pytest.approx(oracle, abs=1e-9)
 
 
 def test_derive_xi3_refuses_degenerate_xi1():
@@ -188,9 +259,9 @@ def test_accepted_profiles_have_nonzero_motion():
         if detect_hopf_tube(prof)[0]:
             continue
         vs = prof.sample_vs()
-        d1 = prof.xi1.derivative(vs)
-        drift = prof.xi2.derivative(vs) + prof.xi3.derivative(vs)
-        motion = 4 * d1 ** 2 + np.sin(2 * prof.xi1(vs)) ** 2 * drift ** 2
+        (x1, d1), (_, d2), (_, d3) = prof.jets(vs, 1)
+        drift = d2 + d3
+        motion = 4 * d1 ** 2 + np.sin(2 * x1) ** 2 * drift ** 2
         assert np.max(motion) > 0
 
 
@@ -245,7 +316,7 @@ def test_profile_from_config_auto_xi3():
         "v_max": 2.0,
     }
     prof = profile_from_config(cfg)
-    assert prof.xi3(1.5) == pytest.approx(0.5, abs=1e-10)
+    assert prof.xi3.jet(1.5)[0] == pytest.approx(0.5, abs=1e-10)
     assert np.max(prof.constraint_residual(np.linspace(0, 2, 101))) < 1e-8
 
 
@@ -260,8 +331,8 @@ def test_profile_from_config_table():
         "v_max": 1.0,
     }
     prof = profile_from_config(cfg)
-    assert prof.xi2(0.5) == pytest.approx(1.0, abs=1e-12)
-    assert prof.xi2.derivative(0.35) == pytest.approx(2.0, abs=1e-9)
+    assert prof.xi2.jet(0.5)[0] == pytest.approx(1.0, abs=1e-12)
+    assert prof.xi2.jet(0.35, 1)[1] == pytest.approx(2.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("broken", [
@@ -290,16 +361,11 @@ def test_profile_from_config_rejects_malformed(broken):
         profile_from_config(broken)
 
 
-def test_from_callable_fd_derivative():
-    f = FromCallable(np.tanh)
-    assert f.derivative(0.4) == pytest.approx(1 / np.cosh(0.4) ** 2, abs=1e-9)
-    assert not f.exact_derivative
-
-
 def test_tabulated_refuses_extrapolation():
     t = Tabulated([0, 1, 2, 3], [0, 1, 4, 9])
-    with pytest.raises(OutOfDomain):
-        t(3.5)
+    for order in (0, 1):
+        with pytest.raises(OutOfDomain):
+            t.jet(3.5, order)
 
 
 @pytest.mark.parametrize("v_nodes,values", [

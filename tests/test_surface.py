@@ -136,7 +136,7 @@ def test_position_reference_point():
 def test_position_against_plain_multiply_oracle():
     s = surface_ref()
     for (u, v) in [(0.3, 0.4), (2.0, 5.0), (10.0, 1.2)]:
-        A = assemble(s.profile, v)
+        A, = assemble(s.profile, v)
         b = beta(u, s.consts)
         oracle = [sum(A[i][j] * b[j] for j in range(4)) for i in range(4)]
         assert np.max(np.abs(position(s, u, v) - oracle)) < 1e-15

@@ -6,7 +6,8 @@ import pytest
 
 import bergerhelix.surface as surface_module
 from bergerhelix.ambient import BergerParams
-from bergerhelix.family import Constant, FromCallable, Linear, XiProfile, example_profile
+from bergerhelix.errors import ConfigError
+from bergerhelix.family import Constant, Linear, XiProfile, example_profile
 from bergerhelix.surface import NON_FINITE, make_surface, sample_grid, sweep_grid
 from bergerhelix.verify import (
     CHECKS,
@@ -42,15 +43,19 @@ def hopf_tube():
     return make_surface(P_REF, prof)
 
 
+class NanTail:
+    """xi2 = v, turning NaN for v > 6; its derivative is 1 everywhere."""
+
+    def jet(self, v, order=0):
+        v = np.asarray(v, dtype=float)
+        value = np.where(v > 6, np.nan, v)
+        return (value, np.ones_like(v)) if order else (value,)
+
+
 def nan_tail_surface():
     """The reference surface with an xi2 that turns NaN for v > 6, so the
     samples at v = 2 pi are not finite."""
-    def xi2(v):
-        v = np.asarray(v, dtype=float)
-        return np.where(v > 6, np.nan, v)
-
-    prof = XiProfile(xi=math.pi / 2, xi1=Constant(math.pi / 4),
-                     xi2=FromCallable(xi2, lambda v: np.ones_like(np.asarray(v, dtype=float))),
+    prof = XiProfile(xi=math.pi / 2, xi1=Constant(math.pi / 4), xi2=NanTail(),
                      xi3=Linear(1.0), v_min=0.0, v_max=2 * math.pi)
     return make_surface(P_REF, prof)
 
@@ -273,6 +278,11 @@ def test_tolerance_overrides():
     rep = run_all(ref_surface(), cfg)
     assert not rep.entry("angle_constancy").passed
     assert not rep.overall_pass
+
+
+def test_verify_config_refuses_unknown_tolerance_name():
+    with pytest.raises(ConfigError, match=r"unknown tolerance names \['nope'\]; known names: ab_"):
+        VerifyConfig(tolerances={"nope": 1})
 
 
 def test_report_json_shape():
