@@ -52,11 +52,23 @@ def compute_constants(params: BergerParams) -> HelixConstants:
 
     Raises InvalidAngle for theta outside the open interval (0, pi/2);
     BergerParams already guards this, so the re-check only matters for
-    hand-built parameter objects.
+    hand-built parameter objects.  Raises OutOfDomain when epsilon takes
+    a closed form out of the double range or alpha2 rounds to zero.
     """
     eps, th = params.epsilon, params.theta
     if not 0.0 < th < math.pi / 2:
         raise InvalidAngle(f"theta={th} outside (0, pi/2)")
+    try:
+        consts = _closed_forms(eps, th)
+    except (ZeroDivisionError, OverflowError):
+        consts = None
+    if consts is None or not (consts.alpha2 > 0.0
+                              and all(map(math.isfinite, vars(consts).values()))):
+        raise OutOfDomain(f"epsilon={eps}: the closed-form constants leave the double range")
+    return consts
+
+
+def _closed_forms(eps: float, th: float) -> HelixConstants:
     ct, st = math.cos(th), math.sin(th)
     B = 1.0 + (eps * eps - 1.0) * ct * ct
     sB = math.sqrt(B)

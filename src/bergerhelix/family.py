@@ -32,7 +32,8 @@ from .errors import ConfigError, OutOfDomain, check_range
 CONSTRAINT_TOL = 1e-8
 HOPF_TUBE_TOL = 1e-9
 XI1_SIN_FLOOR = 1e-6
-DERIVE_GRID_MIN = 1001
+DERIVE_NODES = 1001     # odd, as composite Simpson wants
+PROFILE_SAMPLES = 257   # the v samples that decide admissibility and the branch
 
 
 # --------------------------------------------------------------------------
@@ -171,16 +172,20 @@ class XiProfile:
         (x1, _), (_, d2), (_, d3) = self.jets(v, 1)
         return np.abs(np.cos(x1) ** 2 * d2 - np.sin(x1) ** 2 * d3)
 
-    def is_admissible(self, n_samples: int = 257, tol: float = CONSTRAINT_TOL) -> bool:
-        """True when the sampled constraint residual stays below tol and
-        the profile is not on a degenerate (fiber-tangent) branch."""
-        vs = self.sample_vs(n_samples)
-        if np.max(self.constraint_residual(vs)) > tol:
+    def is_admissible(self) -> bool:
+        """True when the constraint residual on sample_vs() stays below
+        CONSTRAINT_TOL and the branch is not degenerate (fiber-tangent)."""
+        if np.max(self.constraint_residual(self.sample_vs())) > CONSTRAINT_TOL:
             return False
-        return not detect_hopf_tube(self, n_samples)[0]
+        return not self.hopf_tube[0]
 
-    def sample_vs(self, n: int = 257) -> np.ndarray:
-        return np.linspace(self.v_min, self.v_max, n)
+    def sample_vs(self) -> np.ndarray:
+        return np.linspace(self.v_min, self.v_max, PROFILE_SAMPLES)
+
+    @cached_property
+    def hopf_tube(self):
+        """detect_hopf_tube(self), decided once per profile."""
+        return detect_hopf_tube(self)
 
 
 def row1(profile: XiProfile, v, order: int = 0):
@@ -223,21 +228,17 @@ def assemble(profile: XiProfile, v, order: int = 0) -> np.ndarray:
     return _rows_from_first(profile.xi, row1(profile, v, order))
 
 
-def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0,
-               n_nodes: int = DERIVE_GRID_MIN) -> XiProfile:
+def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0) -> XiProfile:
     """Fill in xi3 so the admissibility constraint holds.
 
-    Integrates xi3' = cot^2(xi1) xi2' from v_min with cumulative
-    composite Simpson on at least DERIVE_GRID_MIN nodes, cubic
-    interpolation between them.  Requires |sin(xi1)| bounded away from
-    zero on the whole domain.
+    Integrates xi3' = cot^2(xi1) xi2' from xi3(v_min) = xi3_at_vmin with
+    cumulative composite Simpson on DERIVE_NODES equally spaced nodes,
+    cubic interpolation between them.  Requires |sin(xi1)| bounded away
+    from zero on the whole domain.
     """
     from scipy.integrate import cumulative_simpson   # here, so closed forms never load scipy
 
-    n = max(int(n_nodes), DERIVE_GRID_MIN)
-    if n % 2 == 0:
-        n += 1
-    vs = np.linspace(profile.v_min, profile.v_max, n)
+    vs = np.linspace(profile.v_min, profile.v_max, DERIVE_NODES)
     x1, = profile.xi1.jet(vs)
     s1 = np.sin(x1)
     if np.min(np.abs(s1)) < XI1_SIN_FLOOR:
@@ -250,14 +251,14 @@ def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0,
     return replace(profile, xi3=xi3)
 
 
-def detect_hopf_tube(profile: XiProfile, n_samples: int = 257):
-    """Decide whether the profile generates a fiber-tangent surface.
+def detect_hopf_tube(profile: XiProfile):
+    """Decide on sample_vs() whether the profile generates a fiber-tangent surface.
 
     Returns (flag, diagnostic).  The degenerate branches are: xi1
     constant at a multiple of pi/2; or xi1 constant anywhere with
     -xi' + xi2' + xi3' identically zero (xi' = 0 since xi is constant).
     """
-    (x1, d1), (_, d2), (_, d3) = profile.jets(profile.sample_vs(n_samples), 1)
+    (x1, d1), (_, d2), (_, d3) = profile.jets(profile.sample_vs(), 1)
     xi1_constant = np.max(np.abs(d1)) <= HOPF_TUBE_TOL \
         and np.max(np.abs(x1 - x1[0])) <= HOPF_TUBE_TOL
     if not xi1_constant:
@@ -344,13 +345,13 @@ def profile_from_file(path: str) -> XiProfile:
     return profile_from_config(cfg)
 
 
-def example_profile(v_min: float = 0.0, v_max: float = 2.0 * math.pi) -> XiProfile:
-    """The reference admissible profile: xi = pi/2, xi1 = pi/4, xi2 = xi3 = v."""
+def example_profile() -> XiProfile:
+    """The reference admissible profile on [0, 2 pi]: xi = pi/2, xi1 = pi/4, xi2 = xi3 = v."""
     return XiProfile(
         xi=math.pi / 2,
         xi1=Constant(math.pi / 4),
         xi2=Linear(1.0),
         xi3=Linear(1.0),
-        v_min=v_min,
-        v_max=v_max,
+        v_min=0.0,
+        v_max=2.0 * math.pi,
     )

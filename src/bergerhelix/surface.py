@@ -104,23 +104,19 @@ class HelixSurface:
 
 def make_surface(params: BergerParams, profile: XiProfile,
                  consts: Optional[HelixConstants] = None,
-                 u_domain: Optional[Tuple[float, float]] = None,
-                 v_domain: Optional[Tuple[float, float]] = None,
                  fv_method: Optional[str] = None) -> HelixSurface:
-    """Assemble a surface with the default domains.
+    """Assemble a surface over one full period of the slow circle phase,
+    u in [0, 2 pi / alpha2], and the profile's v-domain.
 
-    The u-domain covers one full period of the slow circle phase,
-    [0, 2 pi / alpha2]; the v-domain is the profile's.  fv_method
-    defaults to "analytic": every profile function has an exact jet.
+    consts defaults to compute_constants(params); a caller passes other
+    constants to build a faulty surface.  fv_method defaults to
+    "analytic": every profile function has an exact jet.
     """
     if consts is None:
         consts = compute_constants(params)
-    if u_domain is None:
-        u_domain = (0.0, 2.0 * math.pi / consts.alpha2)
-    if v_domain is None:
-        v_domain = (profile.v_min, profile.v_max)
     return HelixSurface(params=params, consts=consts, profile=profile,
-                        u_domain=u_domain, v_domain=v_domain,
+                        u_domain=(0.0, 2.0 * math.pi / consts.alpha2),
+                        v_domain=(profile.v_min, profile.v_max),
                         fv_method="analytic" if fv_method is None else fv_method)
 
 
@@ -155,13 +151,30 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _fd_stencil(prof: XiProfile, v):
-    """Where the stencil [v - FD_STEP_V, v + FD_STEP_V] of a finite-difference
-    F_v fits in the profile domain, and v with every other value moved to
-    the domain midpoint, where it is evaluated and then discarded."""
+def _family_jet(surface: HelixSurface, v, apply):
+    """(A(v), F_v, fv_ok), the one F_v recipe of both kernels: F_v is
+    apply(dA/dv), or with fv_method "fd" the Richardson difference
+    (4 D(h/2) - D(h)) / 3, h = FD_STEP_V, D(s) = apply(A(v+s) - A(v-s)) / (2 s).
+    fv_ok marks the v whose stencil fits in the profile domain; elsewhere
+    F_v is NaN (the stencil is moved to the midpoint and discarded).
+    """
+    prof = surface.profile
+    if surface.fv_method == "analytic":
+        A, dA = assemble(prof, v, 1)
+        return A, apply(dA), np.ones(v.shape, dtype=bool)
     h = FD_STEP_V
     fv_ok = (v - h >= prof.v_min - 1e-15) & (v + h <= prof.v_max + 1e-15)
-    return fv_ok, np.where(fv_ok, v, 0.5 * (prof.v_min + prof.v_max))
+    vin = np.where(fv_ok, v, 0.5 * (prof.v_min + prof.v_max))
+    A, = assemble(prof, v)
+
+    def diff(step):
+        Ad = np.full(A.shape, np.nan)
+        if np.any(fv_ok):   # else even the midpoint stencil may leave the domain
+            Ad = assemble(prof, vin + step)[0] - assemble(prof, vin - step)[0]
+            Ad[~fv_ok] = np.nan
+        return apply(Ad) / (2.0 * step)
+
+    return A, (4.0 * diff(h / 2) - diff(h)) / 3.0, fv_ok
 
 
 def tangent_data(surface: HelixSurface, u, v) -> TangentData:
@@ -169,34 +182,17 @@ def tangent_data(surface: HelixSurface, u, v) -> TangentData:
 
     u and v broadcast against each other; A is assembled on v as given
     and beta on u, so a grid passed as (us[:, None], vs[None, :]) builds
-    each A(v) once.  F_v is dA/dv beta(u), or with fv_method "fd" the
-    Richardson central difference (4 D(h/2) - D(h)) / 3 of step
-    FD_STEP_V, whose stencil must fit in the profile domain.  The domain
-    of (u, v) is not checked here; the pointwise views check it.
+    each A(v) once.  F_v comes from _family_jet: dA/dv beta(u), or with
+    fv_method "fd" a Richardson central difference whose stencil must fit
+    in the profile domain.  The domain of (u, v) is not checked here; the
+    pointwise views check it.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    prof = surface.profile
     b = beta(u, surface.consts)
-    analytic = surface.fv_method == "analytic"
-    A, *dA = assemble(prof, v, int(analytic))
+    A, fv, fv_ok = _family_jet(surface, v, lambda D: _apply(D, b))
     F = _apply(A, b)
     fu = _apply(A, beta_derivatives(u, surface.consts, 1))
-    if analytic:
-        fv = _apply(dA[0], b)
-        fv_ok = np.ones(v.shape, dtype=bool)
-    else:
-        h = FD_STEP_V
-        fv_ok, vin = _fd_stencil(prof, v)
-        fv = np.full(F.shape, np.nan)
-        if np.any(fv_ok):
-            def diff(step):
-                Ad = assemble(prof, vin + step)[0] - assemble(prof, vin - step)[0]
-                return _apply(Ad, b) / (2.0 * step)
-
-            fv = (4.0 * diff(h / 2) - diff(h)) / 3.0
-            fv[~np.broadcast_to(fv_ok, fv.shape[:-1])] = np.nan
-
     cu = frame_components(surface.params, F, fu)
     cv = frame_components(surface.params, F, fv)
     normal = np.cross(cu, cv)
@@ -350,28 +346,13 @@ def _sweep_forms(surface: HelixSurface, vs: np.ndarray):
     Returns (C, fv_ok): C is (9, 10, nv), holding per v the coefficients
     of <F_u, J_k F> (k = 1, 2, 3), <F_v, J_k F> (k = 1, 2, 3), |F_u|^2,
     |F_v|^2 and <F_u, F_v>, with F = A b, F_u = A K b and F_v = D b; D is
-    dA/dv or the Richardson difference of tangent_data, NaN where its
-    stencil leaves the profile domain.  Every Q(v) is built from the
-    assembled matrices, so the sweep leans on no identity of the family
-    (orthogonality, A J1 = J1 A) that the family checks certify.
+    the matrix of _family_jet, NaN where its stencil leaves the profile
+    domain.  Every Q(v) is built from the assembled matrices, so the
+    sweep leans on no identity of the family (orthogonality, A J1 = J1 A)
+    that the family checks certify.
     """
-    prof, c = surface.profile, surface.consts
-    analytic = surface.fv_method == "analytic"
-    A, *dA = assemble(prof, vs, int(analytic))
-    if analytic:
-        D = dA[0]
-        fv_ok = np.ones(vs.shape, dtype=bool)
-    else:
-        h = FD_STEP_V
-        fv_ok, vin = _fd_stencil(prof, vs)
-        D = np.full(A.shape, np.nan)
-        if np.any(fv_ok):
-            def diff(step):
-                Ad = assemble(prof, vin + step)[0] - assemble(prof, vin - step)[0]
-                return Ad / (2.0 * step)
-
-            D = (4.0 * diff(h / 2) - diff(h)) / 3.0
-            D[~fv_ok] = np.nan
+    c = surface.consts
+    A, D, fv_ok = _family_jet(surface, vs, lambda D: D)
     # beta' = K beta: K turns each complex coordinate of beta at its frequency
     K = np.zeros((4, 4))
     K[1, 0], K[3, 2] = c.alpha1, c.alpha2
@@ -420,19 +401,15 @@ def sweep_grid(surface: HelixSurface, us, vs) -> SweepData:
 # structure probes used by the certification suite and tests
 # --------------------------------------------------------------------------
 
-def fit_phase_constant(surface: HelixSurface, u: Optional[float] = None,
-                       v: Optional[float] = None) -> float:
+def fit_phase_constant(surface: HelixSurface) -> float:
     """Fit the integration constant of the normal-rotation phase.
 
     The tangent field F_u expands as sin(th)[sin(th)/eps J1 F
     - cos(th) cos(phi) J2 F - cos(th) sin(phi) J3 F], so phi is read off
-    the projections of F_u on J2 F and J3 F.  Evaluated at the domain
-    corner by default.
+    the projections of F_u on J2 F and J3 F at the domain corner
+    (u_min, v_min).
     """
-    if u is None:
-        u = surface.u_domain[0]
-    if v is None:
-        v = surface.v_domain[0]
+    u, v = surface.u_domain[0], surface.v_domain[0]
     # only F_u enters, so an fd F_v that cannot be formed at the corner is harmless
     td = _view(surface, u, v)
     p2, p3 = float(td.fu @ (J2 @ td.F)), float(td.fu @ (J3 @ td.F))
@@ -461,19 +438,17 @@ def first_order_system_residual(surface: HelixSurface, u, v, c: float):
     return np.max(np.abs(td.fu - rhs), axis=-1)[()]
 
 
-def recover_coefficient_fields(surface: HelixSurface, v,
-                               us: Optional[np.ndarray] = None) -> np.ndarray:
+def recover_coefficient_fields(surface: HelixSurface, v) -> np.ndarray:
     """Solve for the four vector coefficients of the trig expansion of
-    F(., v) from samples along u.
+    F(., v) by least squares on the five samples u in {0, pi/(4 a1),
+    pi/(4 a2), 1, 2}.
 
     Returns an array of shape v.shape + (4, 4) whose rows are the
     recovered vectors multiplying cos(a1 u), sin(a1 u), cos(a2 u),
-    sin(a2 u).  Default sample nodes: u in {0, pi/(4 a1), pi/(4 a2), 1, 2}.
+    sin(a2 u).
     """
     a1, a2 = surface.consts.alpha1, surface.consts.alpha2
-    if us is None:
-        us = np.array([0.0, math.pi / (4 * a1), math.pi / (4 * a2), 1.0, 2.0])
-    us = np.asarray(us, dtype=float)
+    us = np.array([0.0, math.pi / (4 * a1), math.pi / (4 * a2), 1.0, 2.0])
     v = np.asarray(v, dtype=float)
     M = np.stack([np.cos(a1 * us), np.sin(a1 * us),
                   np.cos(a2 * us), np.sin(a2 * us)], axis=-1)

@@ -27,7 +27,7 @@ import numpy as np
 from .ambient import J1, connection_table
 from .constants import ab_coefficients, lambda_field, phi_field
 from .errors import ConfigError, DegenerateTangentPlane
-from .family import assemble, detect_hopf_tube
+from .family import assemble
 from .surface import (
     DEGENERATE,
     GRAM_DET_TOL,
@@ -230,10 +230,9 @@ def gauss_curvature_numeric(surface: HelixSurface, u, v, h: float = H_CURVATURE)
     return np.where(det < GRAM_DET_TOL, math.inf, K)[()]
 
 
-def _interior_points(surface: HelixSurface, n_side: int = 3,
-                     h: float = H_CURVATURE) -> np.ndarray:
-    """n_side^2 interior points as (u, v) rows, nudged off near-singular
-    parameter lines.
+def _interior_points(surface: HelixSurface) -> np.ndarray:
+    """Nine interior points, the 3 x 3 grid at the quarters of the
+    domain, as (u, v) rows, nudged off near-singular parameter lines.
 
     Finite differences of the induced metric amplify like the inverse
     square of EG - F^2, so candidates keep stepping in u until the
@@ -241,9 +240,10 @@ def _interior_points(surface: HelixSurface, n_side: int = 3,
     """
     u0, u1 = surface.u_domain
     v0, v1 = surface.v_domain
-    fracs = (np.arange(n_side) + 1.0) / (n_side + 1.0)
-    u = u0 + np.repeat(fracs, n_side) * (u1 - u0)
-    v = v0 + np.tile(fracs, n_side) * (v1 - v0)
+    h = H_CURVATURE
+    fracs = np.array([1.0, 2.0, 3.0]) / 4.0
+    u = u0 + np.repeat(fracs, 3) * (u1 - u0)
+    v = v0 + np.tile(fracs, 3) * (v1 - v0)
     for _ in range(16):
         E, Fc, G = first_fundamental_form(surface, u, v)
         nudge = ~(E * G - Fc * Fc > 0.05 * E * G)
@@ -292,10 +292,10 @@ def shape_operator_matrix(surface: HelixSurface, u, v, h: float = H_SHAPE) -> np
     return S
 
 
-def tangent_turn_coefficient(surface: HelixSurface, u: float, v: float,
-                             h: float = 1e-3) -> float:
-    """g(nabla_T T, JT) / sin^2(th), expected -2 eps cos(th)."""
-    th = surface.params.theta
+def tangent_turn_coefficient(surface: HelixSurface, u: float, v: float) -> float:
+    """g(nabla_T T, JT) / sin^2(th), expected -2 eps cos(th); T is
+    differentiated by a central difference of step H_SHAPE."""
+    th, h = surface.params.theta, H_SHAPE
     td = tangent_data(surface, u + np.array([0.0, h, -h]), v)
     cu = td.cu[0]
     dT = (td.cu[1] - td.cu[2]) / (2 * h)
@@ -365,8 +365,7 @@ def _angle_sweep(surface, config):
     counting non-finite samples so that they fail it, and the report-only
     spread of |F_v|^2 in both metrics, all from the separable kernel."""
     sweep = sweep_grid(surface, *grid_axes(surface, config.nu, config.nv))
-    hopf_tube = detect_hopf_tube(surface.profile)[0]
-    target = math.pi / 2 if hopf_tube else surface.params.theta
+    target = math.pi / 2 if surface.profile.hopf_tube[0] else surface.params.theta
     counted = ~np.isnan(sweep.angle) | (sweep.defect == NON_FINITE)
     fv_e, fv_b = sweep.fv_euclidean, sweep.fv_berger
     finite = np.isfinite(fv_b)
@@ -501,7 +500,7 @@ def _gram(surface, config):
 
 def _gauss_curvature(surface, config):
     """Numeric intrinsic curvature against 4 (1 - eps^2) cos^2(th)."""
-    pts = _interior_points(surface, 3, H_CURVATURE)
+    pts = _interior_points(surface)
     K = gauss_curvature_numeric(surface, pts[:, 0], pts[:, 1], H_CURVATURE)
     return {"gauss_curvature": (np.abs(K - surface.consts.gauss_k), len(pts))}
 
@@ -512,7 +511,7 @@ def _shape_operator(surface, config):
     The (2,2) entry is the measured lambda and is reported in a note,
     never asserted (its eta(v) gauge is free).
     """
-    pts = _interior_points(surface, 3, H_CURVATURE)
+    pts = _interior_points(surface)
     S, degenerate = _shape_operators(surface, pts[:, 0], pts[:, 1], H_SHAPE)
     eps = surface.params.epsilon
     resid = np.abs(np.stack([S[:, 0, 0], S[:, 0, 1] + eps, S[:, 1, 0] + eps], -1))
@@ -562,7 +561,7 @@ def run_all(surface: HelixSurface, config: Optional[VerifyConfig] = None) -> Che
     """
     if config is None:
         config = VerifyConfig()
-    hopf_tube, diag = detect_hopf_tube(surface.profile)
+    hopf_tube, diag = surface.profile.hopf_tube
     report = CheckReport(notes=[PHASE_READING_NOTE], degenerate_hopf_tube=hopf_tube)
     if hopf_tube:
         report.notes.append(f"degenerate: Hopf tube ({diag})")

@@ -67,7 +67,7 @@ def test_criterion_02_gauss_curvature_constant():
     for eps, th in PAIRS:
         s = _surface(eps, th)
         K = s.consts.gauss_k
-        for (u, v) in _interior_points(s, 3):
+        for (u, v) in _interior_points(s):
             err = abs(gauss_curvature_numeric(s, u, v, 1e-3) - K)
             worst = max(worst, err)
         wit[(eps, th)] = K
@@ -229,7 +229,7 @@ def test_criterion_09_shape_operator_form():
     worst = 0.0
     for eps, th in PAIRS:
         s = _surface(eps, th)
-        for (u, v) in _interior_points(s, 3):
+        for (u, v) in _interior_points(s):
             S = shape_operator_matrix(s, u, v, 1e-3)
             worst = max(worst, abs(S[0, 0]), abs(S[0, 1] + eps), abs(S[1, 0] + eps))
     ok = worst <= 1e-4

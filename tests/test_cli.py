@@ -32,6 +32,14 @@ def test_constants_subcommand(capsys):
     assert out["alpha1"] == pytest.approx(1.70710678, abs=1e-8)
 
 
+@pytest.mark.parametrize("command", [["constants"], ["verify", "--nu", "11", "--nv", "11"]])
+@pytest.mark.parametrize("eps", ["1e-300", "1e-160", "1e8", "1e160", "1e300"])
+def test_epsilon_outside_the_double_range_exits_two(capsys, command, eps):
+    assert main([*command, "--epsilon", eps]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "double range" in err and "Traceback" not in err
+
+
 def test_verify_reference_profile_passes(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", "--nu", "31", "--nv", "31", "--output", str(out)])

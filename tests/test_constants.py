@@ -46,6 +46,21 @@ def test_invalid_angle_raises():
         BergerParams(1.0, np.pi / 2)
 
 
+@pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e8, 1e160])
+def test_epsilon_outside_the_double_range_is_out_of_domain(eps):
+    # the closed forms divide by an underflowed eps^2 or eps^3, overflow,
+    # or (at 1e8) round alpha2 to zero
+    with pytest.raises(OutOfDomain, match="double range"):
+        compute_constants(BergerParams(eps, np.pi / 4))
+
+
+def test_epsilon_range_of_the_benchmark_is_accepted():
+    for eps in np.geomspace(0.05, 10.0, 25):
+        for th in np.linspace(0.01, 1.55, 9):
+            c = compute_constants(BergerParams(float(eps), float(th)))
+            assert c.alpha1 > c.alpha2 > 0.0 and np.all(np.isfinite(list(vars(c).values())))
+
+
 def _random_params(n=200, seed=7):
     rng = np.random.default_rng(seed)
     eps = rng.uniform(0.1, 3.0, n)

@@ -4,11 +4,20 @@ import math
 import numpy as np
 import pytest
 
+import bergerhelix.family as family_module
 import bergerhelix.surface as surface_module
+import bergerhelix.verify as verify_module
 from bergerhelix.ambient import BergerParams
 from bergerhelix.errors import ConfigError
 from bergerhelix.family import Constant, Linear, XiProfile, example_profile
-from bergerhelix.surface import NON_FINITE, make_surface, sample_grid, sweep_grid
+from bergerhelix.surface import (
+    NON_FINITE,
+    OUT_OF_DOMAIN,
+    make_surface,
+    sample_grid,
+    sweep_grid,
+    tangent_data,
+)
 from bergerhelix.verify import (
     CHECKS,
     DEFAULT_TOLERANCES,
@@ -248,6 +257,31 @@ def test_run_all_flags_hopf_tube():
     assert any("Hopf tube" in n for n in rep.notes)
     e = rep.entry("angle_constancy")
     assert e.passed and e.residual < 1e-8   # angle sweep hits pi/2
+
+
+def test_run_all_decides_the_hopf_branch_once(monkeypatch):
+    calls = []
+    detect = family_module.detect_hopf_tube
+
+    def counting(profile, *args):
+        calls.append(profile)
+        return detect(profile, *args)
+
+    monkeypatch.setattr(family_module, "detect_hopf_tube", counting)
+    monkeypatch.setattr(verify_module, "detect_hopf_tube", counting, raising=False)
+    s, cfg = ref_surface(), VerifyConfig(nu=11, nv=11)
+    assert run_all(s, cfg).to_json() == run_all(s, cfg).to_json()
+    assert len(calls) == 1
+
+
+def test_fd_without_room_for_a_stencil():
+    # at v_min and v_max no fd stencil fits, so neither kernel forms an F_v
+    s = ref_surface(fv_method="fd")
+    us, vs = np.linspace(*s.u_domain, 3), np.array(s.v_domain)
+    for data in (tangent_data(s, us[:, None], vs[None, :]), sweep_grid(s, us, vs)):
+        assert np.all(data.defect == OUT_OF_DOMAIN) and np.all(np.isnan(data.angle))
+    e = run_all(s, VerifyConfig(nu=2, nv=2)).entry("angle_constancy")
+    assert e.residual == math.inf and e.samples == 0 and not e.passed, e
 
 
 def test_run_all_fault_injection_fails_multiple_checks():
