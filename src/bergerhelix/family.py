@@ -77,11 +77,14 @@ class Sinusoid:
 
 
 class Tabulated:
-    """Cubic-spline interpolation through (v, value) nodes.
+    """Not-a-knot cubic-spline interpolation through (v, value) nodes.
 
-    The derivative is the spline's own derivative, exact for the
-    interpolant; evaluation outside the node range is refused, and so are
-    nodes or values that are not finite.
+    The coefficients and their evaluation repeat SciPy 1.17's CubicSpline
+    and its derivative PPoly operation for operation, so values and
+    derivatives are bit-compatible with it.  The derivative is the
+    spline's own, exact for the interpolant.  Evaluation outside the node
+    range is refused, and so are nodes or values that are not finite and
+    a spline that leaves the double range.
     """
 
     def __init__(self, v_nodes, values):
@@ -93,28 +96,92 @@ class Tabulated:
             raise ConfigError("tabulated v nodes and values must be finite")
         if not np.all(np.diff(v_nodes) > 0):
             raise ConfigError("tabulated v nodes must be strictly increasing")
-        from scipy.interpolate import CubicSpline   # here, so closed forms never load scipy
-
         self.v_nodes = v_nodes
-        self._spline = CubicSpline(v_nodes, values)
-
-    @cached_property
-    def _dspline(self):
-        # the derivative PPoly rather than spline(v, 1): the two differ in the last bit
-        return self._spline.derivative()
+        self._coef = _not_a_knot(v_nodes, values)
+        # the derivative's coefficients, as PPoly.derivative() scales them
+        self._dcoef = self._coef[:-1] * np.array([[3.0], [2.0], [1.0]])
 
     def jet(self, v, order=0):
         v = check_range(v, self.v_nodes[0], self.v_nodes[-1], "v")
-        return (self._spline(v), self._dspline(v)) if order else (self._spline(v),)
+        flat = v.ravel()
+        # the interval holding v, closed on the right at v_max; the range
+        # check's slack falls into the end intervals
+        i = np.searchsorted(self.v_nodes[1:-1], flat, side="right")
+        s = flat - self.v_nodes.take(i)
+        ss = s * s
+        # the power sum in the order of SciPy's evaluate_poly1; 0.0 + sets the sign of a zero
+        c0, c1, c2, c3 = self._coef.take(i, axis=1)
+        value = ((0.0 + c3) + c2 * s + c1 * ss + c0 * (ss * s)).reshape(v.shape)
+        if not order:
+            return (value,)
+        d0, d1, d2 = self._dcoef.take(i, axis=1)
+        return value, ((0.0 + d2) + d1 * s + d0 * ss).reshape(v.shape)
+
+
+def _not_a_knot(x, y):
+    """The (4, n - 1) coefficients, highest power first, of the not-a-knot
+    cubic spline through n >= 4 nodes, with the expressions of SciPy 1.17's
+    CubicSpline and CubicHermiteSpline in their order.  ConfigError when a
+    slope or a coefficient is not finite (a non-finite slope reaches t)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        b = np.empty_like(y)
+        b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        s = np.array(_dgtsv(np.append(dx[1:], d1),
+                            np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])),
+                            np.append(d0, dx[:-1]), b))
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        coef = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    if not np.all(np.isfinite(coef)):
+        raise ConfigError("tabulated spline leaves the double range; "
+                          "spread the v nodes or shrink the values")
+    return coef
+
+
+def _dgtsv(lower, diag, upper, b):
+    """Solve the tridiagonal system with the given sub-, main and
+    super-diagonal for one right-hand side b, as LAPACK's reference dgtsv
+    does (SciPy's solve_banded((1, 1), ...)): elimination with a row
+    interchange wherever |diag| < |lower|, then back substitution.
+    Python floats round as the Fortran does, so the bits agree."""
+    dl, d, du, x = (a.tolist() for a in (lower, diag, upper, b))
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            x[i + 1] = x[i + 1] - fact * x[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:   # dl[i] turns into the second super-diagonal
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
+    # every other pivot is at least a nonzero sub-diagonal entry in size
+    if d[n - 1] == 0.0:
+        raise ConfigError("tabulated spline system is singular")
+    x[n - 1] = x[n - 1] / d[n - 1]
+    x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
+    return x
 
 
 class _DerivedXi3(Tabulated):
     """xi3 produced by quadrature of the admissibility constraint.
 
     Values come from cumulative composite Simpson on a dense node grid,
-    interpolated cubically between nodes; the derivative is the exact
-    integrand cot^2(xi1) * xi2', so the constraint residual vanishes
-    identically.
+    interpolated by the not-a-knot spline of Tabulated (both bit-compatible
+    with SciPy 1.17); the derivative is the exact integrand
+    cot^2(xi1) * xi2', so the constraint residual vanishes identically.
     """
 
     def __init__(self, xi1, xi2, v_nodes, values):
@@ -233,11 +300,10 @@ def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0) -> XiProfile:
 
     Integrates xi3' = cot^2(xi1) xi2' from xi3(v_min) = xi3_at_vmin with
     cumulative composite Simpson on DERIVE_NODES equally spaced nodes,
-    cubic interpolation between them.  Requires |sin(xi1)| bounded away
-    from zero on the whole domain.
+    bit-compatible with SciPy 1.17's cumulative_simpson(x=..., initial=0.0),
+    and the not-a-knot spline of Tabulated between them.  Requires
+    |sin(xi1)| bounded away from zero on the whole domain.
     """
-    from scipy.integrate import cumulative_simpson   # here, so closed forms never load scipy
-
     vs = np.linspace(profile.v_min, profile.v_max, DERIVE_NODES)
     x1, = profile.xi1.jet(vs)
     s1 = np.sin(x1)
@@ -246,9 +312,35 @@ def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0) -> XiProfile:
             f"|sin(xi1)| drops to {np.min(np.abs(s1)):.2e} on the domain; "
             "the constraint degenerates there, supply xi3 explicitly")
     integrand = (np.cos(x1) / s1) ** 2 * profile.xi2.jet(vs, 1)[1]
-    values = xi3_at_vmin + cumulative_simpson(integrand, x=vs, initial=0.0)
+    values = xi3_at_vmin + _cumulative_simpson(integrand, vs)
     xi3 = _DerivedXi3(profile.xi1, profile.xi2, vs, values)
     return replace(profile, xi3=xi3)
+
+
+def _cumulative_simpson(y, x):
+    """Running integrals of y over the nodes x (>= 3), starting from 0 at
+    x[0]: the unequal-interval Simpson of SciPy 1.17's cumulative_simpson,
+    in its order of operations.  Interval i takes the parabola through its
+    two ends and the node after them for even i (h1), or the node before
+    them for odd i and the last interval (h2)."""
+    dx = np.diff(x)
+    h1 = _simpson_interval(dx[:-1], dx[1:], y[:-2], y[1:-1], y[2:])
+    h2 = _simpson_interval(dx[1:], dx[:-1], y[2:], y[1:-1], y[:-2])
+    parts = np.empty(dx.size)
+    parts[:-1:2] = h1[::2]
+    parts[1::2] = h2[::2]
+    parts[-1] = h2[-1]
+    return np.concatenate(([0.0], np.cumsum(parts) + 0.0))
+
+
+def _simpson_interval(x21, x32, f1, f2, f3):
+    """The integral from x1 to x2 of the parabola through (x1, f1),
+    (x2, f2), (x3, f3), given x21 = x2 - x1 and x32 = x3 - x2 (Cartwright's
+    eqn (8), as SciPy writes it)."""
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * f1 + (3 + x21x21_x31x32 + x21_x31) * f2
+                      - x21x21_x31x32 * f3)
 
 
 def detect_hopf_tube(profile: XiProfile):

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergerhelix import BergerParams, export_csv, make_surface, profile_from_config, sample_grid
+from bergerhelix import (BergerParams, VerifyConfig, export_csv, make_surface, profile_from_config,
+                         run_all, sample_grid)
 from bergerhelix.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -215,7 +216,7 @@ def test_cold_start_without_scipy(tmp_path):
     assert result == {"codes": [0, 0, 0, 0], "scipy": False}
 
 
-def test_table_profile_loads_scipy_and_keeps_bytes(tmp_path):
+def test_table_profile_never_loads_scipy_and_keeps_bytes(tmp_path):
     vs = np.linspace(0.0, 2.0, 9)
     config = dict(EXAMPLE_CONFIG, xi1={"table": {"v": vs.tolist(),
                                                  "value": (0.7 + 0.1 * np.sin(vs)).tolist()}},
@@ -224,6 +225,41 @@ def test_table_profile_loads_scipy_and_keeps_bytes(tmp_path):
     cfg.write_text(json.dumps(config))
     result = _fresh_cli(["generate", "--config", str(cfg), "--nu", "9", "--nv", "9",
                          "--output", str(out)])
-    assert result == {"codes": [0], "scipy": True}
+    assert result == {"codes": [0], "scipy": False}
     surface = make_surface(BergerParams(1.0, math.pi / 4), profile_from_config(config))
     assert out.read_bytes() == export_csv(sample_grid(surface, 9, 9))
+
+
+def test_table_profile_runs_where_scipy_cannot_be_imported(tmp_path):
+    # a constant-valued table keeps xi1' = 0, so verify passes (exit 0)
+    vs = np.linspace(0.0, 2.0, 9)
+    config = dict(EXAMPLE_CONFIG, xi1={"table": {"v": vs.tolist(), "value": [0.7] * 9}},
+                  xi3="auto", v_max=2.0)
+    cfg, report, grid = tmp_path / "table.json", tmp_path / "report.json", tmp_path / "grid.csv"
+    cfg.write_text(json.dumps(config))
+    size = ["--nu", "11", "--nv", "11"]
+    script = 'import sys; sys.modules["scipy"] = None\n' + _FRESH_CLI
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([
+            ["verify", "--config", str(cfg), *size, "--output", str(report)],
+            ["generate", "--config", str(cfg), *size, "--output", str(grid)]])],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["codes"] == [0, 0]
+    surface = make_surface(BergerParams(1.0, math.pi / 4), profile_from_config(config))
+    expected = run_all(surface, VerifyConfig(nu=11, nv=11)).to_json() + "\n"
+    assert report.read_bytes() == expected.encode("ascii")
+    assert grid.read_bytes() == export_csv(sample_grid(surface, 11, 11))
+
+
+@pytest.mark.parametrize("table", [
+    {"v": [0.0, 1e-320, 1.0, 2 * math.pi], "value": [0.7, 0.8, 0.9, 0.7]},
+    {"v": [0.0, 1.0, 2.0, 2 * math.pi], "value": [0.7, 1e308, -1e308, 0.7]},
+])
+@pytest.mark.parametrize("command", ["verify", "generate"])
+def test_table_whose_spline_overflows_exits_two(tmp_path, capsys, table, command):
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(dict(EXAMPLE_CONFIG, xi1={"table": table})))
+    assert main([command, "--config", str(cfg), "--nu", "5", "--nv", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "double range" in err and "Traceback" not in out + err

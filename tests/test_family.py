@@ -13,6 +13,8 @@ from bergerhelix.family import (
     Sinusoid,
     Tabulated,
     XiProfile,
+    _cumulative_simpson,
+    _dgtsv,
     assemble,
     derive_xi3,
     detect_hopf_tube,
@@ -20,7 +22,7 @@ from bergerhelix.family import (
     profile_from_config,
     row1,
 )
-from bergerhelix.surface import make_surface, sample_grid
+from bergerhelix.surface import FD_STEP_V, make_surface, sample_grid
 from bergerhelix.verify import run_all
 
 RNG = np.random.default_rng(99)
@@ -376,3 +378,104 @@ def test_tabulated_refuses_extrapolation():
 def test_tabulated_refuses_non_finite(v_nodes, values):
     with pytest.raises(ConfigError, match="must be finite"):
         Tabulated(v_nodes, values)
+
+
+def test_tabulated_spline_overflow_is_a_config_error():
+    # finite nodes and values whose slopes leave the double range
+    with pytest.raises(ConfigError, match="double range"):
+        Tabulated([0.0, 1e-320, 1.0, TWO_PI], [0.7, 0.8, 0.9, 0.7])
+    with pytest.raises(ConfigError, match="double range"):
+        Tabulated([0.0, 1.0, 2.0, TWO_PI], [0.7, 1e308, -1e308, 0.7])
+
+
+def test_derive_xi3_overflow_is_a_config_error():
+    prof = XiProfile(xi=0.0, xi1=Constant(0.3), xi2=Linear(1e308),
+                     xi3=None, v_min=0.0, v_max=1.0)   # cot^2(0.3) xi2' overflows
+    with pytest.raises(ConfigError):
+        derive_xi3(prof)
+
+
+# ------------------------------------------------------ bit parity with SciPy
+
+def _same_bits(ours, ref):
+    """Equal shape, values (NaN matching NaN) and sign bits, zeros included."""
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    return (ours.shape == ref.shape and np.array_equal(ours, ref, equal_nan=True)
+            and np.array_equal(np.signbit(ours), np.signbit(ref)))
+
+
+def _parity_tables():
+    rng = np.random.default_rng(1274)
+    # 4 nodes; at v = 1 every term of the sum is -0.0, and the spline reads +0.0
+    yield np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.2, -0.0, -0.4, -1.1])
+    for _ in range(4):
+        vs = np.linspace(0.0, TWO_PI, 9)
+        yield vs, rng.uniform(0.6, 0.9) + rng.uniform(0.02, 0.15) * np.sin(vs + rng.uniform(0, TWO_PI))
+    for _ in range(12):
+        n = int(rng.integers(4, 41))
+        steps = rng.uniform(0.001, 1.0, n - 1)
+        steps[2] = steps[0] + steps[1] + rng.uniform(0.1, 1.0)   # dgtsv interchanges rows
+        scale = rng.choice([1e-3, 1.0, 1e3])
+        yield rng.uniform(-5, 5) + scale * np.concatenate(([0.0], np.cumsum(steps))), \
+            scale * rng.normal(size=n)
+
+
+def _parity_points(v_nodes):
+    """The nodes, both ends and 1e-13 beyond them, NaN, a grid and its
+    finite-difference stencil, as 1-d, 2-d and 0-d arguments."""
+    lo, hi = v_nodes[0], v_nodes[-1]
+    grid = np.linspace(lo + FD_STEP_V, hi - FD_STEP_V, 37)
+    stencil = grid[:, None] + FD_STEP_V * np.array([-1.0, -0.5, 0.5, 1.0])
+    flat = np.concatenate((v_nodes, [lo - 1e-13, hi + 1e-13, math.nan], grid))
+    return [flat, stencil, np.asarray(lo), np.float64(hi), float(v_nodes[1]), lo - 1e-13, math.nan]
+
+
+def test_tabulated_matches_scipy_cubic_spline_bitwise():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    for v_nodes, values in _parity_tables():
+        tab, reference = Tabulated(v_nodes, values), interpolate.CubicSpline(v_nodes, values)
+        d_reference = reference.derivative()
+        assert _same_bits(tab._coef, reference.c)
+        for v in _parity_points(v_nodes):
+            value, derivative = tab.jet(v, 1)
+            assert _same_bits(tab.jet(v)[0], reference(v))
+            assert _same_bits(value, reference(v))
+            assert _same_bits(derivative, d_reference(v))
+
+
+def test_derived_xi3_matches_scipy_simpson_and_spline_bitwise():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(1206)
+    for anchor in (0.0, -0.0, 0.4):
+        xi1 = Sinusoid(rng.uniform(0.01, 0.2), 2.0, rng.uniform(0, TWO_PI), rng.uniform(0.5, 1.0))
+        prof = XiProfile(xi=0.0, xi1=xi1, xi2=Linear(rng.uniform(0.5, 1.5)), xi3=None,
+                         v_min=0.0, v_max=TWO_PI)
+        xi3 = derive_xi3(prof, anchor).xi3
+        vs = xi3.v_nodes
+        x1, = xi1.jet(vs)
+        integrand = (np.cos(x1) / np.sin(x1)) ** 2 * prof.xi2.jet(vs, 1)[1]
+        values = anchor + integrate.cumulative_simpson(integrand, x=vs, initial=0.0)
+        assert vs.size == 1001
+        assert _same_bits(anchor + _cumulative_simpson(integrand, vs), values)
+        assert _same_bits(xi3._coef[3], values[:-1])   # the spline passes through them
+        reference = interpolate.CubicSpline(vs, values)
+        d_reference = reference.derivative()
+        assert _same_bits(xi3._coef, reference.c)
+        for v in _parity_points(vs):
+            assert _same_bits(xi3.jet(v)[0], reference(v))
+            # the spline's own derivative; _DerivedXi3.jet gives the exact integrand
+            assert _same_bits(Tabulated.jet(xi3, v, 1)[1], d_reference(v))
+
+
+def test_dgtsv_matches_scipy_solve_banded_bitwise():
+    # random signs make the elimination interchange rows at most steps
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(5)
+    for n in (4, 5, 9, 40):
+        for _ in range(20):
+            lower, diag, upper, b = (rng.normal(size=n - 1), rng.normal(size=n),
+                                     rng.normal(size=n - 1), rng.normal(size=n))
+            banded = np.array([np.append(0.0, upper), diag, np.append(lower, 0.0)])
+            assert _same_bits(np.array(_dgtsv(lower, diag, upper, b)),
+                              linalg.solve_banded((1, 1), banded, b))
