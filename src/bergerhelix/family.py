@@ -302,7 +302,8 @@ def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0) -> XiProfile:
     cumulative composite Simpson on DERIVE_NODES equally spaced nodes,
     bit-compatible with SciPy 1.17's cumulative_simpson(x=..., initial=0.0),
     and the not-a-knot spline of Tabulated between them.  Requires
-    |sin(xi1)| bounded away from zero on the whole domain.
+    |sin(xi1)| bounded away from zero on the whole domain, and an integrand
+    and running integral inside the double range (ConfigError otherwise).
     """
     vs = np.linspace(profile.v_min, profile.v_max, DERIVE_NODES)
     x1, = profile.xi1.jet(vs)
@@ -311,8 +312,12 @@ def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0) -> XiProfile:
         raise ConfigError(
             f"|sin(xi1)| drops to {np.min(np.abs(s1)):.2e} on the domain; "
             "the constraint degenerates there, supply xi3 explicitly")
-    integrand = (np.cos(x1) / s1) ** 2 * profile.xi2.jet(vs, 1)[1]
-    values = xi3_at_vmin + _cumulative_simpson(integrand, vs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = (np.cos(x1) / s1) ** 2 * profile.xi2.jet(vs, 1)[1]
+        values = xi3_at_vmin + _cumulative_simpson(integrand, vs)
+    if not (np.all(np.isfinite(integrand)) and np.all(np.isfinite(values))):
+        raise ConfigError("the quadrature of the derived xi3 leaves the double range; "
+                          "supply xi3 explicitly")
     xi3 = _DerivedXi3(profile.xi1, profile.xi2, vs, values)
     return replace(profile, xi3=xi3)
 

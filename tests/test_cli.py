@@ -263,3 +263,17 @@ def test_table_whose_spline_overflows_exits_two(tmp_path, capsys, table, command
     assert main([command, "--config", str(cfg), "--nu", "5", "--nv", "5"]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error:") and "double range" in err and "Traceback" not in out + err
+
+
+def test_derived_xi3_overflow_exits_two_without_warnings(tmp_path):
+    # cot^2(0.3) * 1e308 overflows the quadrature of xi3: a config error
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(dict(EXAMPLE_CONFIG, xi1={"constant": 0.3},
+                                   xi2={"linear": {"slope": 1e308}}, xi3="auto")))
+    proc = subprocess.run([sys.executable, "-m", "bergerhelix.cli", "verify", "--config", str(cfg),
+                           "--nu", "5", "--nv", "5"],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "xi3" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

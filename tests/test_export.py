@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergerhelix.ambient import BergerParams
 from bergerhelix.errors import OutOfDomain
 from bergerhelix.export import (
+    _P_HI,
+    _P_LO,
     CSV_COLUMNS,
     ProjectedMesh,
+    _fields,
     export_csv,
     export_obj,
     project_grid,
@@ -15,7 +20,7 @@ from bergerhelix.export import (
     stereographic_inverse,
 )
 from bergerhelix.family import example_profile
-from bergerhelix.surface import make_surface, sample_grid
+from bergerhelix.surface import SurfaceGrid, make_surface, sample_grid
 from test_verify import nan_tail_surface
 
 P_REF = BergerParams(1.0, math.pi / 4)
@@ -237,3 +242,95 @@ def test_csv_nan_for_defect_samples():
     i, j, _ = g.defects[0]
     row = export_csv(g).decode("ascii").strip().split("\n")[1 + i * 4 + j]
     assert "nan" in row
+
+
+# ----------------------------------------------------------------- formatter
+
+def formatted(values):
+    """The text _fields lays out for each value, NULs removed."""
+    values = np.asarray(values)
+    out = np.empty(values.shape + (6,), dtype=np.uint64)
+    _fields(values, out)
+    return [w.astype("<u8").tobytes().translate(None, b"\0") for w in out]
+
+
+def assert_like_printf(values):
+    values = np.asarray(values)
+    spec = b"%.17g" if values.dtype.kind == "f" else b"%d"
+    assert formatted(values) == [spec % x for x in values.tolist()]
+
+
+def with_neighbours(x):
+    """x, its negation and both of their neighbouring doubles."""
+    x = np.asarray(x, dtype=float)
+    x = np.concatenate([x, -x])
+    return np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+
+
+def test_powers_of_ten_are_exact_double_doubles():
+    for q, (hi, lo) in enumerate(zip(_P_HI.tolist(), _P_LO.tolist())):
+        assert int(hi) + int(lo) == 10 ** q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_formatter_matches_printf_on_raw_bit_patterns(bits):
+    assert_like_printf(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=64))
+def test_formatter_matches_printf_on_floats(xs):
+    assert_like_printf(np.array(xs, dtype=np.float64))
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf],
+    with_neighbours([1e-29, 1e17, 1e-5, 1e-4, 1e16]),           # the edges of the fast path
+    with_neighbours(10.0 ** np.arange(-300, 301)),
+    2.0 ** 53 + np.arange(-300.0, 300.0),                          # integers near 2**53
+    [2.0 ** -25, 3 * 2.0 ** -25, 2.0 ** -26, 5 * 2.0 ** -30],     # exact 18-digit ties
+    np.arange(1, 4097) / 8.0,
+], ids=["specials", "range-edges", "powers-of-ten", "near-2**53", "ties", "eighths"])
+def test_formatter_matches_printf_on_edges(values):
+    assert_like_printf(np.asarray(values, dtype=np.float64))
+
+
+def test_formatter_ties_round_to_even():
+    assert formatted([2.0 ** -25, 3 * 2.0 ** -25]) == [b"2.9802322387695312e-08",
+                                                       b"8.9406967163085938e-08"]
+
+
+def test_formatter_matches_printf_on_integers():
+    edges = [0, 1, 9, 10, 9_999, 10_000, 10 ** 8 - 1, 10 ** 8, 10 ** 16, 10 ** 17 - 1, 10 ** 17,
+             2 ** 53 + 1, 2 ** 63 - 1, -1, -(2 ** 63)]
+    assert_like_printf(np.array(edges + list(range(0, 200_000, 7)), dtype=np.int64))
+
+
+def extreme_values(rng, shape):
+    """Values over [1e-300, 1e300] in magnitude, with both zeros, NaN and
+    both infinities planted."""
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+    x.flat[:6] = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324]
+    rng.shuffle(x.reshape(-1))
+    return x
+
+
+def test_extreme_grid_matches_per_value_reference():
+    rng = np.random.default_rng(31)
+    nu, nv = 9, 7
+    grid = SurfaceGrid(us=extreme_values(rng, nu), vs=extreme_values(rng, nv),
+                       positions=extreme_values(rng, (nu, nv, 4)),
+                       fu=np.zeros((nu, nv, 4)), fv=np.zeros((nu, nv, 4)),
+                       normals=extreme_values(rng, (nu, nv, 3)),
+                       angles=extreme_values(rng, (nu, nv)), fv_method="analytic")
+    assert export_csv(grid) == csv_reference(grid)
+
+
+def test_extreme_mesh_matches_per_value_reference():
+    rng = np.random.default_rng(32)
+    faces = np.array([[10 ** 8 - 1, 10 ** 8, 10 ** 8 + 1], [0, 9_999, 2 ** 40],
+                      [123_456_789, 10 ** 16 - 1, 10 ** 17 + 5]], dtype=np.int64)
+    mesh = ProjectedMesh(nu=5, nv=8, vertices=extreme_values(rng, (40, 3)), faces=faces)
+    assert export_obj(mesh) == obj_reference(mesh)
