@@ -57,25 +57,38 @@ def beta_derivatives(u, consts: HelixConstants, order: int = 1) -> np.ndarray:
     """Exact u-derivative of order up to four: each derivative scales by
     the frequency and permutes (cos, sin) -> (-sin, cos) without phase
     arithmetic, so exact zeros stay exact."""
-    if order not in (0, 1, 2, 3, 4):
-        raise OutOfDomain(f"derivative order must be in 0..4, got {order}")
+    return _beta_jet(u, consts, order)[0]
+
+
+def _beta_jet(u, consts: HelixConstants, *orders: int) -> List[np.ndarray]:
+    """beta_derivatives(u, consts, k) for each k of orders, from one
+    cos/sin pass."""
+    for order in orders:
+        if order not in (0, 1, 2, 3, 4):
+            raise OutOfDomain(f"derivative order must be in 0..4, got {order}")
     u = np.asarray(u, dtype=float)
     a1, a2 = consts.alpha1, consts.alpha2
     r1, r3 = math.sqrt(consts.g11), math.sqrt(consts.g33)
-    c1, s1 = np.cos(a1 * u), np.sin(a1 * u)
-    c2, s2 = np.cos(a2 * u), np.sin(a2 * u)
-    k = order % 4
-    if k == 0:
-        pair1, pair2 = (c1, s1), (c2, s2)
-    elif k == 1:
-        pair1, pair2 = (-s1, c1), (-s2, c2)
-    elif k == 2:
-        pair1, pair2 = (-c1, -s1), (-c2, -s2)
-    else:
-        pair1, pair2 = (s1, -c1), (s2, -c2)
-    w1, w2 = r1 * a1 ** order, r3 * a2 ** order
-    return np.stack([w1 * pair1[0], w1 * pair1[1],
-                     w2 * pair2[0], w2 * pair2[1]], axis=-1)
+    x1, x2 = a1 * u, a2 * u
+    c1, s1 = np.cos(x1), np.sin(x1)
+    c2, s2 = np.cos(x2), np.sin(x2)
+    jet = []
+    for order in orders:
+        k = order % 4
+        if k == 0:
+            pair1, pair2 = (c1, s1), (c2, s2)
+        elif k == 1:
+            pair1, pair2 = (-s1, c1), (-s2, c2)
+        elif k == 2:
+            pair1, pair2 = (-c1, -s1), (-c2, -s2)
+        else:
+            pair1, pair2 = (s1, -c1), (s2, -c2)
+        w1, w2 = r1 * a1 ** order, r3 * a2 ** order
+        d = np.empty(u.shape + (4,))
+        d[..., 0], d[..., 1] = w1 * pair1[0], w1 * pair1[1]
+        d[..., 2], d[..., 3] = w2 * pair2[0], w2 * pair2[1]
+        jet.append(d)
+    return jet
 
 
 @dataclass(frozen=True)
@@ -156,7 +169,9 @@ def _family_jet(surface: HelixSurface, v, apply):
     apply(dA/dv), or with fv_method "fd" the Richardson difference
     (4 D(h/2) - D(h)) / 3, h = FD_STEP_V, D(s) = apply(A(v+s) - A(v-s)) / (2 s).
     fv_ok marks the v whose stencil fits in the profile domain; elsewhere
-    F_v is NaN (the stencil is moved to the midpoint and discarded).
+    F_v is NaN (the stencil is moved to the midpoint and discarded).  One
+    assemble call builds A(v) and the whole stencil, or A(v) alone when no
+    stencil fits (even the midpoint one may then leave the domain).
     """
     prof = surface.profile
     if surface.fv_method == "analytic":
@@ -165,16 +180,17 @@ def _family_jet(surface: HelixSurface, v, apply):
     h = FD_STEP_V
     fv_ok = (v - h >= prof.v_min - 1e-15) & (v + h <= prof.v_max + 1e-15)
     vin = np.where(fv_ok, v, 0.5 * (prof.v_min + prof.v_max))
-    A, = assemble(prof, v)
+    vs = np.stack([v, vin + h / 2, vin - h / 2, vin + h, vin - h]) if np.any(fv_ok) else v[None]
+    A, *stencil = assemble(prof, vs)[0]
 
-    def diff(step):
+    def diff(k, step):
         Ad = np.full(A.shape, np.nan)
-        if np.any(fv_ok):   # else even the midpoint stencil may leave the domain
-            Ad = assemble(prof, vin + step)[0] - assemble(prof, vin - step)[0]
+        if stencil:
+            Ad = stencil[k] - stencil[k + 1]
             Ad[~fv_ok] = np.nan
         return apply(Ad) / (2.0 * step)
 
-    return A, (4.0 * diff(h / 2) - diff(h)) / 3.0, fv_ok
+    return A, (4.0 * diff(0, h / 2) - diff(2, h)) / 3.0, fv_ok
 
 
 def tangent_data(surface: HelixSurface, u, v) -> TangentData:
@@ -182,22 +198,26 @@ def tangent_data(surface: HelixSurface, u, v) -> TangentData:
 
     u and v broadcast against each other; A is assembled on v as given
     and beta on u, so a grid passed as (us[:, None], vs[None, :]) builds
-    each A(v) once.  F_v comes from _family_jet: dA/dv beta(u), or with
-    fv_method "fd" a Richardson central difference whose stencil must fit
-    in the profile domain.  The domain of (u, v) is not checked here; the
+    each A(v) once, and beta and beta' share one cos/sin pass.  F_v comes
+    from _family_jet: dA/dv beta(u), or with fv_method "fd" a Richardson
+    central difference whose stencil must fit in the profile domain.  The
+    normal is the cross product of the frame components, written out as
+    np.cross computes it.  The domain of (u, v) is not checked here; the
     pointwise views check it.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    b = beta(u, surface.consts)
+    b, bu = _beta_jet(u, surface.consts, 0, 1)
     A, fv, fv_ok = _family_jet(surface, v, lambda D: _apply(D, b))
     F = _apply(A, b)
-    fu = _apply(A, beta_derivatives(u, surface.consts, 1))
+    fu = _apply(A, bu)
     cu = frame_components(surface.params, F, fu)
     cv = frame_components(surface.params, F, fv)
-    normal = np.cross(cu, cv)
+    normal = np.empty(cu.shape)
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        normal[..., k] = cu[..., i] * cv[..., j] - cu[..., j] * cv[..., i]
     gram = np.sum(fu * fu, -1) * np.sum(fv * fv, -1) - np.sum(fu * fv, -1) ** 2
-    defect, angle = _classify(fv_ok, gram, *np.moveaxis(normal, -1, 0))
+    defect, angle = _classify(fv_ok, gram, normal[..., 0], normal[..., 1], normal[..., 2])
     return TangentData(F=F, fu=fu, fv=fv, cu=cu, cv=cv, normal=normal, gram=gram,
                        angle=angle, defect=defect)
 
@@ -210,14 +230,12 @@ def _classify(fv_ok, gram, n1, n2, n3):
     arccos(|N1| / |N|) is NaN wherever the code is nonzero.
     """
     finite = np.isfinite(gram) & np.isfinite(n1) & np.isfinite(n2) & np.isfinite(n3)
-    with np.errstate(invalid="ignore"):
-        flat = gram < GRAM_DET_TOL
-    defect = np.select([~np.broadcast_to(fv_ok, gram.shape), ~finite, flat],
-                       [OUT_OF_DOMAIN, NON_FINITE, DEGENERATE], 0).astype(np.int8)
-    good = defect == 0
-    norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
-    angle = np.full(gram.shape, np.nan)
-    angle[good] = np.arccos(np.clip(np.abs(n1[good]) / norm[good], 0.0, 1.0))
+    # the angle is evaluated on defective samples too and discarded there
+    with np.errstate(invalid="ignore", divide="ignore"):
+        defect = np.where(fv_ok, np.where(finite, np.where(gram < GRAM_DET_TOL, DEGENERATE, 0),
+                                          NON_FINITE), OUT_OF_DOMAIN).astype(np.int8)
+        ratio = np.abs(n1) / np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)   # >= 0 where it is a number
+        angle = np.where(defect == 0, np.arccos(np.minimum(ratio, 1.0)), np.nan)
     return defect, angle
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -141,6 +142,10 @@ class VerifyConfig:
         if unknown:
             raise ConfigError(f"unknown tolerance names {unknown}; known names: "
                               + ", ".join(sorted(DEFAULT_TOLERANCES)))
+        for name, value in self.tolerances.items():
+            # NaN fails the comparison; inf, the report-only marker, passes
+            if not (isinstance(value, numbers.Real) and value >= 0):
+                raise ConfigError(f"tolerance {name}={value!r} must be a non-negative number")
 
     def tol(self, name: str, surface: HelixSurface) -> float:
         """The tolerance an entry is judged by; the curvature one widens to
@@ -235,22 +240,24 @@ def _interior_points(surface: HelixSurface) -> np.ndarray:
     domain, as (u, v) rows, nudged off near-singular parameter lines.
 
     Finite differences of the induced metric amplify like the inverse
-    square of EG - F^2, so candidates keep stepping in u until the
-    relative determinant is healthy.
+    square of EG - F^2, so a point steps in u, up to 16 times, until the
+    relative determinant is healthy (a NaN one is not).  The steps do not
+    depend on the metric: one first_fundamental_form call evaluates the
+    first 16 candidates of every point, which takes its first healthy one
+    or else the 17th.
     """
     u0, u1 = surface.u_domain
     v0, v1 = surface.v_domain
     h = H_CURVATURE
     fracs = np.array([1.0, 2.0, 3.0]) / 4.0
-    u = u0 + np.repeat(fracs, 3) * (u1 - u0)
+    us = [u0 + np.repeat(fracs, 3) * (u1 - u0)]
     v = v0 + np.tile(fracs, 3) * (v1 - v0)
     for _ in range(16):
-        E, Fc, G = first_fundamental_form(surface, u, v)
-        nudge = ~(E * G - Fc * Fc > 0.05 * E * G)
-        if not np.any(nudge):
-            break
-        u = np.where(nudge, u0 + ((u - u0 + (u1 - u0) / 7.3) % (u1 - u0 - 2 * h)) + h, u)
-    return np.stack([u, v], axis=-1)
+        us.append(u0 + ((us[-1] - u0 + (u1 - u0) / 7.3) % (u1 - u0 - 2 * h)) + h)
+    us = np.stack(us)
+    E, Fc, G = first_fundamental_form(surface, us[:-1], v)
+    healthy = np.concatenate([E * G - Fc * Fc > 0.05 * E * G, np.ones((1, v.size), bool)])
+    return np.stack([us[np.argmax(healthy, axis=0), np.arange(v.size)], v], axis=-1)
 
 
 def _shape_operators(surface: HelixSurface, u, v, h: float):

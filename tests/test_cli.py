@@ -116,6 +116,15 @@ def test_bad_tolerance_name_exits_two(capsys):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+def test_tolerance_that_is_not_a_non_negative_number_exits_two(capsys, value):
+    code = main(["verify", "--nu", "5", "--nv", "5", "--tolerance", f"angle_constancy={value}"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error:") and "angle_constancy" in err
+    assert out == ""
+
+
 def test_bad_epsilon_exits_two(capsys):
     code = main(["generate", "--epsilon", "-3"])
     assert code == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bergerhelix.surface as surface_module
 from bergerhelix.ambient import J1, BergerParams, frame_components
 from bergerhelix.constants import compute_constants
 from bergerhelix.errors import DegenerateTangentPlane, OutOfDomain
@@ -12,12 +13,18 @@ from bergerhelix.family import (
     Constant,
     Linear,
     Sinusoid,
+    Tabulated,
     XiProfile,
     assemble,
     derive_xi3,
     example_profile,
 )
 from bergerhelix.surface import (
+    DEGENERATE,
+    FD_STEP_V,
+    GRAM_DET_TOL,
+    NON_FINITE,
+    OUT_OF_DOMAIN,
     HelixSurface,
     beta,
     beta_derivatives,
@@ -323,12 +330,12 @@ def test_grid_fd_mode_flags_boundary_columns():
 
 @st.composite
 def sweep_surfaces(draw):
-    """A surface of the reference, a generic constant-xi1 or a sinusoid-xi1
-    profile (xi3 "auto"), at log-uniform eps and theta across their range,
-    with either F_v method."""
+    """A surface of the reference, a generic constant-xi1, a sinusoid-xi1 or
+    a table-xi1 profile (the last two with xi3 "auto"), at log-uniform eps
+    and theta across their range, with either F_v method."""
     eps = math.exp(draw(st.floats(math.log(0.05), math.log(10.0))))
     th = draw(st.floats(0.01, 1.55))
-    kind = draw(st.sampled_from(["reference", "generic", "sinusoid"]))
+    kind = draw(st.sampled_from(["reference", "generic", "sinusoid", "table"]))
     if kind == "reference":
         prof = example_profile()
     elif kind == "generic":
@@ -336,8 +343,13 @@ def sweep_surfaces(draw):
         prof = XiProfile(xi=draw(st.floats(0.0, math.pi)), xi1=Constant(c), xi2=Linear(s),
                          xi3=Linear(s / math.tan(c) ** 2), v_min=0.0, v_max=2 * math.pi)
     else:
-        xi1 = Sinusoid(draw(st.floats(0.01, 0.2)), draw(st.sampled_from([1.0, 2.0])),
-                       draw(st.floats(0.0, 2 * math.pi)), draw(st.floats(0.5, 1.0)))
+        if kind == "sinusoid":
+            xi1 = Sinusoid(draw(st.floats(0.01, 0.2)), draw(st.sampled_from([1.0, 2.0])),
+                           draw(st.floats(0.0, 2 * math.pi)), draw(st.floats(0.5, 1.0)))
+        else:
+            nodes = np.linspace(0.0, 2 * math.pi, 9)
+            xi1 = Tabulated(nodes, draw(st.floats(0.6, 0.9)) + draw(st.floats(0.02, 0.15))
+                            * np.sin(nodes + draw(st.floats(0.0, 2 * math.pi))))
         prof = derive_xi3(XiProfile(xi=draw(st.floats(0.0, math.pi)), xi1=xi1,
                                     xi2=Linear(draw(st.floats(0.5, 1.5))), xi3=None,
                                     v_min=0.0, v_max=2 * math.pi))
@@ -360,6 +372,76 @@ def test_sweep_grid_matches_tangent_data(s):
     fv_b = fv_e + (s.params.epsilon ** 2 - 1.0) * j1_fv ** 2
     for got, want in ((sweep.fv_euclidean, fv_e), (sweep.fv_berger, fv_b)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True)
+
+
+# ------------------------------------------------------- kernel identities
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def kernel_points(draw, s):
+    """(u, v) as a point, as matched 1-d arrays or as a grid, with v at
+    either end of the domain among the draws."""
+    (u0, u1), (v0, v1) = s.u_domain, s.v_domain
+    frac = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    shape = draw(st.sampled_from(["point", "line", "grid"]))
+    if shape == "grid":
+        us, vs = grid_axes(s, draw(st.integers(2, 7)), draw(st.integers(2, 7)))
+        return us[:, None], vs[None, :]
+    n = 1 if shape == "point" else draw(st.integers(1, 6))
+    u = u0 + np.array(draw(st.lists(frac, min_size=n, max_size=n))) * (u1 - u0)
+    v = v0 + np.array(draw(st.lists(frac, min_size=n, max_size=n))) * (v1 - v0)
+    return (u[0], v[0]) if shape == "point" else (u, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tangent_data_kernel_identities(data):
+    """tangent_data against the plain recipe, bit for bit: F = A beta(u),
+    F_u = A beta'(u), the normal as np.cross, and the defect code and
+    angle by the first kind that applies."""
+    s = data.draw(sweep_surfaces())
+    u, v = data.draw(kernel_points(s))
+    td = tangent_data(s, u, v)
+    A, = assemble(s.profile, v)
+    for got, b in ((td.F, beta(u, s.consts)), (td.fu, beta_derivatives(u, s.consts, 1))):
+        assert_same_bits(got, np.einsum('...ij,...j->...i', A, b))
+    assert_same_bits(td.normal, np.cross(td.cu, td.cv))
+    v = np.asarray(v)
+    fv_ok = np.ones(v.shape, bool) if s.fv_method == "analytic" else \
+        (v - FD_STEP_V >= s.v_domain[0] - 1e-15) & (v + FD_STEP_V <= s.v_domain[1] + 1e-15)
+    n1, n2, n3 = np.moveaxis(td.normal, -1, 0)
+    finite = np.isfinite(td.gram) & np.all(np.isfinite(td.normal), axis=-1)
+    defect = np.select([~np.broadcast_to(fv_ok, td.gram.shape), ~finite, td.gram < GRAM_DET_TOL],
+                       [OUT_OF_DOMAIN, NON_FINITE, DEGENERATE], 0).astype(np.int8)
+    assert_same_bits(td.defect, defect)
+    good = defect == 0
+    angle = np.full(td.gram.shape, np.nan)
+    angle[good] = np.arccos(np.clip(np.abs(n1[good]) / np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)[good],
+                                    0.0, 1.0))
+    assert_same_bits(td.angle, angle)
+
+
+@pytest.mark.parametrize("fv_method", ["analytic", "fd"])
+@pytest.mark.parametrize("vs", [[0.5, 1.5, 2 * math.pi], [0.0, 2 * math.pi]],
+                         ids=["stencil", "no_stencil"])
+def test_tangent_data_assembles_once(monkeypatch, fv_method, vs):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(surface_module, "assemble", counting)
+    td = tangent_data(surface_ref(fv_method=fv_method), np.array([0.3, 1.1])[:, None],
+                      np.array(vs)[None, :])
+    assert len(calls) == 1
+    assert np.all(np.isnan(td.fv[..., -1, :])) == (fv_method == "fd")
 
 
 # -------------------------------------------------- first-order system, gram

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bergerhelix.family import Constant, Linear, XiProfile, example_profile
 from bergerhelix.surface import (
     NON_FINITE,
     OUT_OF_DOMAIN,
+    first_fundamental_form,
     make_surface,
     sample_grid,
     sweep_grid,
@@ -21,7 +23,9 @@ from bergerhelix.surface import (
 from bergerhelix.verify import (
     CHECKS,
     DEFAULT_TOLERANCES,
+    H_CURVATURE,
     VerifyConfig,
+    _interior_points,
     gauss_curvature_numeric,
     low_discrepancy,
     normal_closed_form_n1,
@@ -319,6 +323,17 @@ def test_verify_config_refuses_unknown_tolerance_name():
         VerifyConfig(tolerances={"nope": 1})
 
 
+@pytest.mark.parametrize("value", [math.nan, -1.0, -math.inf, "1e-3", None])
+def test_verify_config_refuses_a_tolerance_that_is_not_a_non_negative_number(value):
+    with pytest.raises(ConfigError, match=r"tolerance angle_constancy=.* must be a non-negative"):
+        VerifyConfig(tolerances={"angle_constancy": value})
+
+
+def test_verify_config_accepts_zero_and_infinite_tolerances():
+    cfg = VerifyConfig(tolerances={"angle_constancy": 0.0, "gauss_curvature": math.inf})
+    assert cfg.tol("angle_constancy", ref_surface()) == 0.0
+
+
 def test_report_json_shape():
     rep = run_all(ref_surface(), VerifyConfig(nu=31, nv=31))
     d = rep.to_dict()
@@ -387,6 +402,88 @@ def test_sweep_grid_labels_non_finite_samples_as_the_grid_does():
     assert len(labelled) == 324
     assert labelled == {(i, j) for i, j, kind in g.defects if kind == "non_finite"}
     assert np.array_equal(np.isnan(sweep.angle), np.isnan(g.angles))
+
+
+# ------------------------------------------------------------ nudge search
+
+def sequential_interior_points(surface):
+    """The nudge search one first_fundamental_form call per step: each
+    point steps in u until its relative determinant is healthy, at most
+    16 times.  Returns the points and the number of calls."""
+    u0, u1 = surface.u_domain
+    v0, v1 = surface.v_domain
+    h = H_CURVATURE
+    fracs = np.array([1.0, 2.0, 3.0]) / 4.0
+    u = u0 + np.repeat(fracs, 3) * (u1 - u0)
+    v = v0 + np.tile(fracs, 3) * (v1 - v0)
+    calls = 0
+    for _ in range(16):
+        E, Fc, G = verify_module.first_fundamental_form(surface, u, v)
+        calls += 1
+        nudge = ~(E * G - Fc * Fc > 0.05 * E * G)
+        if not np.any(nudge):
+            break
+        u = np.where(nudge, u0 + ((u - u0 + (u1 - u0) / 7.3) % (u1 - u0 - 2 * h)) + h, u)
+    return np.stack([u, v], axis=-1), calls
+
+
+def counted_interior_points(monkeypatch, surface, fff=first_fundamental_form):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fff(*args)
+
+    monkeypatch.setattr(verify_module, "first_fundamental_form", counting)
+    return _interior_points(surface), len(calls)
+
+
+@pytest.mark.parametrize("eps,th,steps", [(0.8, math.pi / 4, 2), (0.05, 1.55, 6),
+                                          (10.0, 1.55, 6)])
+def test_interior_points_match_the_sequential_search(monkeypatch, eps, th, steps):
+    s = ref_surface(eps, th)
+    want, calls = sequential_interior_points(s)
+    assert calls == steps
+    got, calls = counted_interior_points(monkeypatch, s)
+    assert calls == 1
+    assert np.array_equal(got, want)
+
+
+def test_interior_points_end_on_the_last_candidate_where_the_metric_is_nan(monkeypatch):
+    def nan_metric(surface, u, v):
+        nan = np.full(np.broadcast_shapes(np.shape(u), np.shape(v)), np.nan)
+        return nan, nan, nan
+
+    s = ref_surface(0.8)
+    healthy = _interior_points(s)
+    monkeypatch.setattr(verify_module, "first_fundamental_form", nan_metric)
+    want, calls = sequential_interior_points(s)
+    assert calls == 16
+    got, calls = counted_interior_points(monkeypatch, s, nan_metric)
+    assert calls == 1
+    assert np.array_equal(got, want)
+    assert not np.any(got[:, 0] == healthy[:, 0])
+
+
+# ---------------------------------------------------------------- warnings
+
+@pytest.mark.parametrize("case", ["nan_tail", "hopf_tube", "fd_no_stencil", "degenerate_u0"])
+def test_kernels_raise_no_runtime_warning(case):
+    """Every kernel evaluates on defective samples too and must stay quiet
+    there: NaN profiles, a Hopf tube, fd F_v with no stencil in the domain
+    and the degenerate u = 0 column of the reference surface."""
+    s, n = {"nan_tail": (nan_tail_surface(), 11), "hopf_tube": (hopf_tube(), 11),
+            "fd_no_stencil": (ref_surface(fv_method="fd"), 2),
+            "degenerate_u0": (ref_surface(), 21)}[case]
+    us, vs = np.linspace(*s.u_domain, n), np.linspace(*s.v_domain, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        td = tangent_data(s, us[:, None], vs[None, :])
+        tangent_data(s, us[0], vs)
+        sweep_grid(s, us, vs)
+        sample_grid(s, n, n)
+        run_all(s, VerifyConfig(nu=n, nv=n))
+    assert np.any(td.defect != 0) == (case != "hopf_tube")
 
 
 # ------------------------------------------------- separable vs direct kernel
