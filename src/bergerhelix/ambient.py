@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAngle, OutOfDomain
+from .errors import InvalidAngle, OutOfDomain, as_array
 
 SPHERE_TOL = 1e-9
 TANGENT_TOL = 1e-8
@@ -151,10 +151,10 @@ def frame_components(params: BergerParams, p, X) -> np.ndarray:
     Works on batched inputs: p and X may carry matching leading axes,
     with the 4-vector axis last.  Because the frame is g-orthonormal the
     components are simply (g(X,E1), g(X,E2), g(X,E3)), which reduce to
-    (eps <X, J1 p>, <X, J2 p>, <X, J3 p>).
+    (eps <X, J1 p>, <X, J2 p>, <X, J3 p>).  Complex input stays complex.
     """
-    p = np.asarray(p, dtype=float)
-    X = np.asarray(X, dtype=float)
+    p = as_array(p)
+    X = as_array(X)
     c1 = params.epsilon * np.sum(X * (p @ J1.T), axis=-1)
     c2 = np.sum(X * (p @ J2.T), axis=-1)
     c3 = np.sum(X * (p @ J3.T), axis=-1)

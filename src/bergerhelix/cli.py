@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nv", type=int, default=101, help="v samples (default 101)")
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--fv-method", choices=("analytic", "fd"), default=None,
-                       help="how F_v is computed (default: analytic)")
+                       help="F_v from the profile jets (analytic, the default) or from a "
+                            "complex step of A, independent of the jets (fd)")
 
     p_const = sub.add_parser("constants", help="print the closed-form constants as JSON")
     p_const.add_argument("--epsilon", type=float, default=1.0)

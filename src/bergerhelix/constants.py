@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import BergerParams
-from .errors import InvalidAngle, OutOfDomain
+from .errors import InvalidAngle, OutOfDomain, as_array
 
 LAMBDA_POLE_TOL = 1e-6
 
@@ -94,8 +94,7 @@ def _closed_forms(eps: float, th: float) -> HelixConstants:
 
 
 def _tan_argument(u, consts: HelixConstants, params: BergerParams, eta):
-    return np.asarray(eta, dtype=float) \
-        - 2.0 * math.cos(params.theta) * math.sqrt(consts.B) * np.asarray(u, dtype=float)
+    return as_array(eta) - 2.0 * math.cos(params.theta) * math.sqrt(consts.B) * as_array(u)
 
 
 def lambda_field(u, consts: HelixConstants, params: BergerParams, eta=0.0):
@@ -106,7 +105,7 @@ def lambda_field(u, consts: HelixConstants, params: BergerParams, eta=0.0):
     pole of tan, where the adapted coordinates break down.
     """
     arg = _tan_argument(u, consts, params, eta)
-    r = (arg - math.pi / 2) % math.pi
+    r = (arg.real - math.pi / 2) % math.pi
     if np.any(np.minimum(r, math.pi - r) < LAMBDA_POLE_TOL):
         raise OutOfDomain(f"tan argument within {LAMBDA_POLE_TOL} of a pole")
     return 2.0 * math.sqrt(consts.B) * np.tan(arg)
@@ -124,4 +123,4 @@ def ab_coefficients(u, consts: HelixConstants, params: BergerParams, eta=0.0):
 
 def phi_field(u, consts: HelixConstants, params: BergerParams, c_phi: float = 0.0):
     """The normal-rotation phase, affine in u with slope -2B/eps."""
-    return -2.0 * consts.B / params.epsilon * np.asarray(u, dtype=float) + c_phi
+    return -2.0 * consts.B / params.epsilon * as_array(u) + c_phi

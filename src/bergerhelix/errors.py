@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one range check."""
+"""Exception types shared across the package, its range check and array cast."""
 
 import numpy as np
 
@@ -26,10 +26,16 @@ class ConfigError(GeometryError):
     cannot be derived."""
 
 
+def as_array(x) -> np.ndarray:
+    """x as a float array, or a complex one when x is complex, so that a
+    complex step keeps the imaginary part a float cast would drop."""
+    return np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
+
+
 def check_range(x, lo: float, hi: float, name: str) -> np.ndarray:
-    """x as a float array, raising OutOfDomain when a value lies more than
-    1e-12 outside [lo, hi]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
+    """x as_array, raising OutOfDomain when the real part of a value lies
+    more than 1e-12 outside [lo, hi]."""
+    x = as_array(x)
+    if np.any(x.real < lo - 1e-12) or np.any(x.real > hi + 1e-12):
         raise OutOfDomain(f"{name} outside [{lo}, {hi}]")
     return x

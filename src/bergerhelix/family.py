@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .ambient import J1, J2, J3
-from .errors import ConfigError, OutOfDomain, check_range
+from .errors import ConfigError, OutOfDomain, as_array, check_range
 
 CONSTRAINT_TOL = 1e-8
 HOPF_TUBE_TOL = 1e-9
@@ -45,7 +45,7 @@ class Constant:
     value: float
 
     def jet(self, v, order=0):
-        v = np.asarray(v, dtype=float)
+        v = as_array(v)
         value = np.full_like(v, self.value)
         return (value, np.zeros_like(v)) if order else (value,)
 
@@ -56,7 +56,7 @@ class Linear:
     offset: float = 0.0
 
     def jet(self, v, order=0):
-        v = np.asarray(v, dtype=float)
+        v = as_array(v)
         value = self.slope * v + self.offset
         return (value, np.full_like(v, self.slope)) if order else (value,)
 
@@ -71,7 +71,7 @@ class Sinusoid:
     offset: float = 0.0
 
     def jet(self, v, order=0):
-        arg = self.angular_freq * np.asarray(v, dtype=float) + self.phase
+        arg = self.angular_freq * as_array(v) + self.phase
         value = self.amplitude * np.sin(arg) + self.offset
         return (value, self.amplitude * self.angular_freq * np.cos(arg)) if order else (value,)
 
@@ -106,7 +106,7 @@ class Tabulated:
         flat = v.ravel()
         # the interval holding v, closed on the right at v_max; the range
         # check's slack falls into the end intervals
-        i = np.searchsorted(self.v_nodes[1:-1], flat, side="right")
+        i = np.searchsorted(self.v_nodes[1:-1], flat.real, side="right")
         s = flat - self.v_nodes.take(i)
         ss = s * s
         # the power sum in the order of SciPy's evaluate_poly1; 0.0 + sets the sign of a zero

@@ -14,10 +14,12 @@ block rotation K, so every product the sweep needs is a quadratic form
 b^T Q(v) b: a (rows x 10) @ (10 x nv) product over the monomials b_i b_j,
 i <= j, for each block of u rows, and no (nu, nv, 4) array is built.
 
-Samples a kernel cannot use carry one of three defect kinds, by one rule
-for both kernels: out_of_domain (the finite-difference stencil of F_v
-leaves the profile domain), non_finite (some value is NaN or infinite)
-and degenerate_tangent_plane (the Gram determinant of (F_u, F_v) is below
+F_v is dA/dv beta(u) from the profile jets, or with fv_method "fd" from a
+complex step of A's value code.  tangent_data keeps complex (u, v) complex.
+
+Samples a kernel cannot use carry one of two defect kinds, by one rule
+for both kernels: non_finite (some value is NaN or infinite) and
+degenerate_tangent_plane (the Gram determinant of (F_u, F_v) is below
 GRAM_DET_TOL).
 """
 
@@ -31,17 +33,19 @@ import numpy as np
 
 from .ambient import J1, J2, J3, BergerParams, frame_components
 from .constants import HelixConstants, compute_constants
-from .errors import DegenerateTangentPlane, OutOfDomain, check_range
+from .errors import DegenerateTangentPlane, OutOfDomain, as_array, check_range
 from .family import XiProfile, assemble
 
 GRAM_DET_TOL = 1e-12
-FD_STEP_V = 1e-5
+# complex step: f'(x) = Im f(x + i CSTEP) / CSTEP has no subtraction, so it
+# is exact to rounding, and CSTEP^2 vanishes beside any double
+CSTEP = 1e-200
 SWEEP_BLOCK = 1 << 15    # grid samples per block of u rows in sweep_grid
 
 # defect codes of TangentData.defect: 0 marks a usable sample, code k + 1 the
 # kind DEFECT_KINDS[k]; a sample gets the first kind that applies
-DEFECT_KINDS = ("out_of_domain", "non_finite", "degenerate_tangent_plane")
-OUT_OF_DOMAIN, NON_FINITE, DEGENERATE = 1, 2, 3
+DEFECT_KINDS = ("non_finite", "degenerate_tangent_plane")
+NON_FINITE, DEGENERATE = 1, 2
 
 
 def beta(u, consts: HelixConstants) -> np.ndarray:
@@ -56,7 +60,7 @@ def beta(u, consts: HelixConstants) -> np.ndarray:
 def beta_derivatives(u, consts: HelixConstants, order: int = 1) -> np.ndarray:
     """Exact u-derivative of order up to four: each derivative scales by
     the frequency and permutes (cos, sin) -> (-sin, cos) without phase
-    arithmetic, so exact zeros stay exact."""
+    arithmetic, so exact zeros stay exact.  Complex u stays complex."""
     return _beta_jet(u, consts, order)[0]
 
 
@@ -66,7 +70,7 @@ def _beta_jet(u, consts: HelixConstants, *orders: int) -> List[np.ndarray]:
     for order in orders:
         if order not in (0, 1, 2, 3, 4):
             raise OutOfDomain(f"derivative order must be in 0..4, got {order}")
-    u = np.asarray(u, dtype=float)
+    u = as_array(u)
     a1, a2 = consts.alpha1, consts.alpha2
     r1, r3 = math.sqrt(consts.g11), math.sqrt(consts.g33)
     x1, x2 = a1 * u, a2 * u
@@ -84,7 +88,7 @@ def _beta_jet(u, consts: HelixConstants, *orders: int) -> List[np.ndarray]:
         else:
             pair1, pair2 = (s1, -c1), (s2, -c2)
         w1, w2 = r1 * a1 ** order, r3 * a2 ** order
-        d = np.empty(u.shape + (4,))
+        d = np.empty(u.shape + (4,), u.dtype)
         d[..., 0], d[..., 1] = w1 * pair1[0], w1 * pair1[1]
         d[..., 2], d[..., 3] = w2 * pair2[0], w2 * pair2[1]
         jet.append(d)
@@ -95,9 +99,9 @@ def _beta_jet(u, consts: HelixConstants, *orders: int) -> List[np.ndarray]:
 class HelixSurface:
     """A concrete parametrized surface: parameters, constants, family.
 
-    fv_method selects how F_v is produced: "analytic" applies dA/dv,
-    "fd" differentiates F in v by central differences with one level of
-    Richardson extrapolation (step FD_STEP_V).
+    fv_method selects how F_v is produced: "analytic" applies dA/dv from
+    the profile jets, "fd" differentiates the value code of A by a complex
+    step (CSTEP), independently of the hand-written jets.
     """
 
     params: BergerParams
@@ -139,8 +143,9 @@ class TangentData:
 
     F, fu, fv are (S, 4); cu, cv are the frame components of F_u and F_v
     and normal their cross product, (S, 3); gram, angle and defect are S.
-    angle is arccos(|N1| / |N|), NaN wherever defect is nonzero; F_v is
-    NaN on out_of_domain samples.
+    angle is arccos(|N1| / |N|), NaN wherever defect is nonzero.  For
+    complex (u, v) every array but angle and defect is complex, and those
+    two are read from the real parts.
     """
 
     F: np.ndarray
@@ -165,32 +170,18 @@ def _dot(a, b):
 
 
 def _family_jet(surface: HelixSurface, v, apply):
-    """(A(v), F_v, fv_ok), the one F_v recipe of both kernels: F_v is
-    apply(dA/dv), or with fv_method "fd" the Richardson difference
-    (4 D(h/2) - D(h)) / 3, h = FD_STEP_V, D(s) = apply(A(v+s) - A(v-s)) / (2 s).
-    fv_ok marks the v whose stencil fits in the profile domain; elsewhere
-    F_v is NaN (the stencil is moved to the midpoint and discarded).  One
-    assemble call builds A(v) and the whole stencil, or A(v) alone when no
-    stencil fits (even the midpoint one may then leave the domain).
+    """(A(v), F_v), the one F_v recipe of both kernels: F_v is
+    apply(dA/dv) from one assemble, where dA/dv is the jets' derivative,
+    or with fv_method "fd" Im A(v + i CSTEP) / CSTEP.  A complex v is a
+    probe's own complex step, which fd's step cannot nest in, so it always
+    takes the jets.
     """
-    prof = surface.profile
-    if surface.fv_method == "analytic":
-        A, dA = assemble(prof, v, 1)
-        return A, apply(dA), np.ones(v.shape, dtype=bool)
-    h = FD_STEP_V
-    fv_ok = (v - h >= prof.v_min - 1e-15) & (v + h <= prof.v_max + 1e-15)
-    vin = np.where(fv_ok, v, 0.5 * (prof.v_min + prof.v_max))
-    vs = np.stack([v, vin + h / 2, vin - h / 2, vin + h, vin - h]) if np.any(fv_ok) else v[None]
-    A, *stencil = assemble(prof, vs)[0]
-
-    def diff(k, step):
-        Ad = np.full(A.shape, np.nan)
-        if stencil:
-            Ad = stencil[k] - stencil[k + 1]
-            Ad[~fv_ok] = np.nan
-        return apply(Ad) / (2.0 * step)
-
-    return A, (4.0 * diff(0, h / 2) - diff(2, h)) / 3.0, fv_ok
+    if surface.fv_method == "analytic" or np.iscomplexobj(v):
+        A, dA = assemble(surface.profile, v, 1)
+        return A, apply(dA)
+    A, = assemble(surface.profile, v + 1j * CSTEP)
+    # a contiguous copy: einsum sums a strided view in another order
+    return np.ascontiguousarray(A.real), apply(A.imag / CSTEP)
 
 
 def tangent_data(surface: HelixSurface, u, v) -> TangentData:
@@ -199,55 +190,51 @@ def tangent_data(surface: HelixSurface, u, v) -> TangentData:
     u and v broadcast against each other; A is assembled on v as given
     and beta on u, so a grid passed as (us[:, None], vs[None, :]) builds
     each A(v) once, and beta and beta' share one cos/sin pass.  F_v comes
-    from _family_jet: dA/dv beta(u), or with fv_method "fd" a Richardson
-    central difference whose stencil must fit in the profile domain.  The
-    normal is the cross product of the frame components, written out as
-    np.cross computes it.  The domain of (u, v) is not checked here; the
-    pointwise views check it.
+    from _family_jet.  The normal is the cross product of the frame
+    components, written out as np.cross computes it.  Complex (u, v) stay
+    complex.  The domain of (u, v) is not checked here; the pointwise
+    views check it.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u = as_array(u)
+    v = as_array(v)
     b, bu = _beta_jet(u, surface.consts, 0, 1)
-    A, fv, fv_ok = _family_jet(surface, v, lambda D: _apply(D, b))
+    A, fv = _family_jet(surface, v, lambda D: _apply(D, b))
     F = _apply(A, b)
     fu = _apply(A, bu)
     cu = frame_components(surface.params, F, fu)
     cv = frame_components(surface.params, F, fv)
-    normal = np.empty(cu.shape)
+    normal = np.empty(cu.shape, np.result_type(cu, cv))
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         normal[..., k] = cu[..., i] * cv[..., j] - cu[..., j] * cv[..., i]
     gram = np.sum(fu * fu, -1) * np.sum(fv * fv, -1) - np.sum(fu * fv, -1) ** 2
-    defect, angle = _classify(fv_ok, gram, normal[..., 0], normal[..., 1], normal[..., 2])
+    defect, angle = _classify(gram, normal[..., 0], normal[..., 1], normal[..., 2])
     return TangentData(F=F, fu=fu, fv=fv, cu=cu, cv=cv, normal=normal, gram=gram,
                        angle=angle, defect=defect)
 
 
-def _classify(fv_ok, gram, n1, n2, n3):
-    """Defect codes and angles of both kernels from the v-mask of a
-    formable F_v, the Gram determinant and the normal's frame components.
+def _classify(gram, n1, n2, n3):
+    """Defect codes and angles of both kernels from the real parts of the
+    Gram determinant and of the normal's frame components.
 
     A sample gets the first defect kind that applies; the angle
     arccos(|N1| / |N|) is NaN wherever the code is nonzero.
     """
+    gram, n1, n2, n3 = gram.real, n1.real, n2.real, n3.real
     finite = np.isfinite(gram) & np.isfinite(n1) & np.isfinite(n2) & np.isfinite(n3)
     # the angle is evaluated on defective samples too and discarded there
     with np.errstate(invalid="ignore", divide="ignore"):
-        defect = np.where(fv_ok, np.where(finite, np.where(gram < GRAM_DET_TOL, DEGENERATE, 0),
-                                          NON_FINITE), OUT_OF_DOMAIN).astype(np.int8)
+        defect = np.where(finite, np.where(gram < GRAM_DET_TOL, DEGENERATE, 0),
+                          NON_FINITE).astype(np.int8)
         ratio = np.abs(n1) / np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)   # >= 0 where it is a number
         angle = np.where(defect == 0, np.arccos(np.minimum(ratio, 1.0)), np.nan)
     return defect, angle
 
 
-def _view(surface: HelixSurface, u, v, *refused: int) -> TangentData:
-    """The kernel at (u, v) inside the surface domain, raising on any
-    sample with one of the refused defect codes."""
+def _view(surface: HelixSurface, u, v, regular: bool = False) -> TangentData:
+    """The kernel at (u, v) inside the surface domain; with regular, raising
+    on any degenerate sample."""
     td = tangent_data(surface, *surface.check_domain(u, v))
-    if OUT_OF_DOMAIN in refused and np.any(td.defect == OUT_OF_DOMAIN):
-        lo, hi = surface.profile.v_min, surface.profile.v_max
-        raise OutOfDomain(f"finite-difference F_v needs [v-{FD_STEP_V}, v+{FD_STEP_V}] "
-                          f"inside [{lo}, {hi}]")
-    if DEGENERATE in refused and np.any(td.defect == DEGENERATE):
+    if regular and np.any(td.defect == DEGENERATE):
         raise DegenerateTangentPlane(
             f"Gram determinant {np.min(td.gram):.3e} below {GRAM_DET_TOL} at (u={u}, v={v})")
     return td
@@ -260,7 +247,7 @@ def position(surface: HelixSurface, u, v) -> np.ndarray:
 
 def partials(surface: HelixSurface, u, v):
     """(F_u, F_v) at (u, v); both tangent to the sphere at F(u, v)."""
-    td = _view(surface, u, v, OUT_OF_DOMAIN)
+    td = _view(surface, u, v)
     return td.fu, td.fv
 
 
@@ -271,19 +258,19 @@ def normal_components(surface: HelixSurface, u, v):
     g-orthogonal to both.  Raises DegenerateTangentPlane when the
     euclidean Gram determinant of (F_u, F_v) falls below GRAM_DET_TOL.
     """
-    n1, n2, n3 = np.moveaxis(_view(surface, u, v, OUT_OF_DOMAIN, DEGENERATE).normal, -1, 0)
+    n1, n2, n3 = np.moveaxis(_view(surface, u, v, regular=True).normal, -1, 0)
     return n1[()], n2[()], n3[()]
 
 
 def measured_angle(surface: HelixSurface, u, v):
     """arccos(|N1| / |N|) in [0, pi/2]: the angle the unit normal makes
     with the fiber direction E1."""
-    return _view(surface, u, v, OUT_OF_DOMAIN, DEGENERATE).angle[()]
+    return _view(surface, u, v, regular=True).angle[()]
 
 
 def first_fundamental_form(surface: HelixSurface, u, v):
     """(E, F, G) of the induced metric at (u, v), in the ambient metric."""
-    td = _view(surface, u, v, OUT_OF_DOMAIN)
+    td = _view(surface, u, v)
     eps = surface.params.epsilon
     j1F = td.F @ J1.T
 
@@ -361,16 +348,15 @@ class SweepData:
 def _sweep_forms(surface: HelixSurface, vs: np.ndarray):
     """Monomial coefficients of the sweep's nine quadratic forms in b.
 
-    Returns (C, fv_ok): C is (9, 10, nv), holding per v the coefficients
-    of <F_u, J_k F> (k = 1, 2, 3), <F_v, J_k F> (k = 1, 2, 3), |F_u|^2,
+    Returns C, (9, 10, nv), holding per v the coefficients of
+    <F_u, J_k F> (k = 1, 2, 3), <F_v, J_k F> (k = 1, 2, 3), |F_u|^2,
     |F_v|^2 and <F_u, F_v>, with F = A b, F_u = A K b and F_v = D b; D is
-    the matrix of _family_jet, NaN where its stencil leaves the profile
-    domain.  Every Q(v) is built from the assembled matrices, so the
-    sweep leans on no identity of the family (orthogonality, A J1 = J1 A)
+    the matrix of _family_jet.  Every Q(v) is built from the assembled
+    matrices, so the sweep leans on no identity of the family (orthogonality, A J1 = J1 A)
     that the family checks certify.
     """
     c = surface.consts
-    A, D, fv_ok = _family_jet(surface, vs, lambda D: D)
+    A, D = _family_jet(surface, vs, lambda D: D)
     # beta' = K beta: K turns each complex coordinate of beta at its frequency
     K = np.zeros((4, 4))
     K[1, 0], K[3, 2] = c.alpha1, c.alpha2
@@ -382,7 +368,7 @@ def _sweep_forms(surface: HelixSurface, vs: np.ndarray):
     # b^T Q b = sum over i <= j of (Q + Q^T)_ij b_i b_j, halved on the diagonal
     S = (Q + np.swapaxes(Q, -1, -2))[..., _ROW, _COL]
     S[..., _ROW == _COL] *= 0.5
-    return np.ascontiguousarray(np.swapaxes(S, -1, -2)), fv_ok
+    return np.ascontiguousarray(np.swapaxes(S, -1, -2))
 
 
 def sweep_grid(surface: HelixSurface, us, vs) -> SweepData:
@@ -396,7 +382,7 @@ def sweep_grid(surface: HelixSurface, us, vs) -> SweepData:
     """
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
-    C, fv_ok = _sweep_forms(surface, vs)
+    C = _sweep_forms(surface, vs)
     b = beta(us, surface.consts)
     monomials = b[:, _ROW] * b[:, _COL]
     eps = surface.params.epsilon
@@ -408,7 +394,7 @@ def sweep_grid(surface: HelixSurface, us, vs) -> SweepData:
         j1_fu, cu2, cu3, j1_fv, cv2, cv3, fuu, fvv, fuv = (monomials[block] @ Ck for Ck in C)
         cu1, cv1 = eps * j1_fu, eps * j1_fv
         out.defect[block], out.angle[block] = _classify(
-            fv_ok, fuu * fvv - fuv ** 2,
+            fuu * fvv - fuv ** 2,
             cu2 * cv3 - cu3 * cv2, cu3 * cv1 - cu1 * cv3, cu1 * cv2 - cu2 * cv1)
         out.fv_euclidean[block] = fvv
         out.fv_berger[block] = fvv + (eps * eps - 1.0) * j1_fv ** 2
@@ -428,7 +414,6 @@ def fit_phase_constant(surface: HelixSurface) -> float:
     (u_min, v_min).
     """
     u, v = surface.u_domain[0], surface.v_domain[0]
-    # only F_u enters, so an fd F_v that cannot be formed at the corner is harmless
     td = _view(surface, u, v)
     p2, p3 = float(td.fu @ (J2 @ td.F)), float(td.fu @ (J3 @ td.F))
     phi = math.atan2(-p3, -p2)

@@ -12,6 +12,9 @@ residual with a NaN-propagating max (so a NaN fails its entry) and
 collects the entries in a CheckReport.  Sample points come from a deterministic
 low-discrepancy sequence, so two runs with the same configuration
 produce byte-identical reports.
+
+Every derivative a check takes is a complex step Im f(x + ih) / h with
+h = surface.CSTEP, exact to rounding, with no step to tune per surface.
 """
 
 from __future__ import annotations
@@ -25,15 +28,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ambient import J1, connection_table
+from .ambient import J1, connection_table, frame_components
 from .constants import ab_coefficients, lambda_field, phi_field
-from .errors import ConfigError, DegenerateTangentPlane
+from .errors import ConfigError, as_array
 from .family import assemble
 from .surface import (
-    DEGENERATE,
+    CSTEP,
     GRAM_DET_TOL,
     NON_FINITE,
     HelixSurface,
+    _apply,
+    _beta_jet,
     _dot,
     beta,
     beta_derivatives,
@@ -58,7 +63,7 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "fourth_order_ode": 1e-10,
     "fv_norm_spread_berger": INFO,
     "fv_norm_spread_euclidean": INFO,
-    "gauss_curvature": 1e-3,      # widened to 1e-2|K| for large K
+    "gauss_curvature": 1e-3,
     "gram_diagonal": 1e-9,
     "gram_off_diagonal": 1e-9,
     "j1_products": 1e-9,
@@ -75,9 +80,6 @@ PHASE_READING_NOTE = (
     "closed-form normal check reads the first-component phase as xi2 - xi3"
 )
 
-H_CURVATURE = 1e-3    # finite-difference step of the curvature stencil
-H_SHAPE = 1e-3        # finite-difference step of the normal's derivative
-H_FIELD = 1e-5        # finite-difference step of the lambda / (a, b) / phi fields
 FIELD_SAMPLES = 200
 SUBGRID_SIDE = 21     # points per axis that separable_vs_direct compares
 SEED = 0
@@ -147,13 +149,9 @@ class VerifyConfig:
             if not (isinstance(value, numbers.Real) and value >= 0):
                 raise ConfigError(f"tolerance {name}={value!r} must be a non-negative number")
 
-    def tol(self, name: str, surface: HelixSurface) -> float:
-        """The tolerance an entry is judged by; the curvature one widens to
-        1e-2 |K| for large K."""
-        tol = self.tolerances.get(name, DEFAULT_TOLERANCES[name])
-        if name == "gauss_curvature":
-            tol = max(tol, 1e-2 * abs(surface.consts.gauss_k))
-        return tol
+    def tol(self, name: str) -> float:
+        """The tolerance an entry is judged by."""
+        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
 
 def low_discrepancy(n: int, seed: int = 0) -> np.ndarray:
@@ -167,14 +165,11 @@ def low_discrepancy(n: int, seed: int = 0) -> np.ndarray:
     return np.mod(0.5 + k * a[None, :], 1.0)
 
 
-def _sample_points(surface: HelixSurface, n: int, seed: int,
-                   inset: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+def _sample_points(surface: HelixSurface, n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     pts = low_discrepancy(n, seed)
     u0, u1 = surface.u_domain
     v0, v1 = surface.v_domain
-    du, dv = (u1 - u0) * inset, (v1 - v0) * inset
-    return (u0 + du + pts[:, 0] * (u1 - u0 - 2 * du),
-            v0 + dv + pts[:, 1] * (v1 - v0 - 2 * dv))
+    return u0 + pts[:, 0] * (u1 - u0), v0 + pts[:, 1] * (v1 - v0)
 
 
 def _matrix(rows):
@@ -189,37 +184,54 @@ def _covariant(coord_comps, field_comps, d_field, gamma):
 
 
 def _unit_normals(normal):
-    """Unit normal frame components, flipped so the fiber component is >= 0."""
+    """Unit normal frame components, flipped so the fiber component (its
+    real part) is >= 0."""
     with np.errstate(invalid="ignore", divide="ignore"):
         n = normal / np.sqrt(_dot(normal, normal))[..., None]
-    return np.where(n[..., :1] < 0, -n, n)
+    return np.where(n[..., :1].real < 0, -n, n)
+
+
+def _complex_steps(u, v):
+    """The points (u + ih, v) and (u, v + ih), h = CSTEP, stacked on a new
+    first axis over the broadcast shape of (u, v)."""
+    u, v = np.broadcast_arrays(as_array(u), as_array(v))
+    return np.stack([u + 1j * CSTEP, u + 0j]), np.stack([v + 0j, v + 1j * CSTEP])
 
 
 # --------------------------------------------------------------------------
 # differential probes
 # --------------------------------------------------------------------------
 
-def gauss_curvature_numeric(surface: HelixSurface, u, v, h: float = H_CURVATURE):
+def gauss_curvature_numeric(surface: HelixSurface, u, v):
     """Intrinsic curvature from the first fundamental form alone.
 
-    Builds (E, F, G) on a 3x3 stencil around each point (u, v), forms the
-    required first and second parameter derivatives by second-order
-    central differences, and evaluates the two-determinant curvature
-    formula det(M1) - det(M2) over (EG - F^2)^2.  Where EG - F^2 falls
-    below GRAM_DET_TOL the metric is singular and the curvature reads inf.
+    The two-determinant formula det(M1) - det(M2) over (EG - F^2)^2, with
+    the metric a dot product of frame components (nothing cancels) at the
+    points of _complex_steps.  Complex steps of it give the first
+    derivatives; E_vv, F_uv and G_uu are complex steps of the exact E_v,
+    F_u and G_u, from F_uu = A beta'' and F_uv = A' beta'.  Where EG - F^2
+    falls below GRAM_DET_TOL the metric is singular and K reads inf.
     """
-    u = np.asarray(u, dtype=float)[..., None, None]
-    v = np.asarray(v, dtype=float)[..., None, None]
-    step = np.array([-1.0, 0.0, 1.0]) * h
-    # Q[k, ..., i, j] is the k-th of (E, F, G) at (u + (i - 1) h, v + (j - 1) h)
-    Q = np.stack(first_fundamental_form(surface, u + step[:, None], v + step[None, :]))
-    E, Fc, G = Q[..., 1, 1]
+    us, vs = _complex_steps(*surface.check_domain(u, v))
+    b, bu, buu = _beta_jet(us, surface.consts, 0, 1, 2)
+    A, dA = assemble(surface.profile, vs, 1)
+    P, Pu, Pv, Puu, Puv = (_apply(M, x) for M, x in ((A, b), (A, bu), (dA, b), (A, buu), (dA, bu)))
+
+    def c(p, X):
+        """Frame components of X at p, bilinear in (p, X)."""
+        return frame_components(surface.params, p, X)
+
+    cu, cv = c(P, Pu), c(P, Pv)
+    # their exact derivatives, by the product rule
+    cu_u, cu_v, cv_u = c(Pu, Pu) + c(P, Puu), c(Pv, Pu) + c(P, Puv), c(Pu, Pv) + c(P, Puv)
+    # axis 1 holds the step: 0 in u, 1 in v
+    metric = np.stack([_dot(cu, cu), _dot(cu, cv), _dot(cv, cv)])
+    E, Fc, G = metric.real[:, 0]
+    (E_u, F_u, G_u), (E_v, F_v, G_v) = np.moveaxis(metric.imag / CSTEP, 1, 0)
+    E_vv = 2.0 * _dot(cu, cu_v).imag[1] / CSTEP
+    F_uv = (_dot(cu_u, cv) + _dot(cu, cv_u)).imag[1] / CSTEP
+    G_uu = 2.0 * _dot(cv, cv_u).imag[0] / CSTEP
     det = E * G - Fc * Fc
-    E_u, F_u, G_u = (Q[..., 2, 1] - Q[..., 0, 1]) / (2 * h)
-    E_v, F_v, G_v = (Q[..., 1, 2] - Q[..., 1, 0]) / (2 * h)
-    E_vv = (Q[0, ..., 1, 2] - 2 * E + Q[0, ..., 1, 0]) / h ** 2
-    G_uu = (Q[2, ..., 2, 1] - 2 * G + Q[2, ..., 0, 1]) / h ** 2
-    F_uv = (Q[1, ..., 2, 2] - Q[1, ..., 2, 0] - Q[1, ..., 0, 2] + Q[1, ..., 0, 0]) / (4 * h ** 2)
     M1 = _matrix([
         [-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v],
         [F_v - 0.5 * G_u, E, Fc],
@@ -239,38 +251,40 @@ def _interior_points(surface: HelixSurface) -> np.ndarray:
     """Nine interior points, the 3 x 3 grid at the quarters of the
     domain, as (u, v) rows, nudged off near-singular parameter lines.
 
-    Finite differences of the induced metric amplify like the inverse
-    square of EG - F^2, so a point steps in u, up to 16 times, until the
-    relative determinant is healthy (a NaN one is not).  The steps do not
-    depend on the metric: one first_fundamental_form call evaluates the
-    first 16 candidates of every point, which takes its first healthy one
-    or else the 17th.
+    The curvature divides by the square of EG - F^2 and the shape operator
+    by a basis as degenerate as the tangent plane, so a point steps in u,
+    up to 16 times, until the relative determinant is healthy (a NaN one
+    is not).  The steps do not depend on the metric: one
+    first_fundamental_form call evaluates the first 16 candidates of every
+    point, which takes its first healthy one or else the 17th.
     """
     u0, u1 = surface.u_domain
     v0, v1 = surface.v_domain
-    h = H_CURVATURE
     fracs = np.array([1.0, 2.0, 3.0]) / 4.0
     us = [u0 + np.repeat(fracs, 3) * (u1 - u0)]
     v = v0 + np.tile(fracs, 3) * (v1 - v0)
     for _ in range(16):
-        us.append(u0 + ((us[-1] - u0 + (u1 - u0) / 7.3) % (u1 - u0 - 2 * h)) + h)
+        us.append(u0 + (us[-1] - u0 + (u1 - u0) / 7.3) % (u1 - u0))
     us = np.stack(us)
     E, Fc, G = first_fundamental_form(surface, us[:-1], v)
     healthy = np.concatenate([E * G - Fc * Fc > 0.05 * E * G, np.ones((1, v.size), bool)])
     return np.stack([us[np.argmax(healthy, axis=0), np.arange(v.size)], v], axis=-1)
 
 
-def _shape_operators(surface: HelixSurface, u, v, h: float):
-    """Shape operators at the points (u, v), and where a normal of their
-    stencil degenerates (those operators are meaningless)."""
-    u = np.asarray(u, dtype=float)[..., None]
-    v = np.asarray(v, dtype=float)[..., None]
-    td = tangent_data(surface, u + np.array([0.0, h, -h, 0.0, 0.0]),
-                      v + np.array([0.0, 0.0, 0.0, h, -h]))
+def shape_operator_matrix(surface: HelixSurface, u, v) -> np.ndarray:
+    """The shape operator in the orthonormal tangent basis (T, JT)/sin(th).
+
+    The unit normal is differentiated along both coordinate directions by
+    complex steps of its frame components, from one tangent_data call at
+    the points of _complex_steps, and corrected by the ambient connection;
+    the operator is then expressed in the basis made of the normalized
+    tangent F_u and its quarter-turn.  Batched over (u, v); NaN where the
+    tangent plane degenerates or a value is not finite.
+    """
+    td = tangent_data(surface, *_complex_steps(u, v))
     n = _unit_normals(td.normal)
-    n0, cu, cv = n[..., 0, :], td.cu[..., 0, :], td.cv[..., 0, :]
-    dNu = (n[..., 1, :] - n[..., 2, :]) / (2 * h)
-    dNv = (n[..., 3, :] - n[..., 4, :]) / (2 * h)
+    n0, cu, cv = n[0].real, td.cu[0].real, td.cv[0].real
+    dNu, dNv = n[0].imag / CSTEP, n[1].imag / CSTEP
     gamma = connection_table(surface.params)
     Au = -_covariant(cu, n0, dNu, gamma)
     Av = -_covariant(cv, n0, dNv, gamma)
@@ -278,36 +292,18 @@ def _shape_operators(surface: HelixSurface, u, v, h: float):
     e2 = np.cross(n0, e1)
     P = _matrix([[_dot(cu, e1), _dot(cv, e1)], [_dot(cu, e2), _dot(cv, e2)]])
     M = _matrix([[_dot(Au, e1), _dot(Av, e1)], [_dot(Au, e2), _dot(Av, e2)]])
-    degenerate = np.any(td.defect == DEGENERATE, axis=-1)
-    invertible = ~degenerate & np.all(np.isfinite(P), axis=(-2, -1))
-    return M @ np.linalg.inv(np.where(invertible[..., None, None], P, np.eye(2))), degenerate
-
-
-def shape_operator_matrix(surface: HelixSurface, u, v, h: float = H_SHAPE) -> np.ndarray:
-    """The shape operator in the orthonormal tangent basis (T, JT)/sin(th).
-
-    The normal is differentiated along both coordinate directions by
-    central differences of its frame components, corrected by the
-    ambient connection; the operator is then expressed in the basis
-    made of the normalized tangent F_u and its quarter-turn.  Batched
-    over (u, v); raises DegenerateTangentPlane when a normal of the
-    stencil degenerates.
-    """
-    S, degenerate = _shape_operators(surface, u, v, h)
-    if np.any(degenerate):
-        raise DegenerateTangentPlane(f"degenerate tangent plane near (u={u}, v={v})")
-    return S
+    regular = (td.defect[0] == 0)[..., None, None]
+    return np.where(regular, M @ np.linalg.inv(np.where(regular, P, np.eye(2))), np.nan)
 
 
 def tangent_turn_coefficient(surface: HelixSurface, u: float, v: float) -> float:
     """g(nabla_T T, JT) / sin^2(th), expected -2 eps cos(th); T is
-    differentiated by a central difference of step H_SHAPE."""
-    th, h = surface.params.theta, H_SHAPE
-    td = tangent_data(surface, u + np.array([0.0, h, -h]), v)
-    cu = td.cu[0]
-    dT = (td.cu[1] - td.cu[2]) / (2 * h)
+    differentiated by a complex step in u."""
+    th = surface.params.theta
+    td = tangent_data(surface, u + 1j * CSTEP, v)
+    cu, dT = td.cu.real, td.cu.imag / CSTEP
     cov = _covariant(cu, cu, dT, connection_table(surface.params))
-    e2 = np.cross(_unit_normals(td.normal[0]), cu / math.sin(th))
+    e2 = np.cross(_unit_normals(td.normal.real), cu / math.sin(th))
     return float(cov @ e2) / math.sin(th)
 
 
@@ -449,37 +445,34 @@ def _j1_products(surface, config):
 
 def _normal_closed_form(surface, config):
     """Numeric N1 from the cross product against the closed form."""
-    # the fd path needs room for its v-stencil near the domain edges
-    inset = 1e-4 if surface.fv_method == "fd" else 0.0
-    us, vs = _sample_points(surface, 100, SEED, inset)
+    us, vs = _sample_points(surface, 100, SEED)
     n1 = tangent_data(surface, us, vs).normal[:, 0]
     return {"normal_closed_form": (np.abs(n1 - normal_closed_form_n1(surface, us, vs)),
                                    us.size)}
 
 
 def _fields(surface, config):
-    """Residuals of the lambda / (a, b) / phi closed forms under central
-    differences in u, plus the exact (B/eps^2) a^2 + b^2 = 1 identity."""
+    """Residuals of the lambda / (a, b) / phi closed forms under complex
+    steps in u, plus the exact (B/eps^2) a^2 + b^2 = 1 identity."""
     params, consts = surface.params, surface.consts
-    h = H_FIELD
     eps, ct = params.epsilon, math.cos(params.theta)
     # keep the tan argument well inside (-pi/2, pi/2), so no pole is near
     u_cap = 0.6 / (2.0 * ct * math.sqrt(consts.B))
-    us = (low_discrepancy(FIELD_SAMPLES, SEED + 17)[:, 0] - 0.5) * 2.0 * (u_cap - 2 * h)
+    us = (low_discrepancy(FIELD_SAMPLES, SEED + 17)[:, 0] - 0.5) * 2.0 * u_cap
 
-    def central(f):
-        return np.subtract(f(us + h, consts, params), f(us - h, consts, params)) / (2 * h)
+    def derivative(f):
+        return np.imag(f(us + 1j * CSTEP, consts, params)) / CSTEP
 
     lam = lambda_field(us, consts, params)
     a, b = ab_coefficients(us, consts, params)
-    ap, bp = central(ab_coefficients)
+    ap, bp = derivative(ab_coefficients)
     n = FIELD_SAMPLES
     return {
-        "lambda_ode": (np.abs(central(lambda_field) + lam * lam * ct
+        "lambda_ode": (np.abs(derivative(lambda_field) + lam * lam * ct
                               + 4.0 * (eps * eps - 1.0) * ct ** 3 + 4.0 * ct), n),
         "ab_system": ([np.abs(ap + 2.0 * eps * b * ct), np.abs(bp - b * lam * ct)], n),
         "ab_unit_identity": (np.abs(consts.B / eps ** 2 * a * a + b * b - 1.0), n),
-        "phi_slope": (np.abs(central(phi_field) + 2.0 * consts.B / eps), n),
+        "phi_slope": (np.abs(derivative(phi_field) + 2.0 * consts.B / eps), n),
     }
 
 
@@ -508,7 +501,7 @@ def _gram(surface, config):
 def _gauss_curvature(surface, config):
     """Numeric intrinsic curvature against 4 (1 - eps^2) cos^2(th)."""
     pts = _interior_points(surface)
-    K = gauss_curvature_numeric(surface, pts[:, 0], pts[:, 1], H_CURVATURE)
+    K = gauss_curvature_numeric(surface, pts[:, 0], pts[:, 1])
     return {"gauss_curvature": (np.abs(K - surface.consts.gauss_k), len(pts))}
 
 
@@ -519,13 +512,14 @@ def _shape_operator(surface, config):
     never asserted (its eta(v) gauge is free).
     """
     pts = _interior_points(surface)
-    S, degenerate = _shape_operators(surface, pts[:, 0], pts[:, 1], H_SHAPE)
+    S = shape_operator_matrix(surface, pts[:, 0], pts[:, 1])
     eps = surface.params.epsilon
     resid = np.abs(np.stack([S[:, 0, 0], S[:, 0, 1] + eps, S[:, 1, 0] + eps], -1))
-    resid[degenerate] = math.inf
+    resid[~np.isfinite(resid)] = math.inf
     out = (resid, len(pts))
-    if not np.all(degenerate):
-        lam = S[np.argmin(degenerate), 1, 1]
+    regular = np.all(np.isfinite(S), axis=(-2, -1))
+    if np.any(regular):
+        lam = S[np.argmax(regular), 1, 1]
         out += (f"measured shape-operator trace at first probe point: {lam:.12g}",)
     return {"shape_operator": out}
 
@@ -580,7 +574,7 @@ def run_all(surface: HelixSurface, config: Optional[VerifyConfig] = None) -> Che
             r = np.asarray(residual, dtype=float)
             # np.max keeps a NaN, so a NaN residual fails its entry
             report.add(name, float(np.max(r)) if r.size else math.inf,
-                       config.tol(name, surface), samples)
+                       config.tol(name), samples)
             report.notes.extend(notes)
 
     if hopf_tube:

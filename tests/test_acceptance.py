@@ -68,7 +68,7 @@ def test_criterion_02_gauss_curvature_constant():
         s = _surface(eps, th)
         K = s.consts.gauss_k
         for (u, v) in _interior_points(s):
-            err = abs(gauss_curvature_numeric(s, u, v, 1e-3) - K)
+            err = abs(gauss_curvature_numeric(s, u, v) - K)
             worst = max(worst, err)
         wit[(eps, th)] = K
     ok = worst <= 1e-3
@@ -230,7 +230,7 @@ def test_criterion_09_shape_operator_form():
     for eps, th in PAIRS:
         s = _surface(eps, th)
         for (u, v) in _interior_points(s):
-            S = shape_operator_matrix(s, u, v, 1e-3)
+            S = shape_operator_matrix(s, u, v)
             worst = max(worst, abs(S[0, 0]), abs(S[0, 1] + eps), abs(S[1, 0] + eps))
     ok = worst <= 1e-4
     _report(9, ok, "shape operator matches [[0, -eps], [-eps, lambda]] at 9 interior points",

@@ -22,7 +22,7 @@ from bergerhelix.family import (
     profile_from_config,
     row1,
 )
-from bergerhelix.surface import FD_STEP_V, make_surface, sample_grid
+from bergerhelix.surface import make_surface, sample_grid
 from bergerhelix.verify import run_all
 
 RNG = np.random.default_rng(99)
@@ -424,9 +424,9 @@ def _parity_tables():
 def _parity_points(v_nodes):
     """The nodes, both ends and 1e-13 beyond them, NaN, a grid and its
     finite-difference stencil, as 1-d, 2-d and 0-d arguments."""
-    lo, hi = v_nodes[0], v_nodes[-1]
-    grid = np.linspace(lo + FD_STEP_V, hi - FD_STEP_V, 37)
-    stencil = grid[:, None] + FD_STEP_V * np.array([-1.0, -0.5, 0.5, 1.0])
+    lo, hi, step = v_nodes[0], v_nodes[-1], 1e-5
+    grid = np.linspace(lo + step, hi - step, 37)
+    stencil = grid[:, None] + step * np.array([-1.0, -0.5, 0.5, 1.0])
     flat = np.concatenate((v_nodes, [lo - 1e-13, hi + 1e-13, math.nan], grid))
     return [flat, stencil, np.asarray(lo), np.float64(hi), float(v_nodes[1]), lo - 1e-13, math.nan]
 

@@ -21,10 +21,8 @@ from bergerhelix.family import (
 )
 from bergerhelix.surface import (
     DEGENERATE,
-    FD_STEP_V,
     GRAM_DET_TOL,
     NON_FINITE,
-    OUT_OF_DOMAIN,
     HelixSurface,
     beta,
     beta_derivatives,
@@ -181,10 +179,11 @@ def test_partials_fd_matches_analytic_on_linear_profile():
         assert np.max(np.abs(fv_a - fv_f)) < 1e-9
 
 
-def test_partials_fd_requires_inset():
-    s = surface_ref(fv_method="fd")
-    with pytest.raises(OutOfDomain):
-        partials(s, 0.5, 0.0)
+def test_partials_fd_at_the_domain_ends():
+    # the complex step needs no room beside v: fd F_v exists on the whole domain
+    s_an, s_fd = surface_ref(), surface_ref(fv_method="fd")
+    for v in s_fd.v_domain:
+        assert np.max(np.abs(partials(s_fd, 0.5, v)[1] - partials(s_an, 0.5, v)[1])) < 1e-15
 
 
 def test_tangent_norm_is_sin_theta():
@@ -316,14 +315,12 @@ def test_grid_rejects_trivial_sizes():
         sample_grid(surface_ref(), 1, 5)
 
 
-def test_grid_fd_mode_flags_boundary_columns():
+def test_grid_fd_mode_keeps_boundary_columns():
+    # only the singular line u = 0 of the reference surface is a defect
     g = sample_grid(surface_ref(fv_method="fd"), 11, 11)
     assert g.fv_method == "fd"
-    od = {(i, j) for i, j, r in g.defects if r == "out_of_domain"}
-    assert {(i, 0) for i in range(11)} <= od
-    assert {(i, 10) for i in range(11)} <= od
-    interior = ~np.isnan(g.angles)
-    assert np.max(np.abs(g.angles[interior] - P_REF.theta)) < 1e-5
+    assert g.defects == [(0, j, "degenerate_tangent_plane") for j in range(11)]
+    assert np.max(np.abs(g.angles[1:] - P_REF.theta)) < 1e-12
 
 
 # ------------------------------------------------------------- angle sweep
@@ -412,13 +409,10 @@ def test_tangent_data_kernel_identities(data):
     for got, b in ((td.F, beta(u, s.consts)), (td.fu, beta_derivatives(u, s.consts, 1))):
         assert_same_bits(got, np.einsum('...ij,...j->...i', A, b))
     assert_same_bits(td.normal, np.cross(td.cu, td.cv))
-    v = np.asarray(v)
-    fv_ok = np.ones(v.shape, bool) if s.fv_method == "analytic" else \
-        (v - FD_STEP_V >= s.v_domain[0] - 1e-15) & (v + FD_STEP_V <= s.v_domain[1] + 1e-15)
     n1, n2, n3 = np.moveaxis(td.normal, -1, 0)
     finite = np.isfinite(td.gram) & np.all(np.isfinite(td.normal), axis=-1)
-    defect = np.select([~np.broadcast_to(fv_ok, td.gram.shape), ~finite, td.gram < GRAM_DET_TOL],
-                       [OUT_OF_DOMAIN, NON_FINITE, DEGENERATE], 0).astype(np.int8)
+    defect = np.select([~finite, td.gram < GRAM_DET_TOL], [NON_FINITE, DEGENERATE],
+                       0).astype(np.int8)
     assert_same_bits(td.defect, defect)
     good = defect == 0
     angle = np.full(td.gram.shape, np.nan)
@@ -441,7 +435,7 @@ def test_tangent_data_assembles_once(monkeypatch, fv_method, vs):
     td = tangent_data(surface_ref(fv_method=fv_method), np.array([0.3, 1.1])[:, None],
                       np.array(vs)[None, :])
     assert len(calls) == 1
-    assert np.all(np.isnan(td.fv[..., -1, :])) == (fv_method == "fd")
+    assert np.all(np.isfinite(td.fv))   # fd's complex step needs no stencil either
 
 
 # -------------------------------------------------- first-order system, gram

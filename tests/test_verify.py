@@ -9,11 +9,10 @@ import bergerhelix.family as family_module
 import bergerhelix.surface as surface_module
 import bergerhelix.verify as verify_module
 from bergerhelix.ambient import BergerParams
-from bergerhelix.errors import ConfigError
+from bergerhelix.errors import ConfigError, as_array
 from bergerhelix.family import Constant, Linear, XiProfile, example_profile
 from bergerhelix.surface import (
     NON_FINITE,
-    OUT_OF_DOMAIN,
     first_fundamental_form,
     make_surface,
     sample_grid,
@@ -23,7 +22,6 @@ from bergerhelix.surface import (
 from bergerhelix.verify import (
     CHECKS,
     DEFAULT_TOLERANCES,
-    H_CURVATURE,
     VerifyConfig,
     _interior_points,
     gauss_curvature_numeric,
@@ -43,7 +41,7 @@ def registry_entry(surface, name):
     itself, at the default config, reduced and judged as run_all does."""
     cfg = VerifyConfig()
     residual = float(np.max(REGISTRY[name].fn(surface, cfg)[name][0]))
-    return residual, residual <= cfg.tol(name, surface)
+    return residual, residual <= cfg.tol(name)
 
 
 def ref_surface(eps=1.0, th=math.pi / 4, **kw):
@@ -60,8 +58,8 @@ class NanTail:
     """xi2 = v, turning NaN for v > 6; its derivative is 1 everywhere."""
 
     def jet(self, v, order=0):
-        v = np.asarray(v, dtype=float)
-        value = np.where(v > 6, np.nan, v)
+        v = as_array(v)   # a complex step keeps its imaginary part
+        value = np.where(v.real > 6, np.nan, v)
         return (value, np.ones_like(v)) if order else (value,)
 
 
@@ -145,13 +143,15 @@ def test_gauss_curvature_values(eps, th, expected):
     assert got == pytest.approx(expected, abs=1e-3)
 
 
-def test_gauss_curvature_step_convergence():
-    # second-order scheme: halving h shrinks the error by >= 3x
-    s = ref_surface(1.5, math.pi / 6)
-    K = s.consts.gauss_k
-    e1 = abs(gauss_curvature_numeric(s, 0.9, 1.1, h=2e-3) - K)
-    e2 = abs(gauss_curvature_numeric(s, 0.9, 1.1, h=1e-3) - K)
-    assert e1 / e2 >= 3.0
+# the (eps, theta) corners where the fixed difference steps failed most
+RANGE_CORNERS = [(0.05, 1.55), (10.0, 0.01)]
+
+
+def test_gauss_curvature_exact_at_the_range_corners():
+    # complex steps are exact to rounding: no step to tune per surface
+    for eps, th in RANGE_CORNERS:
+        residual, passed = registry_entry(ref_surface(eps, th), "gauss_curvature")
+        assert passed and residual <= 1e-10, (eps, th, residual)
 
 
 def test_gauss_curvature_inf_on_singular_metric():
@@ -175,15 +175,17 @@ def test_shape_operator_form():
         assert abs(S[0, 0]) < 1e-4
 
 
-def test_shape_operator_step_convergence():
-    s = ref_surface(1.5, math.pi / 6)
-    eps = s.params.epsilon
+def test_shape_operator_exact_at_the_range_corners():
+    for eps, th in RANGE_CORNERS:
+        residual, passed = registry_entry(ref_surface(eps, th), "shape_operator")
+        assert passed and residual <= 1e-10, (eps, th, residual)
 
-    def err(h):
-        S = shape_operator_matrix(s, 0.9, 1.1, h=h)
-        return max(abs(S[0, 0]), abs(S[0, 1] + eps), abs(S[1, 0] + eps))
 
-    assert err(2e-3) / err(1e-3) >= 3.0
+def test_shape_operator_is_nan_on_a_degenerate_tangent_plane():
+    # u = 0 is a singular line of the reference surface; the point beside it is regular
+    s = ref_surface()
+    S = shape_operator_matrix(s, np.array([0.0, 0.9]), np.array([1.0, 1.1]))
+    assert np.all(np.isnan(S[0])) and np.all(np.isfinite(S[1]))
 
 
 def test_tangent_turn_coefficient():
@@ -278,14 +280,17 @@ def test_run_all_decides_the_hopf_branch_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_fd_without_room_for_a_stencil():
-    # at v_min and v_max no fd stencil fits, so neither kernel forms an F_v
-    s = ref_surface(fv_method="fd")
-    us, vs = np.linspace(*s.u_domain, 3), np.array(s.v_domain)
-    for data in (tangent_data(s, us[:, None], vs[None, :]), sweep_grid(s, us, vs)):
-        assert np.all(data.defect == OUT_OF_DOMAIN) and np.all(np.isnan(data.angle))
-    e = run_all(s, VerifyConfig(nu=2, nv=2)).entry("angle_constancy")
-    assert e.residual == math.inf and e.samples == 0 and not e.passed, e
+def test_fd_forms_f_v_at_the_domain_ends():
+    # the complex step needs no room beside v, so fd F_v exists at v_min and v_max
+    s, s_an = ref_surface(fv_method="fd"), ref_surface()
+    us, vs = np.linspace(*s.u_domain, 3)[1:], np.array(s.v_domain)
+    for data, exact in ((tangent_data(s, us[:, None], vs[None, :]),
+                         tangent_data(s_an, us[:, None], vs[None, :])),
+                        (sweep_grid(s, us, vs), sweep_grid(s_an, us, vs))):
+        assert np.all(data.defect == 0)
+        assert np.max(np.abs(data.angle - exact.angle)) < 1e-12
+    e = run_all(s, VerifyConfig(nu=3, nv=2)).entry("angle_constancy")
+    assert e.passed and e.samples == 4, e
 
 
 def test_run_all_fault_injection_fails_multiple_checks():
@@ -331,7 +336,7 @@ def test_verify_config_refuses_a_tolerance_that_is_not_a_non_negative_number(val
 
 def test_verify_config_accepts_zero_and_infinite_tolerances():
     cfg = VerifyConfig(tolerances={"angle_constancy": 0.0, "gauss_curvature": math.inf})
-    assert cfg.tol("angle_constancy", ref_surface()) == 0.0
+    assert cfg.tol("angle_constancy") == 0.0
 
 
 def test_report_json_shape():
@@ -365,6 +370,38 @@ def test_hopf_tube_skips_the_registry_helix_only_checks():
     skipped = {"profile_constraint", "first_order_system", "gram_diagonal",
                "gram_off_diagonal", "gauss_curvature", "shape_operator"}
     assert {e.name for e in rep.entries} == set(DEFAULT_TOLERANCES) - skipped
+
+
+# ------------------------------------------- the (eps, theta) range (D2)
+
+RANGE_EPS = [float(x) for x in np.geomspace(0.05, 10.0, 12)]
+RANGE_THETA = [float(x) for x in np.linspace(0.01, 1.55, 8)]
+
+
+@pytest.mark.parametrize("th", RANGE_THETA)
+@pytest.mark.parametrize("eps", RANGE_EPS)
+def test_reference_surface_passes_across_the_parameter_range(eps, th):
+    rep = run_all(ref_surface(eps, th))
+    assert rep.overall_pass, [e for e in rep.entries if not e.passed]
+
+
+@pytest.mark.parametrize("fault", ["alpha1", "xi3"])
+@pytest.mark.parametrize("eps,th", [(0.05, 0.01), (0.05, 1.55), (10.0, 0.01), (10.0, 1.55)])
+def test_faults_fail_at_the_range_corners(eps, th, fault):
+    s = ref_surface(eps, th)
+    if fault == "alpha1":
+        s = make_surface(s.params, s.profile,
+                         consts=dataclasses.replace(s.consts, alpha1=s.consts.alpha1 * 1.01))
+    else:   # a 0.1% slope change breaks the admissibility constraint
+        s = make_surface(s.params, dataclasses.replace(s.profile, xi3=Linear(1.001)))
+    assert not run_all(s).overall_pass
+
+
+def test_one_percent_curvature_fault_fails_gauss_curvature():
+    s = ref_surface(0.8, math.pi / 4)
+    bad = dataclasses.replace(s.consts, gauss_k=s.consts.gauss_k * 1.01)
+    e = run_all(make_surface(s.params, s.profile, consts=bad)).entry("gauss_curvature")
+    assert not e.passed, e
 
 
 # ------------------------------------------------------- non-finite samples
@@ -412,7 +449,6 @@ def sequential_interior_points(surface):
     16 times.  Returns the points and the number of calls."""
     u0, u1 = surface.u_domain
     v0, v1 = surface.v_domain
-    h = H_CURVATURE
     fracs = np.array([1.0, 2.0, 3.0]) / 4.0
     u = u0 + np.repeat(fracs, 3) * (u1 - u0)
     v = v0 + np.tile(fracs, 3) * (v1 - v0)
@@ -423,7 +459,7 @@ def sequential_interior_points(surface):
         nudge = ~(E * G - Fc * Fc > 0.05 * E * G)
         if not np.any(nudge):
             break
-        u = np.where(nudge, u0 + ((u - u0 + (u1 - u0) / 7.3) % (u1 - u0 - 2 * h)) + h, u)
+        u = np.where(nudge, u0 + (u - u0 + (u1 - u0) / 7.3) % (u1 - u0), u)
     return np.stack([u, v], axis=-1), calls
 
 
@@ -470,8 +506,9 @@ def test_interior_points_end_on_the_last_candidate_where_the_metric_is_nan(monke
 @pytest.mark.parametrize("case", ["nan_tail", "hopf_tube", "fd_no_stencil", "degenerate_u0"])
 def test_kernels_raise_no_runtime_warning(case):
     """Every kernel evaluates on defective samples too and must stay quiet
-    there: NaN profiles, a Hopf tube, fd F_v with no stencil in the domain
-    and the degenerate u = 0 column of the reference surface."""
+    there: NaN profiles, a Hopf tube, fd F_v (a complex step, no stencil)
+    at the domain ends and the degenerate u = 0 column of the reference
+    surface."""
     s, n = {"nan_tail": (nan_tail_surface(), 11), "hopf_tube": (hopf_tube(), 11),
             "fd_no_stencil": (ref_surface(fv_method="fd"), 2),
             "degenerate_u0": (ref_surface(), 21)}[case]
@@ -504,12 +541,12 @@ def test_separable_vs_direct_detects_a_faulty_kernel(monkeypatch, fault):
     forms = surface_module._sweep_forms
 
     def faulty(surface, vs):
-        C, fv_ok = forms(surface, vs)
+        C = forms(surface, vs)
         if fault == "coefficient":
             C[1, 2] *= 1.0 + 1e-6      # the b_0 b_2 coefficient of <F_u, J2 F>
         else:
             C[6, :, 3] = np.nan        # |F_u|^2 at one v: those samples turn non_finite
-        return C, fv_ok
+        return C
 
     monkeypatch.setattr(surface_module, "_sweep_forms", faulty)
     rep = run_all(ref_surface(0.8), VerifyConfig(nu=41, nv=41))
