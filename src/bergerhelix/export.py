@@ -4,14 +4,16 @@ All text output is ASCII with LF line endings, %.17g floats and %d face
 indices, so a re-export of the same data is byte-identical and every
 printed value parses back to the same double.
 
-One formatter, _fields, writes that text for a block of values in numpy,
-byte for byte as Python's % would.  Its fast path covers 1e-29 <= |x| <
-1e17 (and integers 1..1e17 - 1): the 17 significant digits come from a
-double-double product with exact powers of ten, exact enough to certify
-the rounding unless the scaled value lies within 2**-30 of a tie.  Every
-value it cannot certify (zeros, NaN, infinities, values outside the range,
-near-ties) is formatted by % itself.  Both exports format about
-_BLOCK_VALUES values at a time, the CSV in whole grid rows.
+Numpy writes that text, byte for byte as Python's % would.  The floats go
+through _fields, whose fast path covers 1e-29 <= |x| < 1e17: the 17
+significant digits come from a double-double product with exact powers of
+ten, exact enough to certify the rounding unless the scaled value lies
+within 2**-30 of a tie.  Every value it cannot certify (zeros, NaN,
+infinities, values outside the range, near-ties) is formatted by % itself.
+The face indices of export_obj are formatted once per vertex: the text of
+1..n is built once per call and gathered for every face, and any value
+outside 1..n is formatted by %d.  Both exports format about _BLOCK_VALUES
+values at a time, the CSV in whole grid rows.
 """
 
 from __future__ import annotations
@@ -85,8 +87,7 @@ def project_grid(grid: SurfaceGrid, pole: int = 4) -> ProjectedMesh:
     denom = 1.0 - P[:, k]
     bad = (np.abs(denom) < POLE_TOL) | ~np.all(np.isfinite(P), axis=1)
     verts = np.zeros((nu * nv, 3))
-    rest = np.delete(P, k, axis=1)
-    verts[~bad] = rest[~bad] / denom[~bad, None]
+    np.divide(np.delete(P, k, axis=1), denom[:, None], out=verts, where=~bad[:, None])
 
     bad = bad.reshape(nu, nv)
     defects = [(int(i), int(j)) for i, j in zip(*np.nonzero(bad))]
@@ -103,7 +104,7 @@ def project_grid(grid: SurfaceGrid, pole: int = 4) -> ProjectedMesh:
 # _fields lays out the text of each value in six little-endian uint64 words,
 # NUL-padded: [sign, "0.000" prefix, d0, "."], four words of (digit, "." or
 # NUL) pairs for d1..d16, and [exponent, NUL..., separator].  Deleting the
-# NULs leaves b"%.17g" % x (or b"%d" % i).  The digits are Loitsch's plan
+# NULs leaves b"%.17g" % x.  The digits are Loitsch's plan
 # ("Printing floating-point numbers quickly and accurately with integers",
 # PLDI 2010): a fast path for what it can prove correct, here with Dekker's
 # exact split and two-product (1971, no FMA), and % for the rest.
@@ -116,7 +117,6 @@ _K_LO, _K_HI = -29, 17                      # decimal exponents the fast path wr
 _POW10 = [10 ** q for q in range(46)]       # 10**q == _P_HI[q] + _P_LO[q] exactly
 _P_HI = np.array([float(p) for p in _POW10])
 _P_LO = np.array([float(p - int(h)) for p, h in zip(_POW10, _P_HI.tolist())])
-_INT_POW = np.array(_POW10[:18], dtype=np.int64)
 
 
 def _split(a):
@@ -167,14 +167,6 @@ def _float_digits(x):
     return np.signbit(x), n, k, ok
 
 
-def _int_digits(i):
-    """(negative, N, k, ok) of integers, as _float_digits; ok for 1..1e17 - 1."""
-    ok = (i > 0) & (i < _E17)
-    i = np.where(ok, i, 1)
-    k = np.searchsorted(_INT_POW, i, side="right") - 1
-    return np.zeros(i.shape, bool), i * _INT_POW[16 - k], k, ok
-
-
 # 4-digit chunks c = 100 a + b as (digit, ".") byte pairs, and for chunk w
 # of d1..d16 the significant length of N when w is its last non-zero chunk
 # (1 if c is 0).
@@ -215,14 +207,10 @@ del _P, _PAIR, _PAIR_LEN, _SIG, _K, _B, _FIXED, _LENGTH, _DOT_AT, _PREFIX, _KEEP
 
 
 def _fields(values: np.ndarray, out: np.ndarray) -> None:
-    """Write the text of each value, b"%.17g" % x for floats and b"%d" % i
-    for integers, into out (values.shape + (6,) uint64 words), leaving the
-    top byte of each field's last word zero for a separator."""
-    floats = values.dtype.kind == "f"
-    if floats:
-        neg, n, k, ok = _float_digits(values.astype(np.float64, copy=False))
-    else:
-        neg, n, k, ok = _int_digits(values.astype(np.int64, copy=False))
+    """Write b"%.17g" % x of each float value into out (values.shape + (6,)
+    uint64 words), leaving the top byte of each field's last word zero for a
+    separator."""
+    neg, n, k, ok = _float_digits(values.astype(np.float64, copy=False))
     hi = n // 10 ** 8
     lo = n - hi * 10 ** 8
     c01, c3 = hi // 10 ** 4, lo // 10 ** 4
@@ -237,18 +225,34 @@ def _fields(values: np.ndarray, out: np.ndarray) -> None:
     out[..., 5] = _EXPONENT[k]
     bad = np.nonzero(~ok)
     if bad[0].size:
-        spec = b"%.17g" if floats else b"%d"
-        text = b"".join((spec % x).ljust(40, b"\0") for x in values[bad].tolist())
+        text = b"".join((b"%.17g" % x).ljust(40, b"\0") for x in values[bad].tolist())
         out[bad + (slice(0, 5),)] = np.frombuffer(text, dtype="<u8").reshape(-1, 5)
         out[bad + (5,)] = 0
 
 
 def _text(words: np.ndarray, fields: np.ndarray, sep: bytes) -> bytes:
-    """The text of words, whose fields (..., c, 6) _fields wrote: sep after
-    each field of a line, LF after its last."""
-    fields[..., :-1, 5] |= _U(ord(sep)) << _U(56)
-    fields[..., -1, 5] |= _U(ord("\n")) << _U(56)
+    """The text of words, whose fields (..., c, w) hold NUL-padded text with
+    the top byte of each field's last word zero: sep after each field of a
+    line, LF after its last."""
+    fields[..., :-1, -1] |= _U(ord(sep)) << _U(56)
+    fields[..., -1, -1] |= _U(ord("\n")) << _U(56)
     return words.astype("<u8", copy=False).tobytes().translate(None, b"\0")
+
+
+def _index_words(n: int, n_words: int) -> np.ndarray:
+    """b"%d" % i of i = 0..n in row i of n_words little-endian uint64 words:
+    the digits left-aligned, then NUL padding.  The values of one digit
+    count are a run of rows, and each digit place of a run is one column."""
+    text = np.zeros((n + 1, 8 * n_words), dtype=np.uint8)
+    text[0, 0] = ord("0")
+    for d in range(1, len(str(n)) + 1):
+        run = slice(10 ** (d - 1), min(10 ** d, n + 1))
+        q = np.arange(run.start, run.stop)
+        for pos in range(d - 1, -1, -1):
+            next_q = q // 10
+            text[run, pos] = q - next_q * 10 + ord("0")
+            q = next_q
+    return text.view("<u8").astype(_U, copy=False)
 
 
 # Values formatted at a time.  8192 (64 KiB per temporary array) ran faster
@@ -257,17 +261,46 @@ def _text(words: np.ndarray, fields: np.ndarray, sep: bytes) -> bytes:
 _BLOCK_VALUES = 8192
 
 
-def _obj_lines(lead: bytes, rows: np.ndarray) -> List[bytes]:
-    """lead + the row's values separated by spaces, one line per row."""
-    m, c = rows.shape
+def _vertex_lines(vertices: np.ndarray) -> List[bytes]:
+    """"v x y z" lines of float vertices, one line per row."""
+    m, c = vertices.shape
     step = max(1, _BLOCK_VALUES // c)
     out = []
     for start in range(0, m, step):
-        block = rows[start:start + step]
+        block = vertices[start:start + step]
         words = np.empty((len(block), 1 + 6 * c), dtype=_U)
-        words[:, 0] = int.from_bytes(lead, "little")
+        words[:, 0] = int.from_bytes(b"v ", "little")
         fields = words[:, 1:].reshape(len(block), c, 6)
         _fields(block, fields)
+        out.append(_text(words, fields, b" "))
+    return out
+
+
+def _face_lines(faces: np.ndarray, n: int) -> List[bytes]:
+    """"f a b c" lines of 1-based int64 faces over n vertices.  The text of
+    1..n is formatted once and gathered; a value outside 1..n is formatted
+    by %d where it stands."""
+    outside = (faces < 1) | (faces > n)
+    texts = [b"%d" % i for i in faces[outside].tolist()]
+    n_words = max(map(len, texts + [b"%d" % n])) // 8 + 1   # a byte left for the separator
+    table = _index_words(n, n_words)
+    if texts:
+        faces = np.where(outside, 0, faces)
+    spill = np.frombuffer(b"".join(t.ljust(8 * n_words, b"\0") for t in texts),
+                          dtype="<u8").reshape(-1, n_words)
+    step = _BLOCK_VALUES // 3
+    out, spilled = [], 0
+    for start in range(0, len(faces), step):
+        block = faces[start:start + step]
+        words = np.empty((len(block), 1 + 3 * n_words), dtype=_U)
+        words[:, 0] = int.from_bytes(b"f ", "little")
+        fields = words[:, 1:].reshape(len(block), 3, n_words)
+        fields[:] = table.take(block, axis=0)
+        here = outside[start:start + step]
+        count = np.count_nonzero(here)
+        if count:
+            fields[here] = spill[spilled:spilled + count]
+            spilled += count
         out.append(_text(words, fields, b" "))
     return out
 
@@ -277,8 +310,8 @@ def export_obj(mesh: ProjectedMesh) -> bytes:
     if mesh.vertices.size == 0:
         raise OutOfDomain("no vertices to export")
     faces = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3) + 1
-    return b"".join(_obj_lines(b"v ", np.asarray(mesh.vertices, dtype=float))
-                    + _obj_lines(b"f ", faces))
+    return b"".join(_vertex_lines(np.asarray(mesh.vertices, dtype=float))
+                    + _face_lines(faces, len(mesh.vertices)))
 
 
 CSV_COLUMNS = ("u", "v", "x1", "y1", "x2", "y2", "N1", "N2", "N3", "angle")

@@ -124,11 +124,18 @@ class CheckReport:
             "notes": list(self.notes),
             "degenerate_hopf_tube": self.degenerate_hopf_tube,
             "overall_pass": self.overall_pass,
-            "checks": [dataclasses.asdict(e) for e in self.entries],
+            "checks": [dict(dataclasses.asdict(e), residual=_json_number(e.residual),
+                            tolerance=_json_number(e.tolerance)) for e in self.entries],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _json_number(x: float) -> Optional[float]:
+    """x, or None (JSON null) for NaN and the infinities, which strict JSON
+    cannot write."""
+    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from bergerhelix.surface import make_surface, normal_components, recover_coeffic
     sample_grid
 from bergerhelix.verify import CHECKS, VerifyConfig, _interior_points, \
     gauss_curvature_numeric, run_all, shape_operator_matrix
+from test_verify import strict_json
 
 EPSILONS = (0.5, 0.8, 1.0, 1.5)
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 3)
@@ -255,6 +256,16 @@ def test_criterion_10_figure_pipeline(tmp_path):
     _report(10, ok, "generate + project emit a finite, byte-stable mesh",
             f"identical bytes: {outputs[0] == outputs[1]}, "
             f"{len(verts)} finite vertices")
+
+
+def test_acceptance_reports_are_strict_json():
+    # no NaN or Infinity token: a report-only tolerance is written as null
+    for eps, th in PAIRS:
+        rep = run_all(_surface(eps, th), VerifyConfig())
+        data = strict_json(rep.to_json())
+        for got, entry in zip(data["checks"], rep.entries):
+            assert got["tolerance"] == (entry.tolerance if math.isfinite(entry.tolerance) else None)
+        assert [c["tolerance"] for c in data["checks"]].count(None) == 2
 
 
 def test_acceptance_summary_report(tmp_path):

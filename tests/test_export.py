@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,11 @@ from bergerhelix.export import (
     _P_HI,
     _P_LO,
     CSV_COLUMNS,
+    POLE_TOL,
     ProjectedMesh,
+    _face_lines,
     _fields,
+    _index_words,
     export_csv,
     export_obj,
     project_grid,
@@ -64,6 +68,20 @@ def faces_reference(nu, nv, defects):
                 continue
             faces += [(a, c, d), (a, d, b)]
     return faces
+
+
+def project_reference(grid, pole):
+    """Vertices and defect mask of project_grid as a boolean gather and
+    scatter, the formula np.divide(..., where=) replaced."""
+    k = pole - 1
+    nu, nv = grid.shape
+    P = grid.positions.reshape(nu * nv, 4)
+    denom = 1.0 - P[:, k]
+    bad = (np.abs(denom) < POLE_TOL) | ~np.all(np.isfinite(P), axis=1)
+    verts = np.zeros((nu * nv, 3))
+    rest = np.delete(P, k, axis=1)
+    verts[~bad] = rest[~bad] / denom[~bad, None]
+    return verts, bad.reshape(nu, nv)
 
 
 def planted_pole_grid():
@@ -183,12 +201,54 @@ def test_faces_array_matches_loop_triangulation(name, pole):
     assert mesh.faces.tolist() == [list(f) for f in faces_reference(nu, nv, flat)]
 
 
+@pytest.mark.parametrize("pole", [1, 2, 3, 4])
+def test_projection_matches_gather_scatter_bit_for_bit(pole):
+    g = sample_grid(nan_tail_surface(), 11, 9)         # the j = 8 line is not finite
+    for axis in range(4):                              # an exact and a near hit on each pole
+        g.positions[axis, axis] = np.eye(4)[axis]
+        g.positions[axis + 4, axis + 1] = np.eye(4)[axis] * (1 - POLE_TOL / 2)
+    g.positions[9, 2, 1] = np.inf
+    verts, bad = project_reference(g, pole)
+    mesh = project_grid(g, pole)
+    nu, nv = g.shape
+    assert np.array_equal(mesh.vertices.view(np.uint64), verts.view(np.uint64))
+    assert mesh.defects == [(int(i), int(j)) for i, j in zip(*np.nonzero(bad))]
+    assert len(mesh.defects) == 11 + 1 + 2    # the NaN line, the inf, this pole's two hits
+    flat = {i * nv + j for i, j in mesh.defects}
+    assert mesh.faces.tolist() == [list(f) for f in faces_reference(nu, nv, flat)]
+
+
 def test_obj_faces_list_and_array_same_bytes():
     mesh = project_grid(planted_pole_grid())
     as_list = ProjectedMesh(nu=mesh.nu, nv=mesh.nv, vertices=mesh.vertices,
                             faces=[tuple(f) for f in mesh.faces.tolist()],
                             defects=mesh.defects)
     assert export_obj(as_list) == export_obj(mesh)
+
+
+@pytest.mark.parametrize("faces", [[], np.zeros((0, 3), dtype=np.int64)], ids=["list", "array"])
+def test_obj_without_faces_is_its_vertex_lines(faces):
+    mesh = ProjectedMesh(nu=2, nv=3, vertices=np.arange(18.0).reshape(6, 3) / 7, faces=faces)
+    assert export_obj(mesh) == obj_reference(mesh)
+    assert b"f " not in export_obj(mesh)
+
+
+INT64_EXTREMES = [-(2 ** 63), -(2 ** 63) + 1, 2 ** 63 - 2, 2 ** 63 - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2_000).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(-3, n + 3) | st.sampled_from(INT64_EXTREMES)] * 3),
+                         max_size=60))))
+def test_obj_faces_match_per_value_reference(case):
+    # in range, one past either end, and values whose + 1 wraps in int64
+    n, faces = case
+    mesh = ProjectedMesh(nu=1, nv=n, vertices=np.linspace(-1.0, 1.0, 3 * n).reshape(n, 3),
+                         faces=np.array(faces, dtype=np.int64).reshape(-1, 3))
+    with np.errstate(over="ignore"):           # a + 1 wraps in the reference as in export_obj
+        expected = obj_reference(mesh)
+    assert export_obj(mesh) == expected
+    assert export_obj(dataclasses.replace(mesh, faces=faces)) == expected
 
 
 def test_obj_empty_mesh_rejected():
@@ -255,9 +315,8 @@ def formatted(values):
 
 
 def assert_like_printf(values):
-    values = np.asarray(values)
-    spec = b"%.17g" if values.dtype.kind == "f" else b"%d"
-    assert formatted(values) == [spec % x for x in values.tolist()]
+    values = np.asarray(values, dtype=np.float64)
+    assert formatted(values) == [b"%.17g" % x for x in values.tolist()]
 
 
 def with_neighbours(x):
@@ -303,9 +362,21 @@ def test_formatter_ties_round_to_even():
 
 
 def test_formatter_matches_printf_on_integers():
+    # the text of 1..n is the index table; larger and negative values spill to %d
+    n = 200_000
     edges = [0, 1, 9, 10, 9_999, 10_000, 10 ** 8 - 1, 10 ** 8, 10 ** 16, 10 ** 17 - 1, 10 ** 17,
              2 ** 53 + 1, 2 ** 63 - 1, -1, -(2 ** 63)]
-    assert_like_printf(np.array(edges + list(range(0, 200_000, 7)), dtype=np.int64))
+    edges += [10 ** k + d for k in range(19) for d in (-1, 0, 1)]
+    values = edges + [-i for i in edges if i > 0] + list(range(0, n, 7))
+    values += [n] * (-len(values) % 3)
+    # shuffled, so that the spilled values fall in every block of faces
+    faces = np.random.default_rng(3).permutation(np.array(values, dtype=np.int64)).reshape(-1, 3)
+    assert b"".join(_face_lines(faces, n)) == b"".join(b"f %d %d %d\n" % tuple(f)
+                                                       for f in faces.tolist())
+    for n_words in (1, 3):
+        rows = _index_words(n, n_words).astype("<u8")
+        assert rows.shape == (n + 1, n_words)
+        assert [r.tobytes().rstrip(b"\0") for r in rows] == [b"%d" % i for i in range(n + 1)]
 
 
 def extreme_values(rng, shape):

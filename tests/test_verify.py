@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -414,6 +415,21 @@ def test_nan_residual_fails_gram_entries():
         assert e.samples == 7
         assert math.isnan(e.residual) and not e.passed, e
     assert not rep.overall_pass
+
+
+def strict_json(text):
+    """json.loads refusing NaN, Infinity and -Infinity, as JSON.parse does."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_nan_residual_report_is_strict_json():
+    checks = {c["name"]: c for c in strict_json(run_all(nan_tail_surface()).to_json())["checks"]}
+    for name in ("gram_diagonal", "gram_off_diagonal"):
+        assert checks[name]["residual"] is None and checks[name]["passed"] is False
+    for name in ("fv_norm_spread_berger", "fv_norm_spread_euclidean"):   # report-only
+        assert checks[name]["tolerance"] is None and checks[name]["passed"] is True
 
 
 def test_grid_labels_non_finite_samples():
