@@ -153,8 +153,8 @@ def _float_digits(x):
     n, frac = _scaled(a, k)
     # log10 can miss k by one next to a power of ten: re-derive it once
     off = (n < _E16).astype(np.int64) - (n >= _E17)
-    redo = np.nonzero(off)
-    if redo[0].size:
+    if off.any():
+        redo = np.nonzero(off)
         want = k[redo] - off[redo]
         k[redo] = np.clip(want, _K_LO, 16)
         n[redo], frac[redo] = _scaled(a[redo], k[redo])
@@ -223,8 +223,8 @@ def _fields(values: np.ndarray, out: np.ndarray) -> None:
     for w, c in enumerate(chunks):
         out[..., w + 1] = _CHUNK[c] & _TABLE[w + 1][key]
     out[..., 5] = _EXPONENT[k]
-    bad = np.nonzero(~ok)
-    if bad[0].size:
+    if not ok.all():
+        bad = np.nonzero(~ok)
         text = b"".join((b"%.17g" % x).ljust(40, b"\0") for x in values[bad].tolist())
         out[bad + (slice(0, 5),)] = np.frombuffer(text, dtype="<u8").reshape(-1, 5)
         out[bad + (5,)] = 0

@@ -266,26 +266,30 @@ def row1(profile: XiProfile, v, order: int = 0):
     c1, s1 = np.cos(x1), np.sin(x1)
     c2, s2 = np.cos(x2), np.sin(x2)
     c3, s3 = np.cos(x3), np.sin(x3)
-    r1 = np.stack([c1 * c2, -c1 * s2, s1 * c3, -s1 * s3], axis=-1)
-    if not order:
-        return r1[None]
-    d1, d2, d3 = (jet[1] for jet in jets)
-    return np.stack([r1, np.stack([
-        -d1 * s1 * c2 - d2 * c1 * s2,
-        d1 * s1 * s2 - d2 * c1 * c2,
-        d1 * c1 * c3 - d3 * s1 * s3,
-        -d1 * c1 * s3 - d3 * s1 * c3,
-    ], axis=-1)])
+    entries = [c1 * c2, -c1 * s2, s1 * c3, -s1 * s3]
+    if order:
+        d1, d2, d3 = (jet[1] for jet in jets)
+        entries += [-d1 * s1 * c2 - d2 * c1 * s2, d1 * s1 * s2 - d2 * c1 * c2,
+                    d1 * c1 * c3 - d3 * s1 * s3, -d1 * c1 * s3 - d3 * s1 * c3]
+    rows = np.empty((order + 1,) + np.shape(entries[0]) + (4,), np.result_type(*entries))
+    for k, entry in enumerate(entries):
+        rows[k // 4, ..., k % 4] = entry
+    return rows
 
 
 def _rows_from_first(xi: float, r1: np.ndarray) -> np.ndarray:
-    """Stack the four rows generated by a first row; linear in r1, so it
-    maps the jet of the first row to the jet of A."""
+    """The four rows generated by a first row; linear in r1, so it maps
+    the jet of the first row to the jet of A."""
     j1r = r1 @ J1.T
     j2r = r1 @ J2.T
     j3r = r1 @ J3.T
     c, s = math.cos(xi), math.sin(xi)
-    return np.stack([r1, j1r, c * j2r + s * j3r, -c * j3r + s * j2r], axis=-2)
+    A = np.empty(r1.shape[:-1] + (4, 4), r1.dtype)
+    A[..., 0, :] = r1
+    A[..., 1, :] = j1r
+    A[..., 2, :] = c * j2r + s * j3r
+    A[..., 3, :] = -c * j3r + s * j2r
+    return A
 
 
 def assemble(profile: XiProfile, v, order: int = 0) -> np.ndarray:

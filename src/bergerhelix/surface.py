@@ -8,11 +8,13 @@ built once per distinct v.  position, partials, normal_components,
 measured_angle, first_fundamental_form and sample_grid (and through it the
 exports) are views of it.
 
-verify's angle sweep has its own grid kernel, sweep_grid.  All of the
+verify's angle sweep has its own grid kernel, sweep_blocks.  All of the
 u-dependence of F sits in b = beta(u), and beta' = K b for a constant
 block rotation K, so every product the sweep needs is a quadratic form
 b^T Q(v) b: a (rows x 10) @ (10 x nv) product over the monomials b_i b_j,
-i <= j, for each block of u rows, and no (nu, nv, 4) array is built.
+i <= j, for each block of u rows, and no (nu, nv, 4) array is built.  The
+generator yields the sweep one block at a time, so verify reduces each
+block as it arrives; sweep_grid joins the blocks into whole-grid arrays.
 
 F_v is dA/dv beta(u) from the profile jets, or with fv_method "fd" from a
 complex step of A's value code.  tangent_data keeps complex (u, v) complex.
@@ -26,8 +28,8 @@ GRAM_DET_TOL).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +42,7 @@ GRAM_DET_TOL = 1e-12
 # complex step: f'(x) = Im f(x + i CSTEP) / CSTEP has no subtraction, so it
 # is exact to rounding, and CSTEP^2 vanishes beside any double
 CSTEP = 1e-200
-SWEEP_BLOCK = 1 << 15    # grid samples per block of u rows in sweep_grid
+SWEEP_BLOCK = 1 << 15    # grid samples per block of u rows in sweep_blocks
 
 # defect codes of TangentData.defect: 0 marks a usable sample, code k + 1 the
 # kind DEFECT_KINDS[k]; a sample gets the first kind that applies
@@ -371,14 +373,16 @@ def _sweep_forms(surface: HelixSurface, vs: np.ndarray):
     return np.ascontiguousarray(np.swapaxes(S, -1, -2))
 
 
-def sweep_grid(surface: HelixSurface, us, vs) -> SweepData:
+def sweep_blocks(surface: HelixSurface, us, vs) -> Iterator[SweepData]:
     """The angle, defect code and |F_v|^2 of the surface on the grid
-    us x vs, from the separable quadratic forms of _sweep_forms.
+    us x vs, from the separable quadratic forms of _sweep_forms, as one
+    SweepData per block of whole u rows.
 
-    The products run over blocks of about SWEEP_BLOCK samples (whole u
-    rows), so every temporary stays small however large the grid.  Agrees
-    with tangent_data(surface, us[:, None], vs[None, :]) in every defect
-    code and to rounding in every value; the domain is not checked.
+    A block holds about SWEEP_BLOCK samples, so every temporary stays small
+    however large the grid, and a caller that reduces each block as it
+    arrives never holds a full-grid array.  Agrees with
+    tangent_data(surface, us[:, None], vs[None, :]) in every defect code
+    and to rounding in every value; the domain is not checked.
     """
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
@@ -386,19 +390,22 @@ def sweep_grid(surface: HelixSurface, us, vs) -> SweepData:
     b = beta(us, surface.consts)
     monomials = b[:, _ROW] * b[:, _COL]
     eps = surface.params.epsilon
-    out = SweepData(*(np.empty((us.size, vs.size), dtype)
-                      for dtype in (float, np.int8, float, float)))
     rows = max(1, SWEEP_BLOCK // max(vs.size, 1))
     for i in range(0, us.size, rows):
-        block = slice(i, i + rows)
-        j1_fu, cu2, cu3, j1_fv, cv2, cv3, fuu, fvv, fuv = (monomials[block] @ Ck for Ck in C)
+        j1_fu, cu2, cu3, j1_fv, cv2, cv3, fuu, fvv, fuv = (monomials[i:i + rows] @ Ck for Ck in C)
         cu1, cv1 = eps * j1_fu, eps * j1_fv
-        out.defect[block], out.angle[block] = _classify(
+        defect, angle = _classify(
             fuu * fvv - fuv ** 2,
             cu2 * cv3 - cu3 * cv2, cu3 * cv1 - cu1 * cv3, cu1 * cv2 - cu2 * cv1)
-        out.fv_euclidean[block] = fvv
-        out.fv_berger[block] = fvv + (eps * eps - 1.0) * j1_fv ** 2
-    return out
+        yield SweepData(angle=angle, defect=defect, fv_euclidean=fvv,
+                        fv_berger=fvv + (eps * eps - 1.0) * j1_fv ** 2)
+
+
+def sweep_grid(surface: HelixSurface, us, vs) -> SweepData:
+    """The blocks of sweep_blocks joined into whole (nu, nv) arrays."""
+    blocks = list(sweep_blocks(surface, us, vs))
+    return SweepData(*(np.concatenate([getattr(block, f.name) for block in blocks])
+                       for f in fields(SweepData)))
 
 
 # --------------------------------------------------------------------------

@@ -4,14 +4,15 @@ The checks form one registry, CHECKS.  Each maps a surface and a
 VerifyConfig to named residuals with their sample counts, and evaluates F
 and its partials through one surface.tangent_data call over all of its
 points, except the angle sweep: it covers the whole nu x nv grid through
-the separable kernel surface.sweep_grid, and the check separable_vs_direct
-compares that kernel with tangent_data on a subgrid of at most 21 x 21 of
-the same points.  run_all is a loop over the registry: it skips the
-helix-only checks on a Hopf tube, looks up each tolerance, reduces every
-residual with a NaN-propagating max (so a NaN fails its entry) and
-collects the entries in a CheckReport.  Sample points come from a deterministic
-low-discrepancy sequence, so two runs with the same configuration
-produce byte-identical reports.
+the separable kernel surface.sweep_blocks and reduces each block of u rows
+as it arrives, so no full-grid array is held, and the check
+separable_vs_direct compares that kernel with tangent_data on a subgrid of
+at most 21 x 21 of the same points.  run_all is a loop over the registry:
+it skips the helix-only checks on a Hopf tube, looks up each tolerance,
+reduces every residual with a NaN-propagating max (so a NaN fails its
+entry) and collects the entries in a CheckReport.  Sample points come from
+a deterministic low-discrepancy sequence, so two runs with the same
+configuration produce byte-identical reports.
 
 Every derivative a check takes is a complex step Im f(x + ih) / h with
 h = surface.CSTEP, exact to rounding, with no step to tune per surface.
@@ -47,6 +48,7 @@ from .surface import (
     fit_phase_constant,
     grid_axes,
     recover_coefficient_fields,
+    sweep_blocks,
     sweep_grid,
     tangent_data,
 )
@@ -373,17 +375,33 @@ def _profile_constraint(surface, config):
 def _angle_sweep(surface, config):
     """The constant angle over the nu x nv grid (pi/2 on a Hopf tube),
     counting non-finite samples so that they fail it, and the report-only
-    spread of |F_v|^2 in both metrics, all from the separable kernel."""
-    sweep = sweep_grid(surface, *grid_axes(surface, config.nu, config.nv))
+    spread of |F_v|^2 in both metrics, all from the separable kernel.
+
+    Each block of sweep_blocks is reduced as it arrives to its
+    NaN-propagating extremes and counts; maxima and minima are exact, so
+    the entries equal those of the whole grid bit for bit.  The angle
+    residual is the list of block maxima, empty (inf) when no sample counts.
+    """
     target = math.pi / 2 if surface.profile.hopf_tube[0] else surface.params.theta
-    counted = ~np.isnan(sweep.angle) | (sweep.defect == NON_FINITE)
-    fv_e, fv_b = sweep.fv_euclidean, sweep.fv_berger
-    finite = np.isfinite(fv_b)
-    n = int(np.sum(finite))
+    peaks, counted, finite, lows, highs = [], 0, 0, [], []
+    for block in sweep_blocks(surface, *grid_axes(surface, config.nu, config.nv)):
+        kept = ~np.isnan(block.angle) | (block.defect == NON_FINITE)
+        n = int(np.count_nonzero(kept))
+        if n:
+            peaks.append(np.max(np.abs(block.angle[kept] - target)))
+            counted += n
+        ok = np.isfinite(block.fv_berger)
+        n = int(np.count_nonzero(ok))
+        if n:
+            fv = (block.fv_euclidean[ok], block.fv_berger[ok])
+            lows.append([np.min(f) for f in fv])
+            highs.append([np.max(f) for f in fv])
+            finite += n
+    spread = np.max(highs, axis=0) - np.min(lows, axis=0) if finite else (math.inf, math.inf)
     return {
-        "angle_constancy": (np.abs(sweep.angle[counted] - target), int(np.sum(counted))),
-        "fv_norm_spread_euclidean": (np.ptp(fv_e[finite]) if n else math.inf, n),
-        "fv_norm_spread_berger": (np.ptp(fv_b[finite]) if n else math.inf, n),
+        "angle_constancy": (peaks, counted),
+        "fv_norm_spread_euclidean": (spread[0], finite),
+        "fv_norm_spread_berger": (spread[1], finite),
     }
 
 

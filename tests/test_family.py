@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergerhelix.ambient import J1, BergerParams
+from bergerhelix.ambient import J1, J2, J3, BergerParams
 from bergerhelix.errors import ConfigError, OutOfDomain
 from bergerhelix.family import (
     Constant,
@@ -191,6 +191,41 @@ def test_assemble_vectorized_matches_scalar():
     batch, = assemble(prof, vs)
     for k, v in enumerate(vs):
         assert np.array_equal(batch[k], assemble(prof, v)[0])
+
+
+def stacked_assemble(profile, v, order=0):
+    """assemble as np.stack wrote it: the first row and its derivative
+    stacked entry by entry, then the four rows from the first."""
+    jets = profile.jets(profile.check_domain(v), order)
+    x1, x2, x3 = (jet[0] for jet in jets)
+    c1, s1 = np.cos(x1), np.sin(x1)
+    c2, s2 = np.cos(x2), np.sin(x2)
+    c3, s3 = np.cos(x3), np.sin(x3)
+    r1 = np.stack([c1 * c2, -c1 * s2, s1 * c3, -s1 * s3], axis=-1)
+    if not order:
+        r1 = r1[None]
+    else:
+        d1, d2, d3 = (jet[1] for jet in jets)
+        r1 = np.stack([r1, np.stack([
+            -d1 * s1 * c2 - d2 * c1 * s2,
+            d1 * s1 * s2 - d2 * c1 * c2,
+            d1 * c1 * c3 - d3 * s1 * s3,
+            -d1 * c1 * s3 - d3 * s1 * c3,
+        ], axis=-1)])
+    j1r, j2r, j3r = r1 @ J1.T, r1 @ J2.T, r1 @ J3.T
+    c, s = math.cos(profile.xi), math.sin(profile.xi)
+    return np.stack([r1, j1r, c * j2r + s * j3r, -c * j3r + s * j2r], axis=-2)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("step", [0.0, 1e-200j], ids=["real", "complex-step"])
+@pytest.mark.parametrize("v", [0.7, np.linspace(0.2, 5.0, 9),
+                               np.linspace(0.1, 6.0, 12).reshape(3, 4)], ids=["0-d", "1-d", "2-d"])
+def test_assemble_matches_the_stacked_rows_bit_for_bit(order, step, v):
+    for prof in (example_profile(), random_profile(np.random.default_rng(7))):
+        got, want = assemble(prof, v + step, order), stacked_assemble(prof, v + step, order)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_assemble_derivative_matches_finite_difference():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from bergerhelix.family import Constant, Linear, XiProfile, example_profile
 from bergerhelix.surface import (
     NON_FINITE,
     first_fundamental_form,
+    grid_axes,
     make_surface,
     sample_grid,
     sweep_grid,
@@ -455,6 +457,75 @@ def test_sweep_grid_labels_non_finite_samples_as_the_grid_does():
     assert len(labelled) == 324
     assert labelled == {(i, j) for i, j, kind in g.defects if kind == "non_finite"}
     assert np.array_equal(np.isnan(sweep.angle), np.isnan(g.angles))
+
+
+# ------------------------------------------------------- the streamed sweep
+
+def whole_grid_angle_sweep(surface, config):
+    """The angle sweep's entries by one reduction over whole-grid arrays
+    of sweep_grid, the oracle of the block-by-block _angle_sweep."""
+    sweep = sweep_grid(surface, *grid_axes(surface, config.nu, config.nv))
+    target = math.pi / 2 if surface.profile.hopf_tube[0] else surface.params.theta
+    counted = ~np.isnan(sweep.angle) | (sweep.defect == NON_FINITE)
+    fv_e, fv_b = sweep.fv_euclidean, sweep.fv_berger
+    finite = np.isfinite(fv_b)
+    n = int(np.sum(finite))
+    return {
+        "angle_constancy": (np.abs(sweep.angle[counted] - target), int(np.sum(counted))),
+        "fv_norm_spread_euclidean": (np.ptp(fv_e[finite]) if n else math.inf, n),
+        "fv_norm_spread_berger": (np.ptp(fv_b[finite]) if n else math.inf, n),
+    }
+
+
+def reduced_entries(entries):
+    """Per entry, the bytes of the residual as run_all reduces it, and the
+    sample count."""
+    out = {}
+    for name, (residual, samples) in entries.items():
+        r = np.asarray(residual, dtype=float)
+        out[name] = (np.float64(np.max(r) if r.size else math.inf).tobytes(), samples)
+    return out
+
+
+def all_degenerate_surface():
+    """Constant xi: A(v) is constant, F_v vanishes and every sample of the
+    grid is degenerate."""
+    prof = XiProfile(xi=0.3, xi1=Constant(math.pi / 4), xi2=Constant(0.5),
+                     xi3=Constant(-0.5), v_min=0.0, v_max=2 * math.pi)
+    return make_surface(P_REF, prof)
+
+
+@pytest.mark.parametrize("case", ["analytic", "fd", "nan_tail", "hopf_tube", "all_degenerate"])
+def test_streamed_angle_sweep_matches_the_whole_grid_reduction(monkeypatch, case):
+    s = {"analytic": ref_surface(0.8), "fd": ref_surface(0.8, fv_method="fd"),
+         "nan_tail": nan_tail_surface(), "hopf_tube": hopf_tube(),
+         "all_degenerate": all_degenerate_surface()}[case]
+    # 41 x 37 samples in blocks of three u rows, the last one ragged
+    monkeypatch.setattr(surface_module, "SWEEP_BLOCK", 3 * 37 + 5)
+    cfg = VerifyConfig(nu=41, nv=37)
+    assert len(list(surface_module.sweep_blocks(s, *grid_axes(s, 41, 37)))) == 14
+    got = reduced_entries(REGISTRY["angle_sweep"].fn(s, cfg))
+    assert got == reduced_entries(whole_grid_angle_sweep(s, cfg))
+    residual = np.frombuffer(got["angle_constancy"][0])[0]
+    if case == "nan_tail":
+        assert math.isnan(residual)
+    elif case == "all_degenerate":
+        assert residual == math.inf and got["angle_constancy"][1] == 0
+        assert got["fv_norm_spread_euclidean"][0] == np.float64(0.0).tobytes()
+    else:
+        assert residual < 1e-8
+
+
+def test_run_all_holds_no_full_grid_array():
+    # two float arrays of the 1001 x 1001 grid take 16 MB
+    s, cfg = ref_surface(0.8), VerifyConfig(nu=1001, nv=1001)
+    tracemalloc.start()
+    try:
+        run_all(s, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1001 * 1001 * 8, peak
 
 
 # ------------------------------------------------------------ nudge search
