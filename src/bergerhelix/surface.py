@@ -14,7 +14,10 @@ block rotation K, so every product the sweep needs is a quadratic form
 b^T Q(v) b: a (rows x 10) @ (10 x nv) product over the monomials b_i b_j,
 i <= j, for each block of u rows, and no (nu, nv, 4) array is built.  The
 generator yields the sweep one block at a time, so verify reduces each
-block as it arrives; sweep_grid joins the blocks into whole-grid arrays.
+block as it arrives.  Every block is computed in the same buffers, one
+product buffer and a few work buffers allocated per call, so a yielded
+block is valid only until the next one is requested; sweep_grid copies
+the blocks into whole-grid arrays.
 
 F_v is dA/dv beta(u) from the profile jets, or with fv_method "fd" from a
 complex step of A's value code.  tangent_data keeps complex (u, v) complex.
@@ -22,7 +25,9 @@ complex step of A's value code.  tangent_data keeps complex (u, v) complex.
 Samples a kernel cannot use carry one of two defect kinds, by one rule
 for both kernels: non_finite (some value is NaN or infinite) and
 degenerate_tangent_plane (the Gram determinant of (F_u, F_v) is below
-GRAM_DET_TOL).
+GRAM_DET_TOL).  A healthy set of samples, the usual case, is recognised by
+whole-set reductions (a finite sum, a large enough minimum) and skips the
+per-sample masks.
 """
 
 from __future__ import annotations
@@ -214,21 +219,40 @@ def tangent_data(surface: HelixSurface, u, v) -> TangentData:
                        angle=angle, defect=defect)
 
 
-def _classify(gram, n1, n2, n3):
+def _classify(gram, n1, n2, n3, out=None):
     """Defect codes and angles of both kernels from the real parts of the
     Gram determinant and of the normal's frame components.
 
     A sample gets the first defect kind that applies; the angle
-    arccos(|N1| / |N|) is NaN wherever the code is nonzero.
+    arccos(|N1| / |N|) is NaN wherever the code is nonzero.  out, if
+    given, is (defect, angle, work): an int8 and two float arrays of the
+    samples' shape, which receive the codes, the angles and scratch
+    values.  A healthy set of samples, every value finite and every Gram
+    determinant at least GRAM_DET_TOL, is told apart by whole-set
+    reductions and gets zero codes without per-sample masks.
     """
     gram, n1, n2, n3 = gram.real, n1.real, n2.real, n3.real
-    finite = np.isfinite(gram) & np.isfinite(n1) & np.isfinite(n2) & np.isfinite(n3)
-    # the angle is evaluated on defective samples too and discarded there
-    with np.errstate(invalid="ignore", divide="ignore"):
-        defect = np.where(finite, np.where(gram < GRAM_DET_TOL, DEGENERATE, 0),
-                          NON_FINITE).astype(np.int8)
-        ratio = np.abs(n1) / np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)   # >= 0 where it is a number
-        angle = np.where(defect == 0, np.arccos(np.minimum(ratio, 1.0)), np.nan)
+    if out is None:
+        out = np.empty(gram.shape, np.int8), np.empty(gram.shape), np.empty(gram.shape)
+    defect, angle, work = out
+    # the angle is evaluated on defective samples too and overwritten there
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        np.multiply(n1, n1, out=angle)
+        angle += np.multiply(n2, n2, out=work)
+        angle += np.multiply(n3, n3, out=work)       # |N|^2
+        # a sum is finite only if every summand is, and a NaN minimum fails
+        healthy = (np.isfinite(np.sum(angle) + np.sum(gram))
+                   and np.min(gram, initial=math.inf) >= GRAM_DET_TOL)
+        if healthy:
+            defect.fill(0)
+        else:
+            finite = np.isfinite(gram) & np.isfinite(n1) & np.isfinite(n2) & np.isfinite(n3)
+            defect[...] = np.where(finite, np.where(gram < GRAM_DET_TOL, DEGENERATE, 0),
+                                   NON_FINITE)
+        ratio = np.divide(np.abs(n1, out=work), np.sqrt(angle, out=angle), out=angle)
+        np.arccos(np.minimum(ratio, 1.0, out=angle), out=angle)   # ratio >= 0 where a number
+    if not healthy:
+        angle[defect != 0] = np.nan
     return defect, angle
 
 
@@ -373,14 +397,22 @@ def _sweep_forms(surface: HelixSurface, vs: np.ndarray):
     return np.ascontiguousarray(np.swapaxes(S, -1, -2))
 
 
+def _products_minus(a, b, c, d, out, work):
+    """a * b - c * d into out, with work for c * d."""
+    np.multiply(a, b, out=out)
+    return np.subtract(out, np.multiply(c, d, out=work), out=out)
+
+
 def sweep_blocks(surface: HelixSurface, us, vs) -> Iterator[SweepData]:
     """The angle, defect code and |F_v|^2 of the surface on the grid
     us x vs, from the separable quadratic forms of _sweep_forms, as one
     SweepData per block of whole u rows.
 
-    A block holds about SWEEP_BLOCK samples, so every temporary stays small
-    however large the grid, and a caller that reduces each block as it
-    arrives never holds a full-grid array.  Agrees with
+    A block holds about SWEEP_BLOCK samples, and every block is computed
+    in the same few buffers, so the work memory stays small however large
+    the grid, and a caller that reduces each block as it arrives never
+    holds a full-grid array.  A yielded block is therefore valid only
+    until the next one is requested.  Agrees with
     tangent_data(surface, us[:, None], vs[None, :]) in every defect code
     and to rounding in every value; the domain is not checked.
     """
@@ -391,21 +423,36 @@ def sweep_blocks(surface: HelixSurface, us, vs) -> Iterator[SweepData]:
     monomials = b[:, _ROW] * b[:, _COL]
     eps = surface.params.epsilon
     rows = max(1, SWEEP_BLOCK // max(vs.size, 1))
+    shape = (min(rows, us.size), vs.size)
+    products = np.empty((9,) + shape)
+    fv_berger, n1, n2, angle, work = np.empty((5,) + shape)
+    defect = np.empty(shape, np.int8)
     for i in range(0, us.size, rows):
-        j1_fu, cu2, cu3, j1_fv, cv2, cv3, fuu, fvv, fuv = (monomials[i:i + rows] @ Ck for Ck in C)
-        cu1, cv1 = eps * j1_fu, eps * j1_fv
-        defect, angle = _classify(
-            fuu * fvv - fuv ** 2,
-            cu2 * cv3 - cu3 * cv2, cu3 * cv1 - cu1 * cv3, cu1 * cv2 - cu2 * cv1)
-        yield SweepData(angle=angle, defect=defect, fv_euclidean=fvv,
-                        fv_berger=fvv + (eps * eps - 1.0) * j1_fv ** 2)
+        m = monomials[i:i + rows]
+        r = m.shape[0]
+        P = products[:, :r]
+        for Pk, Ck in zip(P, C):
+            np.matmul(m, Ck, out=Pk)
+        j1_fu, cu2, cu3, j1_fv, cv2, cv3, fuu, fvv, fuv = P
+        # fvv + (eps^2 - 1) j1_fv^2, eps j1, fuu fvv - fuv^2 and the cross
+        # product of the frame components, each operation in the order of
+        # these formulas, written into the buffers
+        fvb, w = fv_berger[:r], work[:r]
+        np.add(fvv, np.multiply(eps * eps - 1.0, np.square(j1_fv, out=fvb), out=fvb), out=fvb)
+        cu1, cv1 = np.multiply(eps, j1_fu, out=j1_fu), np.multiply(eps, j1_fv, out=j1_fv)
+        gram = _products_minus(fuu, fvv, fuv, fuv, fuu, w)
+        N1 = _products_minus(cu2, cv3, cu3, cv2, n1[:r], w)
+        N2 = _products_minus(cu3, cv1, cu1, cv3, n2[:r], w)
+        N3 = _products_minus(cu1, cv2, cu2, cv1, fuv, w)
+        codes, angles = _classify(gram, N1, N2, N3, (defect[:r], angle[:r], w))
+        yield SweepData(angle=angles, defect=codes, fv_euclidean=fvv, fv_berger=fvb)
 
 
 def sweep_grid(surface: HelixSurface, us, vs) -> SweepData:
-    """The blocks of sweep_blocks joined into whole (nu, nv) arrays."""
-    blocks = list(sweep_blocks(surface, us, vs))
-    return SweepData(*(np.concatenate([getattr(block, f.name) for block in blocks])
-                       for f in fields(SweepData)))
+    """The blocks of sweep_blocks copied into whole (nu, nv) arrays."""
+    blocks = [[getattr(block, f.name).copy() for f in fields(SweepData)]
+              for block in sweep_blocks(surface, us, vs)]
+    return SweepData(*map(np.concatenate, zip(*blocks)))
 
 
 # --------------------------------------------------------------------------

@@ -305,17 +305,6 @@ def shape_operator_matrix(surface: HelixSurface, u, v) -> np.ndarray:
     return np.where(regular, M @ np.linalg.inv(np.where(regular, P, np.eye(2))), np.nan)
 
 
-def tangent_turn_coefficient(surface: HelixSurface, u: float, v: float) -> float:
-    """g(nabla_T T, JT) / sin^2(th), expected -2 eps cos(th); T is
-    differentiated by a complex step in u."""
-    th = surface.params.theta
-    td = tangent_data(surface, u + 1j * CSTEP, v)
-    cu, dT = td.cu.real, td.cu.imag / CSTEP
-    cov = _covariant(cu, cu, dT, connection_table(surface.params))
-    e2 = np.cross(_unit_normals(td.normal.real), cu / math.sin(th))
-    return float(cov @ e2) / math.sin(th)
-
-
 def product_table_targets(consts) -> Dict[Tuple[int, int], float]:
     """Expected euclidean products <d^i F, d^j F> keyed by (i, j), i <= j."""
     c = consts
@@ -379,24 +368,37 @@ def _angle_sweep(surface, config):
 
     Each block of sweep_blocks is reduced as it arrives to its
     NaN-propagating extremes and counts; maxima and minima are exact, so
-    the entries equal those of the whole grid bit for bit.  The angle
-    residual is the list of block maxima, empty (inf) when no sample counts.
+    the entries equal those of the whole grid bit for bit.  A block whose
+    extremes are all finite counts every sample, and its largest
+    |angle - target| is read from its extreme angles, since rounding keeps
+    the order; only a block with a NaN or an infinity goes through the
+    per-sample masks.  The angle residual is the list of block maxima,
+    empty (inf) when no sample counts.
     """
     target = math.pi / 2 if surface.profile.hopf_tube[0] else surface.params.theta
     peaks, counted, finite, lows, highs = [], 0, 0, [], []
     for block in sweep_blocks(surface, *grid_axes(surface, config.nu, config.nv)):
-        kept = ~np.isnan(block.angle) | (block.defect == NON_FINITE)
-        n = int(np.count_nonzero(kept))
-        if n:
-            peaks.append(np.max(np.abs(block.angle[kept] - target)))
-            counted += n
-        ok = np.isfinite(block.fv_berger)
-        n = int(np.count_nonzero(ok))
-        if n:
-            fv = (block.fv_euclidean[ok], block.fv_berger[ok])
-            lows.append([np.min(f) for f in fv])
-            highs.append([np.max(f) for f in fv])
-            finite += n
+        angle, fv = block.angle, (block.fv_euclidean, block.fv_berger)
+        low, high = np.min(angle), np.max(angle)
+        if math.isfinite(low) and math.isfinite(high):
+            peaks.append(max(high - target, target - low))
+            counted += angle.size
+        else:
+            kept = ~np.isnan(angle) | (block.defect == NON_FINITE)
+            n = int(np.count_nonzero(kept))
+            if n:
+                peaks.append(np.max(np.abs(angle[kept] - target)))
+                counted += n
+        low, high = [np.min(f) for f in fv], [np.max(f) for f in fv]
+        if not np.isfinite(low + high).all():
+            ok = np.isfinite(block.fv_berger)
+            if not ok.any():
+                continue
+            fv = [f[ok] for f in fv]
+            low, high = [np.min(f) for f in fv], [np.max(f) for f in fv]
+        lows.append(low)
+        highs.append(high)
+        finite += fv[0].size
     spread = np.max(highs, axis=0) - np.min(lows, axis=0) if finite else (math.inf, math.inf)
     return {
         "angle_constancy": (peaks, counted),

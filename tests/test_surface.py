@@ -355,10 +355,13 @@ def sweep_surfaces(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sweep_surfaces())
-def test_sweep_grid_matches_tangent_data(s):
+@given(sweep_surfaces(), st.sampled_from([surface_module.SWEEP_BLOCK, 2 * 13 + 3]))
+def test_sweep_grid_matches_tangent_data(s, block):
+    # the small block computes the 17 rows two at a time in the same buffers
     us, vs = grid_axes(s, 17, 13)
-    sweep = sweep_grid(s, us, vs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface_module, "SWEEP_BLOCK", block)
+        sweep = sweep_grid(s, us, vs)
     td = tangent_data(s, us[:, None], vs[None, :])
     assert np.array_equal(sweep.defect, td.defect)
     assert np.array_equal(np.isnan(sweep.angle), np.isnan(td.angle))
@@ -419,6 +422,30 @@ def test_tangent_data_kernel_identities(data):
     angle[good] = np.arccos(np.clip(np.abs(n1[good]) / np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)[good],
                                     0.0, 1.0))
     assert_same_bits(td.angle, angle)
+
+
+@pytest.mark.parametrize("spoil", [
+    None, ("gram", 1e-13), ("gram", math.nan), ("gram", math.inf), ("gram", -math.inf),
+    ("n2", math.nan), ("n3", -math.inf), ("n1", 1e200),
+])
+def test_classify_gives_the_per_sample_codes_on_either_path(spoil):
+    """One spoiled sample sends the whole set through the per-sample masks
+    (a huge but finite n1 too, as |N|^2 overflows); the rest keep code 0
+    and the angles of the healthy path."""
+    rng = np.random.default_rng(3)
+    values = {"gram": rng.uniform(0.1, 1.0, 40), "n1": rng.normal(size=40),
+              "n2": rng.normal(size=40), "n3": rng.normal(size=40)}
+    if spoil:
+        values[spoil[0]][17] = spoil[1]
+    defect, angle = surface_module._classify(**values)
+    gram, n1, n2, n3 = values.values()
+    finite = np.isfinite(gram) & np.isfinite(n1) & np.isfinite(n2) & np.isfinite(n3)
+    want = np.select([~finite, gram < GRAM_DET_TOL], [NON_FINITE, DEGENERATE], 0).astype(np.int8)
+    assert_same_bits(defect, want)
+    assert np.count_nonzero(defect) == (spoil is not None and spoil[0] != "n1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.abs(n1) / np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
+        assert_same_bits(angle, np.where(want == 0, np.arccos(np.minimum(ratio, 1.0)), np.nan))
 
 
 @pytest.mark.parametrize("fv_method", ["analytic", "fd"])

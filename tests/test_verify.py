@@ -1,8 +1,13 @@
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from bergerhelix.ambient import BergerParams
 from bergerhelix.errors import ConfigError, as_array
 from bergerhelix.family import Constant, Linear, XiProfile, example_profile
 from bergerhelix.surface import (
+    DEGENERATE,
     NON_FINITE,
     first_fundamental_form,
     grid_axes,
@@ -32,10 +38,10 @@ from bergerhelix.verify import (
     normal_closed_form_n1,
     run_all,
     shape_operator_matrix,
-    tangent_turn_coefficient,
 )
 
 P_REF = BergerParams(1.0, math.pi / 4)
+SRC = Path(__file__).resolve().parents[1] / "src"
 REGISTRY = {c.name: c for c in CHECKS}
 
 
@@ -191,14 +197,6 @@ def test_shape_operator_is_nan_on_a_degenerate_tangent_plane():
     assert np.all(np.isnan(S[0])) and np.all(np.isfinite(S[1]))
 
 
-def test_tangent_turn_coefficient():
-    # induced connection: g(nabla_T T, JT)/sin^2 = -2 eps cos(theta)
-    for eps, th in [(1.0, math.pi / 4), (0.5, math.pi / 3)]:
-        s = ref_surface(eps, th)
-        got = tangent_turn_coefficient(s, 0.9, 1.1)
-        assert got == pytest.approx(-2 * eps * math.cos(th), abs=1e-4)
-
-
 def test_shape_operator_trace_matches_reported_lambda():
     s = ref_surface()
     S = shape_operator_matrix(s, 0.9, 1.1)
@@ -258,6 +256,30 @@ def test_run_all_is_deterministic():
     r1 = run_all(ref_surface(), cfg).to_json()
     r2 = run_all(ref_surface(), cfg).to_json()
     assert r1 == r2
+
+
+def blas_outputs():
+    """The report bytes of the reference surface at the default 81 x 81
+    and at 41 x 1001, and a digest of the 41 x 1001 sweep arrays.  At
+    81 x 81 the sweep is one (81 x 10) @ (10 x 81) product per quadratic
+    form; at 41 x 1001 a block is (32 x 10) @ (10 x 1001), above
+    OpenBLAS's default threading threshold of 65536 * 4 multiply-adds."""
+    s = ref_surface(0.8)
+    sweep = sweep_grid(s, *grid_axes(s, 41, 1001))
+    digest = hashlib.sha256()
+    for f in dataclasses.fields(sweep):
+        digest.update(getattr(sweep, f.name).tobytes())
+    return [run_all(s).to_json(), run_all(s, VerifyConfig(41, 1001)).to_json(), digest.hexdigest()]
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count():
+    script = "import json, test_verify; print(json.dumps(test_verify.blas_outputs()))"
+    path = os.pathsep.join([str(SRC), str(Path(__file__).parent)])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == blas_outputs()
 
 
 def test_run_all_flags_hopf_tube():
@@ -495,19 +517,40 @@ def all_degenerate_surface():
     return make_surface(P_REF, prof)
 
 
-@pytest.mark.parametrize("case", ["analytic", "fd", "nan_tail", "hopf_tube", "all_degenerate"])
+def nan_rows(monkeypatch, rows):
+    """Make beta NaN on the given rows of the sweep's u axis."""
+    exact = surface_module.beta
+
+    def spoiled(u, consts):
+        b = exact(u, consts)
+        b[rows] = np.nan
+        return b
+
+    monkeypatch.setattr(surface_module, "beta", spoiled)
+
+
+@pytest.mark.parametrize("case", ["analytic", "fd", "nan_tail", "hopf_tube", "all_degenerate",
+                                  "nan_rows"])
 def test_streamed_angle_sweep_matches_the_whole_grid_reduction(monkeypatch, case):
     s = {"analytic": ref_surface(0.8), "fd": ref_surface(0.8, fv_method="fd"),
          "nan_tail": nan_tail_surface(), "hopf_tube": hopf_tube(),
-         "all_degenerate": all_degenerate_surface()}[case]
+         "all_degenerate": all_degenerate_surface(), "nan_rows": ref_surface(0.8)}[case]
     # 41 x 37 samples in blocks of three u rows, the last one ragged
     monkeypatch.setattr(surface_module, "SWEEP_BLOCK", 3 * 37 + 5)
     cfg = VerifyConfig(nu=41, nv=37)
-    assert len(list(surface_module.sweep_blocks(s, *grid_axes(s, 41, 37)))) == 14
+    axes = grid_axes(s, 41, 37)
+    assert len(list(surface_module.sweep_blocks(s, *axes))) == 14
+    if case == "nan_rows":
+        # blocks 3 and 8 hold a non-finite row and block 0 the degenerate
+        # row u = 0; the other eleven are healthy
+        nan_rows(monkeypatch, [10, 25])
+        codes = sweep_grid(s, *axes).defect
+        assert np.all(codes[[10, 25]] == NON_FINITE) and np.all(codes[0] == DEGENERATE)
+        assert np.count_nonzero(codes) == 3 * 37
     got = reduced_entries(REGISTRY["angle_sweep"].fn(s, cfg))
     assert got == reduced_entries(whole_grid_angle_sweep(s, cfg))
     residual = np.frombuffer(got["angle_constancy"][0])[0]
-    if case == "nan_tail":
+    if case in ("nan_tail", "nan_rows"):
         assert math.isnan(residual)
     elif case == "all_degenerate":
         assert residual == math.inf and got["angle_constancy"][1] == 0
