@@ -78,10 +78,6 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "shape_operator": 1e-4,
 }
 
-PHASE_READING_NOTE = (
-    "closed-form normal check reads the first-component phase as xi2 - xi3"
-)
-
 FIELD_SAMPLES = 200
 SUBGRID_SIDE = 21     # points per axis that separable_vs_direct compares
 SEED = 0
@@ -326,17 +322,25 @@ def product_table_targets(consts) -> Dict[Tuple[int, int], float]:
 def normal_closed_form_n1(surface: HelixSurface, u, v):
     """Closed-form fiber component of the unnormalized normal:
 
-        N1 = (alpha1 - alpha2)/2 * sqrt(g11 g33) * sin(2 xi1)
-             * sin((alpha1 - alpha2) u + xi2 - xi3) * (xi2' + xi3')
+        N1 = (alpha1 - alpha2) sqrt(g11 g33)
+             * [xi1' cos(psi) + (1/2) sin(2 xi1) (xi2' + xi3') sin(psi)],
+        psi = (alpha1 - alpha2) u + xi2 - xi3.
 
-    (the constant-xi family contributes no xi' term).  The sign matches
-    the cross-product orientation used by normal_components.
+    Read R^4 as C^2, so J1 = i and <X, J3 p> + i <X, J2 p> = det(p, X);
+    then N1 = Im(det(F, F_u) conj(det(F, F_v))).  A is unitary, so
+    det(A p, A X) = det(A) det(p, X), and N1 = Im(det(beta, beta')
+    conj(det(beta, M beta))) with M = A* A'.  Only M's off-diagonal entry
+    conj(a) b' - b conj(a)' survives, (a, b) the first complex row of A:
+    it gives the xi1' term and the (xi2' + xi3') term, and xi, which only
+    sets the phase of det A, drops out.  The sign matches the
+    cross-product orientation of tangent_data.
     """
     c = surface.consts
     u = np.asarray(u, dtype=float)
-    (x1, _), (x2, d2), (x3, d3) = surface.profile.jets(v, 1)
-    return 0.5 * (c.alpha1 - c.alpha2) * math.sqrt(c.g11 * c.g33) \
-        * np.sin(2.0 * x1) * np.sin((c.alpha1 - c.alpha2) * u + x2 - x3) * (d2 + d3)
+    (x1, d1), (x2, d2), (x3, d3) = surface.profile.jets(v, 1)
+    psi = (c.alpha1 - c.alpha2) * u + x2 - x3
+    return (c.alpha1 - c.alpha2) * math.sqrt(c.g11 * c.g33) \
+        * (d1 * np.cos(psi) + 0.5 * np.sin(2.0 * x1) * (d2 + d3) * np.sin(psi))
 
 
 # --------------------------------------------------------------------------
@@ -590,7 +594,7 @@ def run_all(surface: HelixSurface, config: Optional[VerifyConfig] = None) -> Che
     if config is None:
         config = VerifyConfig()
     hopf_tube, diag = surface.profile.hopf_tube
-    report = CheckReport(notes=[PHASE_READING_NOTE], degenerate_hopf_tube=hopf_tube)
+    report = CheckReport(degenerate_hopf_tube=hopf_tube)
     if hopf_tube:
         report.notes.append(f"degenerate: Hopf tube ({diag})")
 

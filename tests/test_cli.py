@@ -239,9 +239,10 @@ def test_table_profile_never_loads_scipy_and_keeps_bytes(tmp_path):
 
 
 def test_table_profile_runs_where_scipy_cannot_be_imported(tmp_path):
-    # a constant-valued table keeps xi1' = 0, so verify passes (exit 0)
+    # a varying xi1 from the table, with xi3 derived, passes verify (exit 0)
     vs = np.linspace(0.0, 2.0, 9)
-    config = dict(EXAMPLE_CONFIG, xi1={"table": {"v": vs.tolist(), "value": [0.7] * 9}},
+    config = dict(EXAMPLE_CONFIG, xi1={"table": {"v": vs.tolist(),
+                                                 "value": (0.7 + 0.1 * np.sin(vs)).tolist()}},
                   xi3="auto", v_max=2.0)
     cfg, report, grid = tmp_path / "table.json", tmp_path / "report.json", tmp_path / "grid.csv"
     cfg.write_text(json.dumps(config))

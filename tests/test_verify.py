@@ -17,7 +17,8 @@ import bergerhelix.surface as surface_module
 import bergerhelix.verify as verify_module
 from bergerhelix.ambient import BergerParams
 from bergerhelix.errors import ConfigError, as_array
-from bergerhelix.family import Constant, Linear, XiProfile, example_profile
+from bergerhelix.family import (Constant, Linear, Sinusoid, Tabulated, XiProfile,
+                                derive_xi3, example_profile)
 from bergerhelix.surface import (
     DEGENERATE,
     NON_FINITE,
@@ -226,6 +227,30 @@ def test_normal_closed_form_scales_with_phase_drift():
     n_base = normal_closed_form_n1(base, 0.7, 1.3)
     n_double = normal_closed_form_n1(double, 0.7, 1.3)
     assert n_double == pytest.approx(2 * n_base, rel=1e-12)
+
+
+def closed_form_profiles():
+    """Profiles with a varying xi1 and a derived xi3: sinusoids of three
+    amplitudes, a 9-node table, and xi = 0.3 with a decreasing xi2."""
+    nodes = np.linspace(0.0, 2 * math.pi, 9)
+    xi1s = [Sinusoid(a, 1.0, 0.0, math.pi / 4) for a in (0.01, 0.2, 0.5)]
+    xi1s.append(Tabulated(nodes, math.pi / 4 + 0.3 * np.sin(nodes) * np.cos(2 * nodes)))
+    profiles = [XiProfile(xi=math.pi / 2, xi1=xi1, xi2=Linear(1.0), xi3=None,
+                          v_min=0.0, v_max=2 * math.pi) for xi1 in xi1s]
+    profiles.append(XiProfile(xi=0.3, xi1=Sinusoid(0.2, 1.0, 0.0, math.pi / 4),
+                              xi2=Linear(-0.5, 0.2), xi3=None, v_min=0.0, v_max=2 * math.pi))
+    return [derive_xi3(p) for p in profiles]
+
+
+@pytest.mark.parametrize("profile", closed_form_profiles(),
+                         ids=["sin0.01", "sin0.2", "sin0.5", "table", "xi0.3"])
+@pytest.mark.parametrize("eps, th", [(0.8, math.pi / 4), (0.05, 1.55), (10.0, 0.01), (2.0, 0.3)])
+def test_normal_closed_form_matches_the_cross_product_where_xi1_varies(profile, eps, th):
+    # the xi1' cos(psi) term is most of N1 here: without it the form is off by up to 0.28
+    s = make_surface(BergerParams(eps, th), profile)
+    us, vs = verify_module._sample_points(s, 100, verify_module.SEED)
+    n1 = tangent_data(s, us, vs).normal[:, 0]
+    assert np.max(np.abs(n1 - normal_closed_form_n1(s, us, vs))) <= 1e-9
 
 
 def test_normal_closed_form_on_generic_profile():
