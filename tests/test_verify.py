@@ -246,7 +246,7 @@ def closed_form_profiles():
                          ids=["sin0.01", "sin0.2", "sin0.5", "table", "xi0.3"])
 @pytest.mark.parametrize("eps, th", [(0.8, math.pi / 4), (0.05, 1.55), (10.0, 0.01), (2.0, 0.3)])
 def test_normal_closed_form_matches_the_cross_product_where_xi1_varies(profile, eps, th):
-    # the xi1' cos(psi) term is most of N1 here: without it the form is off by up to 0.28
+    # without the xi1' cos(psi) term the form is off by up to 0.28 on these points
     s = make_surface(BergerParams(eps, th), profile)
     us, vs = verify_module._sample_points(s, 100, verify_module.SEED)
     n1 = tangent_data(s, us, vs).normal[:, 0]
