@@ -12,7 +12,8 @@ is helix-admissible when cos^2(xi1) xi2' - sin^2(xi1) xi3' vanishes.
 
 Each profile function has one method, jet(v, order), giving (f,) or
 (f, f').  The rows are linear in r1 and xi is constant, so one assemble
-call maps the jet of r1 to A and, for order 1, dA/dv.
+call maps the jet of r1 to A and, for order 1, dA/dv.  derive_xi3 makes
+xi3 a Gauss-Legendre quadrature of the constraint, analytic in v.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .errors import ConfigError, OutOfDomain, as_array, check_range
 CONSTRAINT_TOL = 1e-8
 HOPF_TUBE_TOL = 1e-9
 XI1_SIN_FLOOR = 1e-6
-DERIVE_NODES = 1001     # odd, as composite Simpson wants
+XI1_SIN_SAMPLES = 1001  # the equally spaced v where |sin(xi1)| must clear the floor
+DERIVE_NODES = 201      # equally spaced quadrature nodes of a derived xi3
 PROFILE_SAMPLES = 257   # the v samples that decide admissibility and the branch
 
 
@@ -175,27 +177,55 @@ def _dgtsv(lower, diag, upper, b):
     return x
 
 
-class _DerivedXi3(Tabulated):
-    """xi3 produced by quadrature of the admissibility constraint.
+# The 4-point Gauss-Legendre rule on [0, 1], correctly rounded: nodes
+# (1 -+ t) / 2, t = sqrt(3/7 +- 2/7 sqrt(6/5)), and weights (18 -+ sqrt(30)) / 72
+GAUSS_NODES = (0.06943184420297371, 0.33000947820757187,
+               0.6699905217924281, 0.9305681557970263)
+GAUSS_WEIGHTS = (0.17392742256872692, 0.32607257743127305)   # outer pair, inner pair
 
-    Values come from cumulative composite Simpson on a dense node grid,
-    interpolated by the not-a-knot spline of Tabulated (both bit-compatible
-    with SciPy 1.17); the derivative is the exact integrand
-    cot^2(xi1) * xi2', so the constraint residual vanishes identically.
-    """
 
-    def __init__(self, xi1, xi2, v_nodes, values):
-        super().__init__(v_nodes, values)
-        self._xi1 = xi1
-        self._xi2 = xi2
+def _gauss(f, s):
+    """s times the rule's weighted sum of f (first axis over GAUSS_NODES),
+    in a fixed order, so a complex s rounds its real part as a real s does."""
+    return s * (GAUSS_WEIGHTS[0] * (f[0] + f[3]) + GAUSS_WEIGHTS[1] * (f[1] + f[2]))
+
+
+class _DerivedXi3:
+    """xi3 by quadrature of the admissibility constraint: the value at v is
+    the running sum of the 4-point Gauss-Legendre rule up to the nearest
+    node v_k plus the rule over [v_k, v], analytic in v (a complex step
+    passes through it); the jet's derivative is the exact integrand
+    cot^2(xi1) xi2', so the constraint residual vanishes.  ConfigError
+    when the integrand or a node value is not finite."""
+
+    def __init__(self, xi1, xi2, v_nodes, xi3_at_start):
+        self._xi1, self._xi2, self.v_nodes = xi1, xi2, v_nodes
+        self._mids = (v_nodes[:-1] + v_nodes[1:]) / 2
+        h = np.diff(v_nodes)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f = self._integrand(np.multiply.outer(GAUSS_NODES, h) + v_nodes[:-1])
+            self._values = xi3_at_start + np.concatenate(([0.0], np.cumsum(_gauss(f, h))))
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(self._values))):
+            raise ConfigError("the quadrature of the derived xi3 leaves the double range; "
+                              "supply xi3 explicitly")
+
+    def _integrand(self, v):
+        # cot^2 = 1 / sin^2 - 1, one trig call; a reciprocal, not a quotient:
+        # the real part of a complex reciprocal is the real one, that of a
+        # complex quotient not always
+        x1, = self._xi1.jet(v)
+        return ((1.0 / np.sin(x1)) ** 2 - 1.0) * self._xi2.jet(v, 1)[1]
 
     def jet(self, v, order=0):
-        value = super().jet(v)
-        if not order:
-            return value
-        x1, = self._xi1.jet(v)
-        s = np.sin(x1)
-        return value + ((np.cos(x1) / s) ** 2 * self._xi2.jet(v, 1)[1],)
+        v = check_range(v, self.v_nodes[0], self.v_nodes[-1], "v")
+        k = np.searchsorted(self._mids, v.real)
+        v_k = self.v_nodes.take(k)
+        s = v - v_k
+        points = np.multiply.outer(GAUSS_NODES, s) + v_k
+        # one integrand call: the rule's points and, for order 1, v itself
+        f = self._integrand(np.concatenate((points, v[None])) if order else points)
+        value = self._values.take(k) + _gauss(f, s)
+        return (value, f[4]) if order else (value,)
 
 
 # --------------------------------------------------------------------------
@@ -302,54 +332,23 @@ def assemble(profile: XiProfile, v, order: int = 0) -> np.ndarray:
 def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0) -> XiProfile:
     """Fill in xi3 so the admissibility constraint holds.
 
-    Integrates xi3' = cot^2(xi1) xi2' from xi3(v_min) = xi3_at_vmin with
-    cumulative composite Simpson on DERIVE_NODES equally spaced nodes,
-    bit-compatible with SciPy 1.17's cumulative_simpson(x=..., initial=0.0),
-    and the not-a-knot spline of Tabulated between them.  Requires
-    |sin(xi1)| bounded away from zero on the whole domain, and an integrand
-    and running integral inside the double range (ConfigError otherwise).
+    Integrates xi3' = cot^2(xi1) xi2' from xi3(v_min) = xi3_at_vmin by the
+    rule of _DerivedXi3 between DERIVE_NODES equal nodes and the knots of a
+    Tabulated xi1 or xi2, so that no interval spans a knot.  ConfigError
+    unless |sin(xi1)| >= XI1_SIN_FLOOR at XI1_SIN_SAMPLES equally spaced
+    points and the integrand and running integral stay in the double range.
     """
-    vs = np.linspace(profile.v_min, profile.v_max, DERIVE_NODES)
-    x1, = profile.xi1.jet(vs)
-    s1 = np.sin(x1)
-    if np.min(np.abs(s1)) < XI1_SIN_FLOOR:
-        raise ConfigError(
-            f"|sin(xi1)| drops to {np.min(np.abs(s1)):.2e} on the domain; "
-            "the constraint degenerates there, supply xi3 explicitly")
-    with np.errstate(over="ignore", invalid="ignore"):
-        integrand = (np.cos(x1) / s1) ** 2 * profile.xi2.jet(vs, 1)[1]
-        values = xi3_at_vmin + _cumulative_simpson(integrand, vs)
-    if not (np.all(np.isfinite(integrand)) and np.all(np.isfinite(values))):
-        raise ConfigError("the quadrature of the derived xi3 leaves the double range; "
-                          "supply xi3 explicitly")
-    xi3 = _DerivedXi3(profile.xi1, profile.xi2, vs, values)
-    return replace(profile, xi3=xi3)
-
-
-def _cumulative_simpson(y, x):
-    """Running integrals of y over the nodes x (>= 3), starting from 0 at
-    x[0]: the unequal-interval Simpson of SciPy 1.17's cumulative_simpson,
-    in its order of operations.  Interval i takes the parabola through its
-    two ends and the node after them for even i (h1), or the node before
-    them for odd i and the last interval (h2)."""
-    dx = np.diff(x)
-    h1 = _simpson_interval(dx[:-1], dx[1:], y[:-2], y[1:-1], y[2:])
-    h2 = _simpson_interval(dx[1:], dx[:-1], y[2:], y[1:-1], y[:-2])
-    parts = np.empty(dx.size)
-    parts[:-1:2] = h1[::2]
-    parts[1::2] = h2[::2]
-    parts[-1] = h2[-1]
-    return np.concatenate(([0.0], np.cumsum(parts) + 0.0))
-
-
-def _simpson_interval(x21, x32, f1, f2, f3):
-    """The integral from x1 to x2 of the parabola through (x1, f1),
-    (x2, f2), (x3, f3), given x21 = x2 - x1 and x32 = x3 - x2 (Cartwright's
-    eqn (8), as SciPy writes it)."""
-    x21_x31 = x21 / (x21 + x32)
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    return x21 / 6 * ((3 - x21_x31) * f1 + (3 + x21x21_x31x32 + x21_x31) * f2
-                      - x21x21_x31x32 * f3)
+    lo, hi = profile.v_min, profile.v_max
+    x1, = profile.xi1.jet(np.linspace(lo, hi, XI1_SIN_SAMPLES))
+    floor = np.min(np.abs(np.sin(x1)))
+    if floor < XI1_SIN_FLOOR:
+        raise ConfigError(f"|sin(xi1)| drops to {floor:.2e} on the domain; "
+                          "the constraint degenerates there, supply xi3 explicitly")
+    knots = [f.v_nodes for f in (profile.xi1, profile.xi2) if isinstance(f, Tabulated)]
+    # sorted and deduplicated by hand: np.unique imports numpy.ma
+    nodes = np.sort(np.concatenate([np.linspace(lo, hi, DERIVE_NODES), *knots]))
+    nodes = nodes[(nodes >= lo) & (nodes <= hi) & np.append(True, np.diff(nodes) > 0)]
+    return replace(profile, xi3=_DerivedXi3(profile.xi1, profile.xi2, nodes, xi3_at_vmin))
 
 
 def detect_hopf_tube(profile: XiProfile):

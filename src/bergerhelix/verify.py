@@ -41,7 +41,6 @@ from .surface import (
     _apply,
     _beta_jet,
     _dot,
-    beta,
     beta_derivatives,
     first_fundamental_form,
     first_order_system_residual,
@@ -425,14 +424,18 @@ def _separable_vs_direct(surface, config):
 
 
 def _fourth_order_ode(surface, config):
-    """Residual of F_uuuu + (b~^2 - 2 a~) F_uu + a~^2 F = 0."""
+    """Residual of F_uuuu + (b~^2 - 2 a~) F_uu + a~^2 F = 0, each component
+    divided by max(1, |A| (|beta_uuuu| + |b~^2 - 2 a~| |beta_uu| + a~^2 |beta|)),
+    the size of its terms: they reach about alpha1^4 at small eps, where
+    their rounding alone would exceed an absolute tolerance."""
     us, vs = _sample_points(surface, 1000, SEED)
     c = surface.consts
-    comb = beta_derivatives(us, c, 4) \
-        + (c.b_tilde ** 2 - 2.0 * c.a_tilde) * beta_derivatives(us, c, 2) \
-        + c.a_tilde ** 2 * beta(us, c)
+    b4, b2, b0 = _beta_jet(us, c, 4, 2, 0)
+    k2, k0 = c.b_tilde ** 2 - 2.0 * c.a_tilde, c.a_tilde ** 2
     A, = assemble(surface.profile, vs)
-    return {"fourth_order_ode": (np.abs(np.einsum('kij,kj->ki', A, comb)), us.size)}
+    comb = np.einsum('kij,kj->ki', A, b4 + k2 * b2 + k0 * b0)
+    size = np.einsum('kij,kj->ki', np.abs(A), np.abs(b4) + abs(k2) * np.abs(b2) + k0 * np.abs(b0))
+    return {"fourth_order_ode": (np.abs(comb) / np.maximum(1.0, size), us.size)}
 
 
 def _product_table(surface, config):

@@ -82,29 +82,34 @@ def test_tabulated_jet():
     assert_complex_step(step_derivative, derivative, second)
 
 
-def test_derived_xi3_jet():
-    # the value is the spline's, the derivative the exact integrand
-    # cot^2(xi1) xi2', whose own derivative is -2 cos(xi1) / sin^3(xi1) xi1' xi2';
-    # complex division multiplies by a reciprocal, so the integrand's real
-    # part agrees to rounding
-    prof = sinusoid_profile()
-    xi3 = prof.xi3
-    value, derivative = xi3.jet(VS, 1)
+def table_profile():
+    # xi1 through nodes at random v, which join the quadrature's nodes
+    rng = np.random.default_rng(11)
+    nodes = np.sort(np.concatenate(([0.0, 2 * math.pi], rng.uniform(0.1, 6.1, 7))))
+    return derive_xi3(XiProfile(xi=0.3, xi1=Tabulated(nodes, 0.8 + 0.2 * np.sin(nodes + 0.4)),
+                                xi2=Linear(-0.7), xi3=None, v_min=0.0, v_max=2 * math.pi))
+
+
+@pytest.mark.parametrize("profile", [sinusoid_profile, table_profile],
+                         ids=["sinusoid", "table"])
+def test_derived_xi3_jet(profile):
+    # the value is a quadrature, analytic in v, whose derivative is the jet's
+    # exact integrand cot^2(xi1) xi2'; that integrand's own derivative is
+    # -2 cos(xi1) / sin^3(xi1) xi1' xi2'
+    prof = profile()
+    value, derivative = prof.xi3.jet(VS, 1)
     (x1, d1), (_, d2) = prof.xi1.jet(VS, 1), prof.xi2.jet(VS, 1)
-    step_value, step_derivative = xi3.jet(stepped(VS), 1)
-    assert_complex_step(step_value, value, Tabulated.jet(xi3, VS, 1)[1])
-    assert_complex_step(step_derivative, derivative,
-                        -2.0 * np.cos(x1) / np.sin(x1) ** 3 * d1 * d2, value_rtol=1e-15)
+    step_value, step_derivative = prof.xi3.jet(stepped(VS), 1)
+    assert_complex_step(step_value, value, derivative)
+    assert_complex_step(step_derivative, derivative, -2.0 * np.cos(x1) / np.sin(x1) ** 3 * d1 * d2)
 
 
-@pytest.mark.parametrize("profile", [example_profile, sinusoid_profile],
-                         ids=["reference", "sinusoid_auto"])
+@pytest.mark.parametrize("profile", [example_profile, sinusoid_profile, table_profile],
+                         ids=["reference", "sinusoid_auto", "table_auto"])
 def test_assemble(profile):
-    # the derived xi3's jet derivative is the integrand, not the spline's
-    # own, so the two derivatives of A agree only to the quadrature error
     prof = profile()
     A, dA = assemble(prof, VS, 1)
-    assert_complex_step(assemble(prof, stepped(VS))[0], A, dA, rtol=1e-7)
+    assert_complex_step(assemble(prof, stepped(VS))[0], A, dA)
 
 
 def test_check_range():

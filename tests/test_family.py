@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 from bergerhelix.ambient import J1, J2, J3, BergerParams
 from bergerhelix.errors import ConfigError, OutOfDomain
 from bergerhelix.family import (
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
     Constant,
     Linear,
     Sinusoid,
     Tabulated,
     XiProfile,
-    _cumulative_simpson,
     _dgtsv,
     assemble,
     derive_xi3,
@@ -62,11 +64,8 @@ def profile_functions(draw):
     if kind == "table":
         values = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=12))
         return Tabulated(np.linspace(0.0, TWO_PI, len(values)), values)
-    # an xi1 offset of 0.6 or more keeps the value (a spline through the
-    # quadrature) within 1e-6 of the exact derivative cot^2(xi1) xi2' when
-    # differenced; at 0.5 the two differ by up to 2e-6
     xi1 = Sinusoid(draw(st.floats(0.01, 0.2)), draw(st.sampled_from([1.0, 2.0])),
-                   draw(st.floats(0.0, TWO_PI)), draw(st.floats(0.6, 1.0)))
+                   draw(st.floats(0.0, TWO_PI)), draw(st.floats(0.5, 1.0)))
     return derive_xi3(XiProfile(xi=0.0, xi1=xi1, xi2=Linear(draw(st.floats(0.5, 1.5))),
                                 xi3=None, v_min=0.0, v_max=TWO_PI)).xi3
 
@@ -479,29 +478,63 @@ def test_tabulated_matches_scipy_cubic_spline_bitwise():
             assert _same_bits(derivative, d_reference(v))
 
 
-def test_derived_xi3_matches_scipy_simpson_and_spline_bitwise():
-    interpolate = pytest.importorskip("scipy.interpolate")
+def random_knot_table(rng):
+    """A not-a-knot xi1 through 5-12 nodes at random v in [0, 2 pi], ends included."""
+    n = int(rng.integers(5, 13))
+    v_nodes = np.sort(np.concatenate(([0.0, TWO_PI], rng.uniform(0.1, TWO_PI - 0.1, n - 2))))
+    return Tabulated(v_nodes, math.pi / 4 + 0.3 * np.sin(v_nodes + rng.uniform(0, TWO_PI)))
+
+
+def test_derived_xi3_matches_quad():
     integrate = pytest.importorskip("scipy.integrate")
     rng = np.random.default_rng(1206)
-    for anchor in (0.0, -0.0, 0.4):
-        xi1 = Sinusoid(rng.uniform(0.01, 0.2), 2.0, rng.uniform(0, TWO_PI), rng.uniform(0.5, 1.0))
+    xi1s = [Sinusoid(a, 1.0, 0.0, math.pi / 4) for a in (0.01, 0.2, 0.5)]
+    xi1s += [Sinusoid(0.1, 2.0, 0.4, 0.8)] + [random_knot_table(rng) for _ in range(6)]
+    for xi1 in xi1s:
         prof = XiProfile(xi=0.0, xi1=xi1, xi2=Linear(rng.uniform(0.5, 1.5)), xi3=None,
                          v_min=0.0, v_max=TWO_PI)
-        xi3 = derive_xi3(prof, anchor).xi3
-        vs = xi3.v_nodes
-        x1, = xi1.jet(vs)
-        integrand = (np.cos(x1) / np.sin(x1)) ** 2 * prof.xi2.jet(vs, 1)[1]
-        values = anchor + integrate.cumulative_simpson(integrand, x=vs, initial=0.0)
-        assert vs.size == 1001
-        assert _same_bits(anchor + _cumulative_simpson(integrand, vs), values)
-        assert _same_bits(xi3._coef[3], values[:-1])   # the spline passes through them
-        reference = interpolate.CubicSpline(vs, values)
-        d_reference = reference.derivative()
-        assert _same_bits(xi3._coef, reference.c)
-        for v in _parity_points(vs):
-            assert _same_bits(xi3.jet(v)[0], reference(v))
-            # the spline's own derivative; _DerivedXi3.jet gives the exact integrand
-            assert _same_bits(Tabulated.jet(xi3, v, 1)[1], d_reference(v))
+        xi3 = derive_xi3(prof, 0.4).xi3
+
+        def integrand(v):
+            return (math.cos(xi1.jet(v)[0]) / math.sin(xi1.jet(v)[0])) ** 2 * prof.xi2.slope
+
+        for v in np.linspace(0.0, TWO_PI, 23)[1:]:
+            knots = [k for k in getattr(xi1, "v_nodes", ()) if 0.0 < k < v]
+            exact, _ = integrate.quad(integrand, 0.0, v, points=knots or None, limit=200,
+                                      epsabs=0.0, epsrel=1e-13)
+            assert abs(xi3.jet(v)[0] - 0.4 - exact) <= 1e-13, (xi1, v)
+
+
+def test_derived_xi3_is_exact_for_a_constant_xi1():
+    # xi3 = cot^2(xi1) (xi2(v) - xi2(v_min)): the rule integrates the
+    # quadratic pieces of a spline's derivative exactly, once the knots
+    # are nodes (without them it is off by up to 4e-8)
+    v_nodes = np.array([0.0, 0.7, 1.9, 2.2, 3.5, 4.1, 5.0, TWO_PI])
+    vs = np.linspace(0.0, TWO_PI, 1001)
+    for xi2 in (Linear(1.3, 0.2), Tabulated(v_nodes, np.sin(v_nodes) + 0.3 * v_nodes)):
+        for c in (0.4, math.pi / 4, 1.2):
+            prof = XiProfile(xi=0.0, xi1=Constant(c), xi2=xi2, xi3=None, v_min=0.0, v_max=TWO_PI)
+            exact = -0.5 + (math.cos(c) / math.sin(c)) ** 2 * (xi2.jet(vs)[0] - xi2.jet(0.0)[0])
+            got = derive_xi3(prof, -0.5).xi3.jet(vs)[0]
+            assert np.max(np.abs(got - exact)) <= 4e-15 * np.max(np.abs(exact)), (xi2, c)
+
+
+def test_gauss_rule_literals():
+    # correctly rounded closed forms; numpy's leggauss(4) on [0, 1] agrees
+    # to 1 ulp in the nodes, and its weights, normalised from an
+    # eigensolver's output, are 5 ulp off here
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r = (Decimal(6) / 5).sqrt()
+        t = [(Decimal(3) / 7 + sign * Decimal(2) / 7 * r).sqrt() for sign in (1, -1)]
+        nodes = [(1 - t[0]) / 2, (1 - t[1]) / 2, (1 + t[1]) / 2, (1 + t[0]) / 2]
+        weights = [(18 - Decimal(30).sqrt()) / 72, (18 + Decimal(30).sqrt()) / 72]
+    assert GAUSS_NODES == tuple(float(x) for x in nodes)
+    assert GAUSS_WEIGHTS == tuple(float(x) for x in weights)
+    x, w = np.polynomial.legendre.leggauss(4)
+    np.testing.assert_array_max_ulp(np.array(GAUSS_NODES), (1.0 + x) / 2, maxulp=1)
+    np.testing.assert_array_max_ulp(np.array(GAUSS_WEIGHTS + GAUSS_WEIGHTS[::-1]), w / 2,
+                                    maxulp=8)
 
 
 def test_dgtsv_matches_scipy_solve_banded_bitwise():

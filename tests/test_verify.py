@@ -435,16 +435,35 @@ def test_reference_surface_passes_across_the_parameter_range(eps, th):
     assert rep.overall_pass, [e for e in rep.entries if not e.passed]
 
 
-@pytest.mark.parametrize("fault", ["alpha1", "xi3"])
+@pytest.mark.parametrize("fault", ["alpha1", "alpha2", "a_tilde", "b_tilde", "xi3"])
 @pytest.mark.parametrize("eps,th", [(0.05, 0.01), (0.05, 1.55), (10.0, 0.01), (10.0, 1.55)])
 def test_faults_fail_at_the_range_corners(eps, th, fault):
     s = ref_surface(eps, th)
-    if fault == "alpha1":
-        s = make_surface(s.params, s.profile,
-                         consts=dataclasses.replace(s.consts, alpha1=s.consts.alpha1 * 1.01))
-    else:   # a 0.1% slope change breaks the admissibility constraint
+    if fault == "xi3":   # a 0.1% slope change breaks the admissibility constraint
         s = make_surface(s.params, dataclasses.replace(s.profile, xi3=Linear(1.001)))
+    else:
+        bad = dataclasses.replace(s.consts, **{fault: getattr(s.consts, fault) * 1.01})
+        s = make_surface(s.params, s.profile, consts=bad)
     assert not run_all(s).overall_pass
+
+
+# the corners, the middle, two inner points, and the point where the
+# fourth-order residual, taken absolutely, read 1.37e-10 on the reference
+# surface from the rounding of terms near alpha1^4 (D7)
+MENDED_POINTS = [(0.05, 0.01), (0.05, 1.55), (10.0, 0.01), (10.0, 1.55), (0.8, math.pi / 4),
+                 (0.131, 0.67), (0.343, 1.11), (0.050396309125589143, 1.5091288231402757)]
+
+
+@pytest.mark.parametrize("eps,th", MENDED_POINTS)
+@pytest.mark.parametrize("fv_method", ["analytic", "fd"])
+@pytest.mark.parametrize("profile", closed_form_profiles() + [example_profile()],
+                         ids=["sin0.01", "sin0.2", "sin0.5", "table", "xi0.3", "reference"])
+def test_valid_surfaces_pass_with_either_fv_method(profile, fv_method, eps, th):
+    # a derived xi3 whose value and derivative disagreed (D5) failed fd F_v
+    # on most of these, and the rounding of the fourth-order terms (D7) the
+    # last point
+    rep = run_all(make_surface(BergerParams(eps, th), profile, fv_method=fv_method))
+    assert rep.overall_pass, [e for e in rep.entries if not e.passed]
 
 
 def test_one_percent_curvature_fault_fails_gauss_curvature():
