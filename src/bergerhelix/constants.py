@@ -24,11 +24,10 @@ class HelixConstants:
 
     B is the fiber-deformation factor 1 + (eps^2 - 1) cos^2(theta);
     alpha1 > alpha2 > 0 are the angular frequencies of the torus
-    geodesic; g11 = c1 and g33 = c2 are the squared circle radii;
-    a_tilde, b_tilde the coefficients of the linear recursion satisfied
-    by the position vector; d_const, e_const, i_const the derived
-    product constants; gauss_k the intrinsic curvature; slope the
-    frequency ratio alpha2/alpha1.
+    geodesic; g11 and g33 are the squared circle radii; a_tilde, b_tilde
+    the coefficients of the linear recursion satisfied by the position
+    vector; d_const, e_const, i_const the derived product constants;
+    gauss_k the intrinsic curvature.
     """
 
     B: float
@@ -36,15 +35,12 @@ class HelixConstants:
     alpha2: float
     g11: float
     g33: float
-    c1: float
-    c2: float
     a_tilde: float
     b_tilde: float
     d_const: float
     e_const: float
     i_const: float
     gauss_k: float
-    slope: float
 
 
 def compute_constants(params: BergerParams) -> HelixConstants:
@@ -74,8 +70,6 @@ def _closed_forms(eps: float, th: float) -> HelixConstants:
     sB = math.sqrt(B)
     alpha1 = (B + eps * sB * ct) / eps
     alpha2 = (B - eps * sB * ct) / eps
-    c1 = 0.5 - eps * ct / (2.0 * sB)
-    c2 = 0.5 + eps * ct / (2.0 * sB)
     g11 = eps / (2.0 * B) * alpha2
     g33 = eps / (2.0 * B) * alpha1
     a_tilde = st * st * B / (eps * eps)
@@ -85,11 +79,10 @@ def _closed_forms(eps: float, th: float) -> HelixConstants:
         - B * a_tilde * a_tilde * st * st / (eps * eps)
     i_const = B * st * st * (st * st - 2.0 * B) / eps ** 3
     gauss_k = 4.0 * (1.0 - eps * eps) * ct * ct
-    slope = alpha2 / alpha1
     return HelixConstants(
-        B=B, alpha1=alpha1, alpha2=alpha2, g11=g11, g33=g33, c1=c1, c2=c2,
-        a_tilde=a_tilde, b_tilde=b_tilde, d_const=d_const, e_const=e_const,
-        i_const=i_const, gauss_k=gauss_k, slope=slope,
+        B=B, alpha1=alpha1, alpha2=alpha2, g11=g11, g33=g33, a_tilde=a_tilde,
+        b_tilde=b_tilde, d_const=d_const, e_const=e_const, i_const=i_const,
+        gauss_k=gauss_k,
     )
 
 

@@ -34,8 +34,10 @@ def as_array(x) -> np.ndarray:
 
 def check_range(x, lo: float, hi: float, name: str) -> np.ndarray:
     """x as_array, raising OutOfDomain when the real part of a value lies
-    more than 1e-12 outside [lo, hi]."""
+    more than 1e-12 outside [lo, hi].  A NaN is not outside: fmin and fmax
+    skip it, where min and max would return it and hide a value beside it."""
     x = as_array(x)
-    if np.any(x.real < lo - 1e-12) or np.any(x.real > hi + 1e-12):
+    if (np.fmin.reduce(x.real, axis=None, initial=np.inf) < lo - 1e-12
+            or np.fmax.reduce(x.real, axis=None, initial=-np.inf) > hi + 1e-12):
         raise OutOfDomain(f"{name} outside [{lo}, {hi}]")
     return x

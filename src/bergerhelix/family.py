@@ -336,13 +336,19 @@ def derive_xi3(profile: XiProfile, xi3_at_vmin: float = 0.0) -> XiProfile:
     rule of _DerivedXi3 between DERIVE_NODES equal nodes and the knots of a
     Tabulated xi1 or xi2, so that no interval spans a knot.  ConfigError
     unless |sin(xi1)| >= XI1_SIN_FLOOR at XI1_SIN_SAMPLES equally spaced
-    points and the integrand and running integral stay in the double range.
+    points, sin(xi1) keeps its sign between them (so xi1 crosses no multiple
+    of pi, where cot^2 has a pole) and the integrand and running integral
+    stay in the double range.
     """
     lo, hi = profile.v_min, profile.v_max
     x1, = profile.xi1.jet(np.linspace(lo, hi, XI1_SIN_SAMPLES))
-    floor = np.min(np.abs(np.sin(x1)))
+    s1 = np.sin(x1)
+    floor = np.min(np.abs(s1))
     if floor < XI1_SIN_FLOOR:
         raise ConfigError(f"|sin(xi1)| drops to {floor:.2e} on the domain; "
+                          "the constraint degenerates there, supply xi3 explicitly")
+    if np.any(s1[:-1] * s1[1:] < 0.0):
+        raise ConfigError("xi1 crosses a multiple of pi on the domain; "
                           "the constraint degenerates there, supply xi3 explicitly")
     knots = [f.v_nodes for f in (profile.xi1, profile.xi2) if isinstance(f, Tabulated)]
     # sorted and deduplicated by hand: np.unique imports numpy.ma

@@ -39,7 +39,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .ambient import J1, J2, J3, BergerParams, frame_components
-from .constants import HelixConstants, compute_constants
+from .constants import HelixConstants, compute_constants, phi_field
 from .errors import DegenerateTangentPlane, OutOfDomain, as_array, check_range
 from .family import XiProfile, assemble
 
@@ -361,14 +361,11 @@ _ROW, _COL = np.triu_indices(4)
 class SweepData:
     """The angle sweep on an nu x nv grid, indexed [i, j] for (us[i], vs[j]).
 
-    angle and defect are as in TangentData; fv_euclidean and fv_berger
-    are |F_v|^2 in the euclidean and the Berger metric.
+    angle and defect are as in TangentData.
     """
 
     angle: np.ndarray
     defect: np.ndarray
-    fv_euclidean: np.ndarray
-    fv_berger: np.ndarray
 
 
 def _sweep_forms(surface: HelixSurface, vs: np.ndarray):
@@ -404,9 +401,9 @@ def _products_minus(a, b, c, d, out, work):
 
 
 def sweep_blocks(surface: HelixSurface, us, vs) -> Iterator[SweepData]:
-    """The angle, defect code and |F_v|^2 of the surface on the grid
-    us x vs, from the separable quadratic forms of _sweep_forms, as one
-    SweepData per block of whole u rows.
+    """The angle and defect code of the surface on the grid us x vs, from
+    the separable quadratic forms of _sweep_forms, as one SweepData per
+    block of whole u rows.
 
     A block holds about SWEEP_BLOCK samples, and every block is computed
     in the same few buffers, so the work memory stays small however large
@@ -425,7 +422,7 @@ def sweep_blocks(surface: HelixSurface, us, vs) -> Iterator[SweepData]:
     rows = max(1, SWEEP_BLOCK // max(vs.size, 1))
     shape = (min(rows, us.size), vs.size)
     products = np.empty((9,) + shape)
-    fv_berger, n1, n2, angle, work = np.empty((5,) + shape)
+    n1, n2, angle, work = np.empty((4,) + shape)
     defect = np.empty(shape, np.int8)
     for i in range(0, us.size, rows):
         m = monomials[i:i + rows]
@@ -434,18 +431,17 @@ def sweep_blocks(surface: HelixSurface, us, vs) -> Iterator[SweepData]:
         for Pk, Ck in zip(P, C):
             np.matmul(m, Ck, out=Pk)
         j1_fu, cu2, cu3, j1_fv, cv2, cv3, fuu, fvv, fuv = P
-        # fvv + (eps^2 - 1) j1_fv^2, eps j1, fuu fvv - fuv^2 and the cross
-        # product of the frame components, each operation in the order of
-        # these formulas, written into the buffers
-        fvb, w = fv_berger[:r], work[:r]
-        np.add(fvv, np.multiply(eps * eps - 1.0, np.square(j1_fv, out=fvb), out=fvb), out=fvb)
+        # eps j1, fuu fvv - fuv^2 and the cross product of the frame
+        # components, each operation in the order of these formulas, written
+        # into the buffers
+        w = work[:r]
         cu1, cv1 = np.multiply(eps, j1_fu, out=j1_fu), np.multiply(eps, j1_fv, out=j1_fv)
         gram = _products_minus(fuu, fvv, fuv, fuv, fuu, w)
         N1 = _products_minus(cu2, cv3, cu3, cv2, n1[:r], w)
         N2 = _products_minus(cu3, cv1, cu1, cv3, n2[:r], w)
         N3 = _products_minus(cu1, cv2, cu2, cv1, fuv, w)
         codes, angles = _classify(gram, N1, N2, N3, (defect[:r], angle[:r], w))
-        yield SweepData(angle=angles, defect=codes, fv_euclidean=fvv, fv_berger=fvb)
+        yield SweepData(angle=angles, defect=codes)
 
 
 def sweep_grid(surface: HelixSurface, us, vs) -> SweepData:
@@ -470,8 +466,7 @@ def fit_phase_constant(surface: HelixSurface) -> float:
     u, v = surface.u_domain[0], surface.v_domain[0]
     td = _view(surface, u, v)
     p2, p3 = float(td.fu @ (J2 @ td.F)), float(td.fu @ (J3 @ td.F))
-    phi = math.atan2(-p3, -p2)
-    return phi + 2.0 * surface.consts.B / surface.params.epsilon * float(u)
+    return math.atan2(-p3, -p2) - float(phi_field(u, surface.consts, surface.params))
 
 
 def first_order_system_residual(surface: HelixSurface, u, v, c: float):
@@ -486,7 +481,7 @@ def first_order_system_residual(surface: HelixSurface, u, v, c: float):
     eps = surface.params.epsilon
     td = tangent_data(surface, u, v)
     F = td.F
-    phi = (-2.0 * surface.consts.B / eps * np.asarray(u, dtype=float) + c)[..., None]
+    phi = phi_field(np.asarray(u, dtype=float), surface.consts, surface.params, c)[..., None]
     rhs = math.sin(th) * (
         math.sin(th) / eps * (F @ J1.T)
         - math.cos(th) * np.cos(phi) * (F @ J2.T)

@@ -104,8 +104,8 @@ def test_criterion_04_closed_form_constant_identities():
             abs(c.alpha1 * c.alpha2 - c.B * st2 / eps ** 2) / (c.B * st2 / eps ** 2),
             abs((c.alpha1 ** 2 - c.alpha2 ** 2) ** 2 - 16 * c.B ** 3 * ct2 / eps ** 2)
             / (16 * c.B ** 3 * ct2 / eps ** 2),
-            abs(c.slope - (sB - eps * math.cos(th)) / (sB + eps * math.cos(th)))
-            / c.slope,
+            abs(c.alpha2 / c.alpha1 - (sB - eps * math.cos(th)) / (sB + eps * math.cos(th)))
+            / (c.alpha2 / c.alpha1),
         ]
         worst_rel = max(worst_rel, *rels)
     ok = worst_sum <= 1e-12 and worst_rel <= 1e-11
@@ -259,13 +259,14 @@ def test_criterion_10_figure_pipeline(tmp_path):
 
 
 def test_acceptance_reports_are_strict_json():
-    # no NaN or Infinity token: a report-only tolerance is written as null
+    # no NaN or Infinity token: a tolerance set to inf is written as null
     for eps, th in PAIRS:
-        rep = run_all(_surface(eps, th), VerifyConfig())
+        rep = run_all(_surface(eps, th), VerifyConfig(tolerances={"gauss_curvature": math.inf}))
         data = strict_json(rep.to_json())
         for got, entry in zip(data["checks"], rep.entries):
             assert got["tolerance"] == (entry.tolerance if math.isfinite(entry.tolerance) else None)
-        assert [c["tolerance"] for c in data["checks"]].count(None) == 2
+        assert [c["name"] for c in data["checks"] if c["tolerance"] is None] \
+            == ["gauss_curvature"]
 
 
 def test_acceptance_summary_report(tmp_path):

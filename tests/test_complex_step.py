@@ -120,6 +120,28 @@ def test_check_range():
         check_range(stepped([1.5]), 0.0, 1.0, "x")
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("x,outside", [
+    ([NAN, 2.0], True), ([2.0, NAN], True), ([NAN, -1.0], True), ([NAN, 0.5], False),
+    ([NAN, NAN], False), (NAN, False), ([], False), (np.empty((0, 3)), False),
+    ([INF], True), ([-INF], True), ([0.5, INF, NAN], True), (1.0 + 1e-13, False),
+    (1.0 + 1e-11, True), ([0.5 + 3j], False), ([1.5 + 0j], True), ([0.5 + NAN * 1j], False),
+    ([NAN + 0j, -0.5 + 0j], True), ([[0.5, NAN], [0.2, 1.0]], False),
+    ([[0.5, NAN], [0.2, 1.1]], True), (np.full((2, 3), NAN), False),
+])
+def test_check_range_verdicts_match_the_elementwise_rule(x, outside):
+    # the elementwise comparisons, which a NaN beside an outside value cannot hide
+    x = np.asarray(x)
+    assert bool(np.any(x.real < -1e-12) or np.any(x.real > 1.0 + 1e-12)) == outside
+    if outside:
+        with pytest.raises(OutOfDomain, match="x outside"):
+            check_range(x, 0.0, 1.0, "x")
+    else:
+        assert check_range(x, 0.0, 1.0, "x").tobytes() == x.tobytes()
+
+
 def test_beta_jet():
     us = np.linspace(0.0, 2 * math.pi / CONSTS.alpha2, 33)
     exact = _beta_jet(us, CONSTS, 0, 1, 2, 3, 4)

@@ -12,17 +12,15 @@ FROZEN = {
     (1.0, math.pi / 4): dict(
         B=1.0, alpha1=1.7071067811865475, alpha2=0.2928932188134525,
         g11=0.14644660940672624, g33=0.8535533905932737,
-        c1=0.14644660940672624, c2=0.8535533905932737,
         a_tilde=0.5, b_tilde=-2.0, d_const=1.25, e_const=3.625,
-        i_const=-0.75, gauss_k=0.0, slope=0.1715728752538099,
+        i_const=-0.75, gauss_k=0.0,
     ),
     (0.5, math.pi / 3): dict(
         B=0.8125, alpha1=2.0756939094329985, alpha2=1.1743060905670013,
         g11=0.3613249509436927, g33=0.6386750490563072,
-        c1=0.3613249509436927, c2=0.6386750490563072,
         a_tilde=2.4375, b_tilde=-3.25, d_const=7.921875,
         e_const=30.573486328125, i_const=-4.265625,
-        gauss_k=0.75, slope=0.5657414540893351,
+        gauss_k=0.75,
     ),
 }
 
@@ -74,15 +72,13 @@ def test_closed_form_identities_random_sweep():
         st2, ct2 = math.sin(th) ** 2, math.cos(th) ** 2
         assert c.B > 0
         assert abs(c.g11 + c.g33 - 1.0) < 1e-12
-        assert abs(c.g11 - c.c1) < 1e-12 and abs(c.g33 - c.c2) < 1e-12
         assert c.g11 * c.g33 == pytest.approx(st2 / (4 * c.B), rel=1e-11)
         assert c.alpha1 * c.alpha2 == pytest.approx(c.B * st2 / eps ** 2, rel=1e-11)
         assert (c.alpha1 ** 2 - c.alpha2 ** 2) ** 2 == pytest.approx(
             16 * c.B ** 3 * ct2 / eps ** 2, rel=1e-11)
         assert c.alpha1 > c.alpha2 > 0
-        assert 0 < c.slope < 1
         sB = math.sqrt(c.B)
-        assert c.slope == pytest.approx(
+        assert c.alpha2 / c.alpha1 == pytest.approx(
             (sB - eps * math.cos(th)) / (sB + eps * math.cos(th)), rel=1e-12, abs=1e-12)
 
 

@@ -288,6 +288,16 @@ def test_derive_xi3_refuses_degenerate_xi1():
         derive_xi3(prof)
 
 
+def test_derive_xi3_refuses_xi1_crossing_pi_between_its_samples():
+    # 0.5 + sin v crosses 0 twice on [0, 2 pi], each time between two of the
+    # floor's samples, where |sin(xi1)| stays above 1.8e-3; the quadrature
+    # then spans the pole of cot^2 and xi3(2 pi) read 2.5e6
+    prof = XiProfile(xi=0.0, xi1=Sinusoid(1.0, 1.0, 0.0, 0.5), xi2=Linear(1.0),
+                     xi3=None, v_min=0.0, v_max=2 * math.pi)
+    with pytest.raises(ConfigError, match="xi1 crosses a multiple of pi"):
+        derive_xi3(prof)
+
+
 def test_accepted_profiles_have_nonzero_motion():
     # 4 xi1'^2 + sin^2(2 xi1) (xi2' + xi3')^2 must be positive somewhere
     for _ in range(10):
