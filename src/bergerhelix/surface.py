@@ -1,23 +1,25 @@
 """The torus geodesic, the mapped surface F(u, v) = A(v) beta(u), and its
 differential data.
 
-One batched kernel, tangent_data, evaluates F, F_u, F_v, the normal and the
-Gram determinant at any (u, v) that broadcast against each other: a point,
-matched arrays, or us[:, None] against vs[None, :] for a grid, where A is
-built once per distinct v.  position, partials, normal_components,
-measured_angle, first_fundamental_form and sample_grid (and through it the
-exports) are views of it.
+The pointwise kernel, tangent_data, evaluates F, F_u, F_v, the normal and
+the Gram determinant at any (u, v) that broadcast against each other: a
+point, matched arrays, or us[:, None] against vs[None, :] for a grid, where
+A is built once per distinct v.  position, partials, normal_components,
+measured_angle and first_fundamental_form are views of it.
 
-verify's angle sweep has its own grid kernel, sweep_blocks.  All of the
-u-dependence of F sits in b = beta(u), and beta' = K b for a constant
-block rotation K, so every product the sweep needs is a quadratic form
-b^T Q(v) b: a (rows x 10) @ (10 x nv) product over the monomials b_i b_j,
-i <= j, for each block of u rows, and no (nu, nv, 4) array is built.  The
-generator yields the sweep one block at a time, so verify reduces each
-block as it arrives.  Every block is computed in the same buffers, one
-product buffer and a few work buffers allocated per call, so a yielded
-block is valid only until the next one is requested; sweep_grid copies
-the blocks into whole-grid arrays.
+The grid kernel, sweep_blocks, serves verify's angle sweep and
+sample_grid (and through it the exports).  All of the u-dependence of F
+sits in b = beta(u), and beta' = K b for a constant block rotation K, so
+every product the normal needs is a quadratic form b^T Q(v) b: a
+(rows x 10) @ (10 x nv) product over the monomials b_i b_j, i <= j, for
+each block of u rows, and no (nu, nv, 4) array is built.  The generator
+yields the normal, angle and defect codes one block at a time, so verify
+reduces each block as it arrives.  Every block is computed in the same
+buffers, one product buffer and a few work buffers allocated per call, so
+a yielded block is valid only until the next one is requested; sweep_grid
+copies the blocks into whole-grid arrays.  sample_grid takes its normals,
+angles and defect codes from sweep_grid, and its positions from the einsum
+of tangent_data, so they equal tangent_data's F bit for bit.
 
 F_v is dA/dv beta(u) from the profile jets, or with fv_method "fd" from a
 complex step of A's value code.  tangent_data keeps complex (u, v) complex.
@@ -308,7 +310,7 @@ def first_fundamental_form(surface: HelixSurface, u, v):
 
 @dataclass
 class SurfaceGrid:
-    """Uniform samples of a surface with per-sample differential data.
+    """Uniform samples of a surface: positions, normals and angles.
 
     Arrays are indexed [i, j] for (us[i], vs[j]).  Samples the kernel
     cannot use (see DEFECT_KINDS) are listed in defects and carry NaN
@@ -318,8 +320,6 @@ class SurfaceGrid:
     us: np.ndarray
     vs: np.ndarray
     positions: np.ndarray          # (nu, nv, 4)
-    fu: np.ndarray                 # (nu, nv, 4)
-    fv: np.ndarray                 # (nu, nv, 4)
     normals: np.ndarray            # (nu, nv, 3) frame components
     angles: np.ndarray             # (nu, nv)
     fv_method: str
@@ -341,16 +341,21 @@ def grid_axes(surface: HelixSurface, nu: int, nv: int):
 def sample_grid(surface: HelixSurface, nu: int, nv: int) -> SurfaceGrid:
     """Evaluate the surface on a uniform nu x nv grid.
 
-    One tangent_data call; defective samples are recorded, not fatal.
+    The normals, angles and defect codes are those of sweep_grid.  The
+    positions A(v) beta(u) are tangent_data's, by the same einsum, so they
+    equal its F bit for bit.  One _family_jet serves both, so the profile
+    is assembled once.  Defective samples are recorded, not fatal.
     """
     us, vs = grid_axes(surface, nu, nv)
-    td = tangent_data(surface, us[:, None], vs[None, :])
-    td.normal[td.defect != 0] = np.nan
-    defects = [(int(i), int(j), DEFECT_KINDS[td.defect[i, j] - 1])
-               for i, j in zip(*np.nonzero(td.defect))]
-    return SurfaceGrid(us=us, vs=vs, positions=td.F, fu=td.fu, fv=td.fv,
-                       normals=td.normal, angles=td.angle,
-                       fv_method=surface.fv_method, defects=defects)
+    jet = _family_jet(surface, vs, lambda D: D)
+    positions = _apply(jet[0], beta(us, surface.consts)[:, None])
+    sweep = sweep_grid(surface, us, vs, jet)
+    normals = np.stack((sweep.n1, sweep.n2, sweep.n3), axis=-1)
+    normals[sweep.defect != 0] = np.nan
+    defects = [(int(i), int(j), DEFECT_KINDS[sweep.defect[i, j] - 1])
+               for i, j in zip(*np.nonzero(sweep.defect))]
+    return SurfaceGrid(us=us, vs=vs, positions=positions, normals=normals,
+                       angles=sweep.angle, fv_method=surface.fv_method, defects=defects)
 
 
 # the ten monomials b_i b_j, i <= j, of the sweep's quadratic forms
@@ -359,27 +364,33 @@ _ROW, _COL = np.triu_indices(4)
 
 @dataclass
 class SweepData:
-    """The angle sweep on an nu x nv grid, indexed [i, j] for (us[i], vs[j]).
+    """The separable kernel on an nu x nv grid, indexed [i, j] for
+    (us[i], vs[j]).
 
-    angle and defect are as in TangentData.
+    angle and defect are as in TangentData, and n1, n2, n3 are the frame
+    components of its normal.
     """
 
     angle: np.ndarray
     defect: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+    n3: np.ndarray
 
 
-def _sweep_forms(surface: HelixSurface, vs: np.ndarray):
+def _sweep_forms(surface: HelixSurface, vs: np.ndarray, jet=None):
     """Monomial coefficients of the sweep's nine quadratic forms in b.
 
     Returns C, (9, 10, nv), holding per v the coefficients of
     <F_u, J_k F> (k = 1, 2, 3), <F_v, J_k F> (k = 1, 2, 3), |F_u|^2,
-    |F_v|^2 and <F_u, F_v>, with F = A b, F_u = A K b and F_v = D b; D is
-    the matrix of _family_jet.  Every Q(v) is built from the assembled
-    matrices, so the sweep leans on no identity of the family (orthogonality, A J1 = J1 A)
+    |F_v|^2 and <F_u, F_v>, with F = A b, F_u = A K b and F_v = D b.
+    jet is (A, D), _family_jet on vs with D its matrix, assembled here if
+    not given.  Every Q(v) is built from the assembled matrices, so the
+    sweep leans on no identity of the family (orthogonality, A J1 = J1 A)
     that the family checks certify.
     """
     c = surface.consts
-    A, D = _family_jet(surface, vs, lambda D: D)
+    A, D = _family_jet(surface, vs, lambda D: D) if jet is None else jet
     # beta' = K beta: K turns each complex coordinate of beta at its frequency
     K = np.zeros((4, 4))
     K[1, 0], K[3, 2] = c.alpha1, c.alpha2
@@ -400,10 +411,10 @@ def _products_minus(a, b, c, d, out, work):
     return np.subtract(out, np.multiply(c, d, out=work), out=out)
 
 
-def sweep_blocks(surface: HelixSurface, us, vs) -> Iterator[SweepData]:
-    """The angle and defect code of the surface on the grid us x vs, from
-    the separable quadratic forms of _sweep_forms, as one SweepData per
-    block of whole u rows.
+def sweep_blocks(surface: HelixSurface, us, vs, jet=None) -> Iterator[SweepData]:
+    """The angle, defect code and normal of the surface on the grid
+    us x vs, from the separable quadratic forms of _sweep_forms (given
+    jet), as one SweepData per block of whole u rows.
 
     A block holds about SWEEP_BLOCK samples, and every block is computed
     in the same few buffers, so the work memory stays small however large
@@ -415,7 +426,7 @@ def sweep_blocks(surface: HelixSurface, us, vs) -> Iterator[SweepData]:
     """
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
-    C = _sweep_forms(surface, vs)
+    C = _sweep_forms(surface, vs, jet)
     b = beta(us, surface.consts)
     monomials = b[:, _ROW] * b[:, _COL]
     eps = surface.params.epsilon
@@ -441,13 +452,13 @@ def sweep_blocks(surface: HelixSurface, us, vs) -> Iterator[SweepData]:
         N2 = _products_minus(cu3, cv1, cu1, cv3, n2[:r], w)
         N3 = _products_minus(cu1, cv2, cu2, cv1, fuv, w)
         codes, angles = _classify(gram, N1, N2, N3, (defect[:r], angle[:r], w))
-        yield SweepData(angle=angles, defect=codes)
+        yield SweepData(angle=angles, defect=codes, n1=N1, n2=N2, n3=N3)
 
 
-def sweep_grid(surface: HelixSurface, us, vs) -> SweepData:
+def sweep_grid(surface: HelixSurface, us, vs, jet=None) -> SweepData:
     """The blocks of sweep_blocks copied into whole (nu, nv) arrays."""
     blocks = [[getattr(block, f.name).copy() for f in fields(SweepData)]
-              for block in sweep_blocks(surface, us, vs)]
+              for block in sweep_blocks(surface, us, vs, jet)]
     return SweepData(*map(np.concatenate, zip(*blocks)))
 
 

@@ -393,7 +393,6 @@ def test_extreme_grid_matches_per_value_reference():
     nu, nv = 9, 7
     grid = SurfaceGrid(us=extreme_values(rng, nu), vs=extreme_values(rng, nv),
                        positions=extreme_values(rng, (nu, nv, 4)),
-                       fu=np.zeros((nu, nv, 4)), fv=np.zeros((nu, nv, 4)),
                        normals=extreme_values(rng, (nu, nv, 3)),
                        angles=extreme_values(rng, (nu, nv)), fv_method="analytic")
     assert export_csv(grid) == csv_reference(grid)

@@ -20,6 +20,7 @@ from bergerhelix.family import (
     example_profile,
 )
 from bergerhelix.surface import (
+    DEFECT_KINDS,
     DEGENERATE,
     GRAM_DET_TOL,
     NON_FINITE,
@@ -40,6 +41,7 @@ from bergerhelix.surface import (
     sweep_grid,
     tangent_data,
 )
+from test_verify import nan_tail_surface
 
 P_REF = BergerParams(1.0, math.pi / 4)
 C_REF = compute_constants(P_REF)
@@ -296,8 +298,13 @@ def test_grid_records_degenerate_samples():
 
 @pytest.mark.parametrize("fv_method", ["analytic", "fd"])
 def test_pointwise_views_equal_grid_at_nodes(fv_method):
+    # the pointwise views and the positions are tangent_data's, bit for bit;
+    # the grid's normals and angles are the sweep kernel's, equal to rounding
     s = surface_ref(fv_method=fv_method)
     g = sample_grid(s, 11, 9)
+    td = tangent_data(s, g.us[:, None], g.vs[None, :])
+    assert g.defects == [(i, j, DEFECT_KINDS[td.defect[i, j] - 1])
+                         for i, j in zip(*np.nonzero(td.defect))]
     defects = {(i, j) for i, j, _ in g.defects}
     nodes = [(i, j) for i in (1, 4, 7, 10) for j in (1, 3, 4, 7)]
     assert not defects & set(nodes)          # fd: interior columns only
@@ -305,9 +312,39 @@ def test_pointwise_views_equal_grid_at_nodes(fv_method):
         u, v = g.us[i], g.vs[j]
         assert np.array_equal(position(s, u, v), g.positions[i, j])
         fu, fv = partials(s, u, v)
-        assert np.array_equal(fu, g.fu[i, j]) and np.array_equal(fv, g.fv[i, j])
-        assert np.array_equal(normal_components(s, u, v), g.normals[i, j])
-        assert measured_angle(s, u, v) == g.angles[i, j]
+        assert np.array_equal(fu, td.fu[i, j]) and np.array_equal(fv, td.fv[i, j])
+        normal = np.array(normal_components(s, u, v))
+        assert np.array_equal(normal, td.normal[i, j])
+        assert np.max(np.abs(normal - g.normals[i, j])) <= 1e-10
+        angle = measured_angle(s, u, v)
+        assert angle == td.angle[i, j]
+        assert abs(angle - g.angles[i, j]) <= 1e-10
+
+
+@pytest.mark.parametrize("block", [surface_module.SWEEP_BLOCK, 3 * 19 + 5])
+@pytest.mark.parametrize("case", ["analytic", "fd", "nan_tail"])
+def test_sample_grid_is_the_sweep_kernel(monkeypatch, case, block):
+    """Normals, angles and defect codes are sweep_grid's and positions are
+    tangent_data's F, bit for bit, so the exported bytes follow those two
+    kernels; the small block splits the 23 rows into ragged blocks."""
+    s = {"analytic": surface_ref,
+         "fd": lambda: make_surface(BergerParams(0.8, math.pi / 3), example_profile(),
+                                    fv_method="fd"),
+         "nan_tail": nan_tail_surface}[case]()
+    monkeypatch.setattr(surface_module, "SWEEP_BLOCK", block)
+    g = sample_grid(s, 23, 19)
+    sweep = sweep_grid(s, *grid_axes(s, 23, 19))
+    assert_same_bits(g.positions, tangent_data(s, g.us[:, None], g.vs[None, :]).F)
+    assert_same_bits(g.angles, sweep.angle)
+    codes = np.zeros(g.shape, np.int8)
+    for i, j, kind in g.defects:
+        codes[i, j] = DEFECT_KINDS.index(kind) + 1
+    assert_same_bits(codes, sweep.defect)
+    ok = sweep.defect == 0
+    assert_same_bits(g.normals[ok], np.stack((sweep.n1, sweep.n2, sweep.n3), axis=-1)[ok])
+    assert np.all(np.isnan(g.normals[~ok]))
+    # every case masks something: the degenerate row u = 0, and on nan_tail NaN columns
+    assert np.any(~ok) and (case != "nan_tail" or np.any(sweep.defect == NON_FINITE))
 
 
 def test_grid_rejects_trivial_sizes():

@@ -18,6 +18,7 @@ import bergerhelix.verify as verify_module
 from bergerhelix.ambient import BergerParams
 from bergerhelix.constants import HelixConstants, compute_constants
 from bergerhelix.errors import ConfigError, as_array
+from bergerhelix.export import export_csv, export_obj, project_grid
 from bergerhelix.family import (Constant, Linear, Sinusoid, Tabulated, XiProfile,
                                 derive_xi3, example_profile)
 from bergerhelix.surface import (
@@ -286,7 +287,8 @@ def test_run_all_is_deterministic():
 
 def blas_outputs():
     """The report bytes of the reference surface at the default 81 x 81
-    and at 41 x 1001, and a digest of the 41 x 1001 sweep arrays.  At
+    and at 41 x 1001, a digest of the 41 x 1001 sweep arrays, and digests
+    of the CSV and OBJ of its sample_grid at 251 x 251 and 41 x 1001.  At
     81 x 81 the sweep is one (81 x 10) @ (10 x 81) product per quadratic
     form; at 41 x 1001 a block is (32 x 10) @ (10 x 1001), above
     OpenBLAS's default threading threshold of 65536 * 4 multiply-adds."""
@@ -295,7 +297,13 @@ def blas_outputs():
     digest = hashlib.sha256()
     for f in dataclasses.fields(sweep):
         digest.update(getattr(sweep, f.name).tobytes())
-    return [run_all(s).to_json(), run_all(s, VerifyConfig(41, 1001)).to_json(), digest.hexdigest()]
+    exports = []
+    for nu, nv in ((251, 251), (41, 1001)):
+        g = sample_grid(s, nu, nv)
+        exports += [hashlib.sha256(export_csv(g)).hexdigest(),
+                    hashlib.sha256(export_obj(project_grid(g))).hexdigest()]
+    return [run_all(s).to_json(), run_all(s, VerifyConfig(41, 1001)).to_json(),
+            digest.hexdigest(), *exports]
 
 
 def test_report_bytes_do_not_depend_on_the_blas_thread_count():
@@ -551,13 +559,15 @@ def test_non_finite_samples_fail_angle_constancy():
 
 
 def test_sweep_grid_labels_non_finite_samples_as_the_grid_does():
+    # sample_grid is a view of sweep_grid, so the grid to compare is tangent_data's
     s = nan_tail_surface()
-    g = sample_grid(s, 81, 81)
-    sweep = sweep_grid(s, g.us, g.vs)
+    us, vs = grid_axes(s, 81, 81)
+    sweep = sweep_grid(s, us, vs)
+    td = tangent_data(s, us[:, None], vs[None, :])
     labelled = {(int(i), int(j)) for i, j in zip(*np.nonzero(sweep.defect == NON_FINITE))}
     assert len(labelled) == 324
-    assert labelled == {(i, j) for i, j, kind in g.defects if kind == "non_finite"}
-    assert np.array_equal(np.isnan(sweep.angle), np.isnan(g.angles))
+    assert labelled == {(int(i), int(j)) for i, j in zip(*np.nonzero(td.defect == NON_FINITE))}
+    assert np.array_equal(np.isnan(sweep.angle), np.isnan(td.angle))
 
 
 # ------------------------------------------------------- the streamed sweep
@@ -741,8 +751,8 @@ def test_separable_vs_direct_small_grid_compares_every_point():
 def test_separable_vs_direct_detects_a_faulty_kernel(monkeypatch, fault):
     forms = surface_module._sweep_forms
 
-    def faulty(surface, vs):
-        C = forms(surface, vs)
+    def faulty(surface, vs, jet=None):
+        C = forms(surface, vs, jet)
         if fault == "coefficient":
             C[1, 2] *= 1.0 + 1e-6      # the b_0 b_2 coefficient of <F_u, J2 F>
         else:
