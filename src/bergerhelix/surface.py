@@ -17,9 +17,10 @@ yields the normal, angle and defect codes one block at a time, so verify
 reduces each block as it arrives.  Every block is computed in the same
 buffers, one product buffer and a few work buffers allocated per call, so
 a yielded block is valid only until the next one is requested; sweep_grid
-copies the blocks into whole-grid arrays.  sample_grid takes its normals,
-angles and defect codes from sweep_grid, and its positions from the einsum
-of tangent_data, so they equal tangent_data's F bit for bit.
+writes each block into preallocated whole-grid arrays.  sample_grid takes
+its normals, angles and defect codes from sweep_grid, and its positions
+from the einsum of tangent_data, so they equal tangent_data's F bit for
+bit.
 
 F_v is dA/dv beta(u) from the profile jets, or with fv_method "fd" from a
 complex step of A's value code.  tangent_data keeps complex (u, v) complex.
@@ -456,10 +457,17 @@ def sweep_blocks(surface: HelixSurface, us, vs, jet=None) -> Iterator[SweepData]
 
 
 def sweep_grid(surface: HelixSurface, us, vs, jet=None) -> SweepData:
-    """The blocks of sweep_blocks copied into whole (nu, nv) arrays."""
-    blocks = [[getattr(block, f.name).copy() for f in fields(SweepData)]
-              for block in sweep_blocks(surface, us, vs, jet)]
-    return SweepData(*map(np.concatenate, zip(*blocks)))
+    """The blocks of sweep_blocks written into whole (nu, nv) arrays."""
+    shape = (np.size(us), np.size(vs))
+    grid = SweepData(*(np.empty(shape, np.int8 if f.name == "defect" else float)
+                       for f in fields(SweepData)))
+    start = 0
+    for block in sweep_blocks(surface, us, vs, jet):
+        stop = start + block.angle.shape[0]
+        for f in fields(SweepData):
+            getattr(grid, f.name)[start:stop] = getattr(block, f.name)
+        start = stop
+    return grid
 
 
 # --------------------------------------------------------------------------

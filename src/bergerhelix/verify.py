@@ -1,18 +1,20 @@
 """Numerical certification of every checkable identity of a helix surface.
 
-The checks form one registry, CHECKS.  Each maps a surface and a
-VerifyConfig to named residuals with their sample counts, and evaluates F
-and its partials through one surface.tangent_data call over all of its
-points, except the angle sweep: it covers the whole nu x nv grid through
-the separable kernel surface.sweep_blocks and reduces each block of u rows
-as it arrives, so no full-grid array is held, and the check
-separable_vs_direct compares that kernel with tangent_data on a subgrid of
-at most 21 x 21 of the same points.  run_all is a loop over the registry:
-it skips the helix-only checks on a Hopf tube, looks up each tolerance,
-reduces every residual with a NaN-propagating max (so a NaN fails its
-entry) and collects the entries in a CheckReport.  Sample points come from
-a deterministic low-discrepancy sequence, so two runs with the same
-configuration produce byte-identical reports.
+The checks form one registry, CHECKS.  Each maps a run, the surface and
+VerifyConfig of one run_all call, to named residuals with their sample
+counts.  The run evaluates each point set that several checks read once,
+on first use, and drops it with the call: the grid axes, the family A(v)
+on them, one pass of the separable kernel surface.sweep_blocks over the
+whole nu x nv grid, the nine interior points of the curvature and the
+shape operator, and beta's jet at the 32 points of the u-products.  The
+sweep reduces each block of u rows as it arrives, so no full-grid array is
+held, and keeps the samples of a subgrid of at most 21 x 21 of its
+points, which separable_vs_direct compares with tangent_data.  run_all is
+a loop over the registry: it skips the helix-only checks on a Hopf tube,
+looks up each tolerance, reduces every residual with a NaN-propagating max
+(so a NaN fails its entry) and collects the entries in a CheckReport.
+Sample points come from a deterministic low-discrepancy sequence, so two
+runs with the same configuration produce byte-identical reports.
 
 Every derivative a check takes is a complex step Im f(x + ih) / h with
 h = surface.CSTEP, exact to rounding, with no step to tune per surface.
@@ -25,6 +27,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,14 +44,13 @@ from .surface import (
     _apply,
     _beta_jet,
     _dot,
-    beta_derivatives,
+    _family_jet,
     first_fundamental_form,
     first_order_system_residual,
     fit_phase_constant,
     grid_axes,
     recover_coefficient_fields,
     sweep_blocks,
-    sweep_grid,
     tangent_data,
 )
 
@@ -130,13 +132,16 @@ def _json_number(x: float) -> Optional[float]:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Grid size of the angle sweep and tolerance overrides."""
+    """Grid size of the angle sweep, at least 2 x 2, and tolerance
+    overrides."""
 
     nu: int = 81
     nv: int = 81
     tolerances: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.nu < 2 or self.nv < 2:
+            raise ConfigError(f"grid needs nu, nv >= 2, got ({self.nu}, {self.nv})")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ConfigError(f"unknown tolerance names {unknown}; known names: "
@@ -336,76 +341,120 @@ def normal_closed_form_n1(surface: HelixSurface, u, v):
 
 
 # --------------------------------------------------------------------------
-# the registry: fn(surface, config) -> {entry: (residual, samples[, note])}
+# the run of one run_all call, and the registry:
+# fn(run) -> {entry: (residual, samples[, note])}
 # --------------------------------------------------------------------------
 
-def _family_vs(surface: HelixSurface, config: VerifyConfig) -> np.ndarray:
-    return np.linspace(surface.v_domain[0], surface.v_domain[1], max(config.nv, 2))
+class _Run:
+    """The surface and config of one run_all call, and the point sets
+    that several checks share, each evaluated on first use.  A run lives
+    for one call, so nothing is kept between calls."""
+
+    def __init__(self, surface: HelixSurface, config: VerifyConfig):
+        self.surface, self.config = surface, config
+
+    @cached_property
+    def axes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The axes (us, vs) of the nu x nv grid."""
+        return grid_axes(self.surface, self.config.nu, self.config.nv)
+
+    @cached_property
+    def family_jet(self):
+        """(A, dA/dv) on the grid's vs, as _family_jet gives them."""
+        return _family_jet(self.surface, self.axes[1], lambda D: D)
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """The interior points of the curvature and the shape operator."""
+        return _interior_points(self.surface)
+
+    @cached_property
+    def u_jet(self):
+        """(us, vs, jet) at the 32 sample points of the u-products, jet
+        beta and its first three u-derivatives from one cos/sin pass."""
+        us, vs = _sample_points(self.surface, 32, SEED)
+        return us, vs, _beta_jet(us, self.surface.consts, 0, 1, 2, 3)
+
+    @cached_property
+    def sweep(self):
+        """One pass of sweep_blocks over the grid, on family_jet, as
+        (peaks, counted, subgrid, angle, defect).
+
+        Each block is reduced as it arrives to the peaks and count of
+        angle_constancy: its NaN-propagating extremes are exact, so the
+        entry equals that of the whole grid bit for bit.  A block whose
+        extremes are all finite counts every sample, and its largest
+        |angle - target| is read from its extreme angles, since rounding
+        keeps the order; only a block with a NaN or an infinity goes
+        through the per-sample masks.  subgrid holds the indices, per axis,
+        of at most SUBGRID_SIDE evenly spread grid points, and angle and
+        defect the samples there, copied from the blocks that hold them.
+        """
+        surface = self.surface
+        target = math.pi / 2 if surface.profile.hopf_tube[0] else surface.params.theta
+        iu, iv = (np.linspace(0, axis.size - 1, min(axis.size, SUBGRID_SIDE)).round().astype(int)
+                  for axis in self.axes)
+        peaks, counted, angles, defects, start = [], 0, [], [], 0
+        for block in sweep_blocks(surface, *self.axes, self.family_jet):
+            angle = block.angle
+            stop = start + angle.shape[0]
+            sub = np.ix_(iu[(iu >= start) & (iu < stop)] - start, iv)
+            angles.append(angle[sub])
+            defects.append(block.defect[sub])
+            start = stop
+            low, high = np.min(angle), np.max(angle)
+            if math.isfinite(low) and math.isfinite(high):
+                peaks.append(max(high - target, target - low))
+                counted += angle.size
+            else:
+                kept = ~np.isnan(angle) | (block.defect == NON_FINITE)
+                n = int(np.count_nonzero(kept))
+                if n:
+                    peaks.append(np.max(np.abs(angle[kept] - target)))
+                    counted += n
+        return peaks, counted, (iu, iv), np.concatenate(angles), np.concatenate(defects)
 
 
-def _family(surface, config):
-    vs = _family_vs(surface, config)
-    A, = assemble(surface.profile, vs)
+def _family(run):
+    vs, (A, _) = run.axes[1], run.family_jet
     return {
         "family_orthogonality": (np.abs(np.einsum('kij,kil->kjl', A, A) - np.eye(4)), vs.size),
         "family_j1_commutation": (np.abs(A @ J1 - J1 @ A), vs.size),
     }
 
 
-def _profile_constraint(surface, config):
-    vs = _family_vs(surface, config)
-    return {"profile_constraint": (surface.profile.constraint_residual(vs), vs.size)}
+def _profile_constraint(run):
+    vs = run.axes[1]
+    return {"profile_constraint": (run.surface.profile.constraint_residual(vs), vs.size)}
 
 
-def _angle_sweep(surface, config):
+def _angle_sweep(run):
     """The constant angle over the nu x nv grid (pi/2 on a Hopf tube),
-    counting non-finite samples so that they fail it, from the separable
-    kernel.
-
-    Each block of sweep_blocks is reduced as it arrives to its
-    NaN-propagating extremes and count; maxima and minima are exact, so
-    the entry equals that of the whole grid bit for bit.  A block whose
-    extremes are all finite counts every sample, and its largest
-    |angle - target| is read from its extreme angles, since rounding keeps
-    the order; only a block with a NaN or an infinity goes through the
-    per-sample masks.  The angle residual is the list of block maxima,
-    empty (inf) when no sample counts.
-    """
-    target = math.pi / 2 if surface.profile.hopf_tube[0] else surface.params.theta
-    peaks, counted = [], 0
-    for block in sweep_blocks(surface, *grid_axes(surface, config.nu, config.nv)):
-        angle = block.angle
-        low, high = np.min(angle), np.max(angle)
-        if math.isfinite(low) and math.isfinite(high):
-            peaks.append(max(high - target, target - low))
-            counted += angle.size
-        else:
-            kept = ~np.isnan(angle) | (block.defect == NON_FINITE)
-            n = int(np.count_nonzero(kept))
-            if n:
-                peaks.append(np.max(np.abs(angle[kept] - target)))
-                counted += n
+    counting non-finite samples so that they fail it, from the run's sweep
+    of the separable kernel.  The residual is the list of block maxima,
+    empty (inf) when no sample counts."""
+    peaks, counted, *_ = run.sweep
     return {"angle_constancy": (peaks, counted)}
 
 
-def _separable_vs_direct(surface, config):
-    """The sweep's separable kernel against tangent_data on at most
-    SUBGRID_SIDE^2 points of the sweep grid: inf where the defect codes
+def _separable_vs_direct(run):
+    """The sweep's separable kernel against tangent_data on its subgrid,
+    the very samples angle_constancy reduced: inf where the defect codes
     differ, else the largest angle difference over usable samples."""
-    us, vs = (axis[np.linspace(0, axis.size - 1, min(axis.size, SUBGRID_SIDE)).round().astype(int)]
-              for axis in grid_axes(surface, config.nu, config.nv))
-    sep = sweep_grid(surface, us, vs)
-    direct = tangent_data(surface, us[:, None], vs[None, :])
-    diff = np.where(direct.defect == 0, np.abs(sep.angle - direct.angle), 0.0)
-    return {"separable_vs_direct": (np.where(sep.defect == direct.defect, diff, math.inf),
+    *_, (iu, iv), angle, defect = run.sweep
+    us, vs = run.axes
+    direct = tangent_data(run.surface, us[iu, None], vs[None, iv])
+    diff = np.where(direct.defect == 0, np.abs(angle - direct.angle), 0.0)
+    return {"separable_vs_direct": (np.where(defect == direct.defect, diff, math.inf),
                                     diff.size)}
 
 
-def _fourth_order_ode(surface, config):
+def _fourth_order_ode(run):
     """Residual of F_uuuu + (b~^2 - 2 a~) F_uu + a~^2 F = 0, each component
     divided by max(1, |A| (|beta_uuuu| + |b~^2 - 2 a~| |beta_uu| + a~^2 |beta|)),
     the size of its terms: they reach about alpha1^4 at small eps, where
     their rounding alone would exceed an absolute tolerance."""
+    surface = run.surface
     us, vs = _sample_points(surface, 1000, SEED)
     c = surface.consts
     b4, b2, b0 = _beta_jet(us, c, 4, 2, 0)
@@ -416,7 +465,7 @@ def _fourth_order_ode(surface, config):
     return {"fourth_order_ode": (np.abs(comb) / np.maximum(1.0, size), us.size)}
 
 
-def _product_table(surface, config):
+def _product_table(run):
     """The ten euclidean products of F and its first three u-derivatives.
 
     The products are v-independent (the family acts orthogonally), so
@@ -425,10 +474,11 @@ def _product_table(surface, config):
     so it stays relative however small the target: e_const reaches 1e-8
     at small eps and theta.
     """
-    us, _ = _sample_points(surface, 32, SEED)
+    surface = run.surface
+    us, _, jet = run.u_jet
     c = surface.consts
     A, = assemble(surface.profile, surface.v_domain[0])
-    ders = [(A @ beta_derivatives(us, c, k).T).T for k in range(4)]
+    ders = [(A @ b.T).T for b in jet]
     norms = [np.linalg.norm(d, axis=-1) for d in ders]
     return {"product_table": ([np.abs(np.sum(ders[i] * ders[j], axis=-1) - target)
                                / (norms[i] * norms[j])
@@ -436,18 +486,19 @@ def _product_table(surface, config):
                               us.size)}
 
 
-def _j1_products(surface, config):
+def _j1_products(run):
     """Products mixing J1 with the u-derivatives of F.
 
     <J1 F, F_u> = sin^2(th)/eps, <J1 F, F_uu> = 0,
     <F_u, J1 F_uu> = i_const, <J1 F_u, F_uuu> = 0.
     """
-    us, vs = _sample_points(surface, 32, SEED)
+    surface = run.surface
+    us, vs, jet = run.u_jet
     c = surface.consts
     eps = surface.params.epsilon
     th = surface.params.theta
     A, = assemble(surface.profile, vs)
-    d = [np.einsum('kij,kj->ki', A, beta_derivatives(us, c, k)) for k in range(4)]
+    d = [np.einsum('kij,kj->ki', A, b) for b in jet]
     j1 = [x @ J1.T for x in d]
     return {"j1_products": ([
         np.abs(np.sum(j1[0] * d[1], -1) - math.sin(th) ** 2 / eps),
@@ -457,18 +508,20 @@ def _j1_products(surface, config):
     ], us.size)}
 
 
-def _normal_closed_form(surface, config):
+def _normal_closed_form(run):
     """Numeric N1 from the cross product against the closed form."""
+    surface = run.surface
     us, vs = _sample_points(surface, 100, SEED)
     n1 = tangent_data(surface, us, vs).normal[:, 0]
     return {"normal_closed_form": (np.abs(n1 - normal_closed_form_n1(surface, us, vs)),
                                    us.size)}
 
 
-def _fields(surface, config):
+def _fields(run):
     """The Riccati equation lambda' + cos(th) lambda^2 + 4 (eps^2 - 1)
     cos^3(th) + 4 cos(th) = 0 of the lambda closed form, under a complex
     step in u."""
+    surface = run.surface
     params, consts = surface.params, surface.consts
     eps, ct = params.epsilon, math.cos(params.theta)
     # keep the tan argument well inside (-pi/2, pi/2), so no pole is near
@@ -481,7 +534,8 @@ def _fields(surface, config):
                                   + 4.0 * (eps * eps - 1.0) * ct ** 3 + 4.0 * ct), FIELD_SAMPLES)}
 
 
-def _first_order_system(surface, config):
+def _first_order_system(run):
+    surface = run.surface
     c = fit_phase_constant(surface)
     us = surface.u_domain[0] + low_discrepancy(100, SEED + 5)[:, 0] \
         * (surface.u_domain[1] - surface.u_domain[0])
@@ -489,9 +543,10 @@ def _first_order_system(surface, config):
         first_order_system_residual(surface, us, surface.v_domain[0], c), us.size)}
 
 
-def _gram(surface, config):
+def _gram(run):
     """The recovered coefficient vectors are orthogonal with squared norms
     g11, g11, g33, g33, at seven v across the domain."""
+    surface = run.surface
     c = surface.consts
     vs = np.linspace(surface.v_domain[0], surface.v_domain[1], 7)
     g = recover_coefficient_fields(surface, vs)
@@ -503,20 +558,20 @@ def _gram(surface, config):
     }
 
 
-def _gauss_curvature(surface, config):
+def _gauss_curvature(run):
     """Numeric intrinsic curvature against 4 (1 - eps^2) cos^2(th)."""
-    pts = _interior_points(surface)
+    surface, pts = run.surface, run.interior
     K = gauss_curvature_numeric(surface, pts[:, 0], pts[:, 1])
     return {"gauss_curvature": (np.abs(K - surface.consts.gauss_k), len(pts))}
 
 
-def _shape_operator(surface, config):
+def _shape_operator(run):
     """Entries of the shape operator against [[0, -eps], [-eps, lambda]].
 
     The (2,2) entry is the measured lambda and is reported in a note,
     never asserted (its eta(v) gauge is free).
     """
-    pts = _interior_points(surface)
+    surface, pts = run.surface, run.interior
     S = shape_operator_matrix(surface, pts[:, 0], pts[:, 1])
     eps = surface.params.epsilon
     resid = np.abs(np.stack([S[:, 0, 0], S[:, 0, 1] + eps, S[:, 1, 0] + eps], -1))
@@ -531,13 +586,13 @@ def _shape_operator(surface, config):
 
 @dataclass(frozen=True)
 class Check:
-    """A registered check.  fn(surface, config) returns, per entry name,
-    (residual, samples) plus optional notes; the residual is a number or
-    an array of per-sample residuals.  helix_only checks are skipped on a
-    Hopf tube."""
+    """A registered check.  fn(run), run the _Run of one run_all call,
+    returns, per entry name, (residual, samples) plus optional notes; the
+    residual is a number or an array of per-sample residuals.  helix_only
+    checks are skipped on a Hopf tube."""
 
     name: str
-    fn: Callable[[HelixSurface, VerifyConfig], dict]
+    fn: Callable[[_Run], dict]
     helix_only: bool = False
 
 
@@ -563,7 +618,8 @@ def run_all(surface: HelixSurface, config: Optional[VerifyConfig] = None) -> Che
 
     Checks never abort the suite; each contributes its own entries.  On a
     Hopf-tube (degenerate) profile the angle target switches to pi/2 and
-    the helix-only checks are skipped with a note.
+    the helix-only checks are skipped with a note.  The checks share one
+    _Run, so a point set several of them read is evaluated once per call.
     """
     if config is None:
         config = VerifyConfig()
@@ -572,10 +628,11 @@ def run_all(surface: HelixSurface, config: Optional[VerifyConfig] = None) -> Che
     if hopf_tube:
         report.notes.append(f"degenerate: Hopf tube ({diag})")
 
+    run = _Run(surface, config)
     for check in CHECKS:
         if hopf_tube and check.helix_only:
             continue
-        for name, (residual, samples, *notes) in check.fn(surface, config).items():
+        for name, (residual, samples, *notes) in check.fn(run).items():
             r = np.asarray(residual, dtype=float)
             # np.max keeps a NaN, so a NaN residual fails its entry
             report.add(name, float(np.max(r)) if r.size else math.inf,

@@ -18,7 +18,7 @@ from bergerhelix.family import Constant, Linear, Sinusoid, XiProfile, assemble, 
     derive_xi3, example_profile
 from bergerhelix.surface import make_surface, normal_components, recover_coefficient_fields, \
     sample_grid
-from bergerhelix.verify import CHECKS, VerifyConfig, _interior_points, \
+from bergerhelix.verify import CHECKS, VerifyConfig, _interior_points, _Run, \
     gauss_curvature_numeric, run_all, shape_operator_matrix
 from test_verify import strict_json
 
@@ -39,7 +39,7 @@ def _surface(eps, th, **kw):
 def _fourth_order_residual(surface):
     """The registry's fourth-order recursion residual over its 1000 samples."""
     check = next(c for c in CHECKS if c.name == "fourth_order_ode")
-    return float(np.max(check.fn(surface, VerifyConfig())["fourth_order_ode"][0]))
+    return float(np.max(check.fn(_Run(surface, VerifyConfig()))["fourth_order_ode"][0]))
 
 
 def test_criterion_01_constant_angle_reproduction():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +39,7 @@ from bergerhelix.surface import (
     position,
     recover_coefficient_fields,
     sample_grid,
+    sweep_blocks,
     sweep_grid,
     tangent_data,
 )
@@ -345,6 +347,23 @@ def test_sample_grid_is_the_sweep_kernel(monkeypatch, case, block):
     assert np.all(np.isnan(g.normals[~ok]))
     # every case masks something: the degenerate row u = 0, and on nan_tail NaN columns
     assert np.any(~ok) and (case != "nan_tail" or np.any(sweep.defect == NON_FINITE))
+
+
+@pytest.mark.parametrize("case", ["analytic", "nan_tail"])
+def test_sweep_grid_equals_the_concatenated_copies_of_its_blocks(monkeypatch, case):
+    """The blocks written into preallocated whole-grid arrays, bit for bit
+    as copying and concatenating them; 23 rows in blocks of three end in a
+    ragged block of two."""
+    s = {"analytic": surface_ref, "nan_tail": nan_tail_surface}[case]()
+    monkeypatch.setattr(surface_module, "SWEEP_BLOCK", 3 * 19 + 5)
+    us, vs = grid_axes(s, 23, 19)
+    names = [f.name for f in dataclasses.fields(surface_module.SweepData)]
+    blocks = [[getattr(block, name).copy() for name in names]
+              for block in sweep_blocks(s, us, vs)]
+    assert len(blocks) == 8 and len(blocks[-1][0]) == 2
+    sweep = sweep_grid(s, us, vs)
+    for name, parts in zip(names, zip(*blocks)):
+        assert_same_bits(getattr(sweep, name), np.concatenate(parts))
 
 
 def test_grid_rejects_trivial_sizes():

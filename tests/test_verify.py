@@ -36,6 +36,7 @@ from bergerhelix.verify import (
     DEFAULT_TOLERANCES,
     VerifyConfig,
     _interior_points,
+    _Run,
     gauss_curvature_numeric,
     low_discrepancy,
     normal_closed_form_n1,
@@ -52,7 +53,7 @@ def registry_entry(surface, name):
     """(residual, passed) of the entry a registered check names after
     itself, at the default config, reduced and judged as run_all does."""
     cfg = VerifyConfig()
-    residual = float(np.max(REGISTRY[name].fn(surface, cfg)[name][0]))
+    residual = float(np.max(REGISTRY[name].fn(_Run(surface, cfg))[name][0]))
     return residual, residual <= cfg.tol(name)
 
 
@@ -394,6 +395,12 @@ def test_verify_config_refuses_a_tolerance_that_is_not_a_non_negative_number(val
         VerifyConfig(tolerances={"angle_constancy": value})
 
 
+@pytest.mark.parametrize("nu, nv", [(1, 81), (81, 1), (0, 0)])
+def test_verify_config_refuses_a_grid_below_two_by_two(nu, nv):
+    with pytest.raises(ConfigError, match=rf"grid needs nu, nv >= 2, got \({nu}, {nv}\)"):
+        VerifyConfig(nu=nu, nv=nv)
+
+
 def test_verify_config_accepts_zero_and_infinite_tolerances():
     cfg = VerifyConfig(tolerances={"angle_constancy": 0.0, "gauss_curvature": math.inf})
     assert cfg.tol("angle_constancy") == 0.0
@@ -629,7 +636,7 @@ def test_streamed_angle_sweep_matches_the_whole_grid_reduction(monkeypatch, case
         codes = sweep_grid(s, *axes).defect
         assert np.all(codes[[10, 25]] == NON_FINITE) and np.all(codes[0] == DEGENERATE)
         assert np.count_nonzero(codes) == 3 * 37
-    got = reduced_entries(REGISTRY["angle_sweep"].fn(s, cfg))
+    got = reduced_entries(REGISTRY["angle_sweep"].fn(_Run(s, cfg)))
     assert got == reduced_entries(whole_grid_angle_sweep(s, cfg))
     residual = np.frombuffer(got["angle_constancy"][0])[0]
     if case in ("nan_tail", "nan_rows"):
@@ -743,7 +750,7 @@ def test_separable_vs_direct_reference_golden():
 
 def test_separable_vs_direct_small_grid_compares_every_point():
     _, samples = REGISTRY["separable_vs_direct"].fn(
-        ref_surface(), VerifyConfig(nu=7, nv=5))["separable_vs_direct"]
+        _Run(ref_surface(), VerifyConfig(nu=7, nv=5)))["separable_vs_direct"]
     assert samples == 35
 
 
@@ -756,7 +763,9 @@ def test_separable_vs_direct_detects_a_faulty_kernel(monkeypatch, fault):
         if fault == "coefficient":
             C[1, 2] *= 1.0 + 1e-6      # the b_0 b_2 coefficient of <F_u, J2 F>
         else:
-            C[6, :, 3] = np.nan        # |F_u|^2 at one v: those samples turn non_finite
+            # |F_u|^2 at one v of the compared subgrid (columns 0, 2, ..., 40):
+            # those samples turn non_finite
+            C[6, :, 4] = np.nan
         return C
 
     monkeypatch.setattr(surface_module, "_sweep_forms", faulty)
@@ -766,3 +775,52 @@ def test_separable_vs_direct_detects_a_faulty_kernel(monkeypatch, fault):
     if fault == "defect":
         assert e.residual == math.inf
     assert not rep.overall_pass
+
+
+# ------------------------------------------------------------- the run context
+
+def counted(monkeypatch, module, name):
+    """The argument tuples of every call of module.name from now on."""
+    calls, fn = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("case, runs", [("helix", 1), ("helix", 2), ("hopf_tube", 1)])
+def test_run_all_evaluates_each_shared_set_once_per_call(monkeypatch, case, runs):
+    s = {"helix": ref_surface(0.8, fv_method="fd"), "hopf_tube": hopf_tube()}[case]
+    interior = counted(monkeypatch, verify_module, "_interior_points")
+    forms = counted(monkeypatch, surface_module, "_sweep_forms")
+    jets = counted(monkeypatch, verify_module, "_family_jet")
+    samples = counted(monkeypatch, verify_module, "_sample_points")
+    for _ in range(runs):
+        run_all(s, VerifyConfig(nu=21, nv=21))
+    # the helix-only curvature and shape operator do not run on a Hopf tube
+    assert len(interior) == (runs if case == "helix" else 0)
+    assert len(forms) == len(jets) == runs
+    # the sweep's forms take the run's family jet, not one of their own
+    assert all(args[2] is not None for args in forms)
+    # product_table and j1_products share the 32 points of the u-products
+    assert sum(args[1] == 32 for args in samples) == runs
+
+
+@pytest.mark.parametrize("nu, nv", [(81, 81), (41, 1001)])
+@pytest.mark.parametrize("case", ["analytic", "fd", "nan_tail"])
+def test_separable_vs_direct_compares_the_sweep_on_the_subgrid_axes(case, nu, nv):
+    """The samples the check compares, cut from the run's sweep of the
+    whole grid, are bit for bit those of the kernel on the subgrid's axes;
+    at 41 x 1001 the subgrid rows lie in two blocks."""
+    s = {"analytic": ref_surface(0.8), "fd": ref_surface(0.8, fv_method="fd"),
+         "nan_tail": nan_tail_surface()}[case]
+    *_, (iu, iv), angle, defect = _Run(s, VerifyConfig(nu, nv)).sweep
+    us, vs = grid_axes(s, nu, nv)
+    assert iu.size == iv.size == verify_module.SUBGRID_SIDE
+    sub = sweep_grid(s, us[iu], vs[iv])
+    assert angle.tobytes() == sub.angle.tobytes()
+    assert defect.tobytes() == sub.defect.tobytes()
+    assert np.any(defect != 0) and (case != "nan_tail" or np.any(defect == NON_FINITE))
