@@ -22,9 +22,6 @@ import numpy as np
 
 from .errors import InvalidAngle, OutOfDomain, as_array
 
-SPHERE_TOL = 1e-9
-TANGENT_TOL = 1e-8
-
 # Open-interval guard for the constant angle: values this close to 0 or
 # pi/2 are numerically indistinguishable from the excluded degenerate
 # cases (fiber-orthogonal normal impossible / Hopf tube).
@@ -84,67 +81,6 @@ class BergerParams:
             )
 
 
-def _check_on_sphere(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,):
-        raise OutOfDomain(f"expected a 4-vector, got shape {p.shape}")
-    if abs(np.linalg.norm(p) - 1.0) > SPHERE_TOL:
-        raise OutOfDomain(f"|p| = {np.linalg.norm(p)} deviates from 1 beyond {SPHERE_TOL}")
-    return p
-
-
-def _check_tangent(p: np.ndarray, X: np.ndarray, name: str = "X") -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if abs(float(X @ p)) > TANGENT_TOL:
-        raise OutOfDomain(f"<{name}, p> = {float(X @ p)} exceeds {TANGENT_TOL}")
-    return X
-
-
-def hopf_map(p) -> np.ndarray:
-    """Project a point of S^3 to the base 2-sphere of radius 1/2.
-
-    In complex notation the submersion is (z, w) -> (2 z conj(w),
-    |z|^2 - |w|^2) / 2; the first complex slot expands to the two real
-    output coordinates.
-    """
-    p = _check_on_sphere(p)
-    x1, y1, x2, y2 = p
-    return np.array([
-        x1 * x2 + y1 * y2,
-        y1 * x2 - x1 * y2,
-        0.5 * (x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2),
-    ])
-
-
-def hopf_frame(p):
-    """Evaluate the global frame (X1, X2, X3) = (J1 p, J2 p, J3 p)."""
-    p = _check_on_sphere(p)
-    return J1 @ p, J2 @ p, J3 @ p
-
-
-def frame_triple(params: BergerParams, p):
-    """The g-orthonormal frame (E1, E2, E3) at p."""
-    x1, x2, x3 = hopf_frame(p)
-    return x1 / params.epsilon, x2, x3
-
-
-def berger_metric(params: BergerParams, p, X, Y) -> float:
-    """The deformed metric g(X, Y) at base point p.
-
-    Reduces to the round metric at epsilon = 1.  Both arguments must be
-    tangent to the sphere at p.
-    """
-    p = _check_on_sphere(p)
-    X = _check_tangent(p, X, "X")
-    Y = _check_tangent(p, Y, "Y")
-    return _metric(params.epsilon, p, X, Y)
-
-
-def _metric(eps: float, p, X, Y) -> float:
-    j1p = J1 @ p
-    return float(X @ Y + (eps * eps - 1.0) * (X @ j1p) * (Y @ j1p))
-
-
 def frame_components(params: BergerParams, p, X) -> np.ndarray:
     """Coordinates of tangent vectors in the frame (E1, E2, E3).
 
@@ -159,21 +95,6 @@ def frame_components(params: BergerParams, p, X) -> np.ndarray:
     c2 = np.sum(X * (p @ J2.T), axis=-1)
     c3 = np.sum(X * (p @ J3.T), axis=-1)
     return np.stack([c1, c2, c3], axis=-1)
-
-
-def frame_decompose(params: BergerParams, p, X):
-    """Decompose a single tangent vector in the frame at p."""
-    p = _check_on_sphere(p)
-    X = _check_tangent(p, X)
-    c = frame_components(params, p, X)
-    return float(c[0]), float(c[1]), float(c[2])
-
-
-def frame_reconstruct(params: BergerParams, p, comps) -> np.ndarray:
-    """Rebuild the tangent vector sum(comps_i * E_i) at p."""
-    p = _check_on_sphere(p)
-    c1, c2, c3 = comps
-    return c1 / params.epsilon * (J1 @ p) + c2 * (J2 @ p) + c3 * (J3 @ p)
 
 
 def connection_table(params: BergerParams) -> np.ndarray:

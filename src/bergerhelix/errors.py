@@ -1,4 +1,7 @@
-"""Exception types shared across the package, its range check and array cast."""
+"""Exception types shared across the package, its range and grid-size
+checks and array cast."""
+
+import numbers
 
 import numpy as np
 
@@ -12,9 +15,9 @@ class InvalidAngle(GeometryError):
 
 
 class OutOfDomain(GeometryError):
-    """A value outside the domain where it is defined: a parameter, a point
-    off the sphere, a vector off its tangent space, a pole of a projection
-    or of tan, an empty grid or an unsupported derivative order."""
+    """A value outside the domain where it is defined: a parameter, a pole
+    of tan, a grid size, an empty grid, a face index outside its mesh or an
+    unsupported derivative order."""
 
 
 class DegenerateTangentPlane(GeometryError):
@@ -41,3 +44,10 @@ def check_range(x, lo: float, hi: float, name: str) -> np.ndarray:
             or np.fmax.reduce(x.real, axis=None, initial=-np.inf) > hi + 1e-12):
         raise OutOfDomain(f"{name} outside [{lo}, {hi}]")
     return x
+
+
+def check_grid_size(nu, nv, error) -> None:
+    """Raise error unless nu and nv are integers of at least 2, the sample
+    counts of a grid's two axes."""
+    if not all(isinstance(n, numbers.Integral) and n >= 2 for n in (nu, nv)):
+        raise error(f"grid needs integers nu, nv >= 2, got ({nu}, {nv})")

@@ -11,8 +11,8 @@ ten, exact enough to certify the rounding unless the scaled value lies
 within 2**-30 of a tie.  Every value it cannot certify (zeros, NaN,
 infinities, values outside the range, near-ties) is formatted by % itself.
 The face indices of export_obj are formatted once per vertex: the text of
-1..n is built once per call and gathered for every face, and any value
-outside 1..n is formatted by %d.  Both exports format about _BLOCK_VALUES
+1..n is built once per call and gathered for every face, and an index
+outside the mesh is refused.  Both exports format about _BLOCK_VALUES
 values at a time, the CSV in whole grid rows.
 """
 
@@ -34,27 +34,6 @@ def _pole_index(pole: int) -> int:
     if pole not in (1, 2, 3, 4):
         raise OutOfDomain(f"pole axis must be in 1..4, got {pole}")
     return pole - 1
-
-
-def stereographic(p, pole: int = 4) -> np.ndarray:
-    """Project a point of S^3 to R^3 from the pole on the given axis.
-
-    sigma(x) = (x_i)_{i != pole} / (1 - x_pole).  pole is 1-based.
-    """
-    k = _pole_index(pole)
-    p = np.asarray(p, dtype=float)
-    denom = 1.0 - p[k]
-    if abs(denom) < POLE_TOL:
-        raise OutOfDomain(f"point lies within {POLE_TOL} of the projection pole")
-    return np.delete(p, k) / denom
-
-
-def stereographic_inverse(y, pole: int = 4) -> np.ndarray:
-    """Inverse of stereographic: R^3 back to the unit 3-sphere."""
-    k = _pole_index(pole)
-    y = np.asarray(y, dtype=float)
-    s = float(y @ y)
-    return np.insert(2.0 * y / (s + 1.0), k, (s - 1.0) / (s + 1.0))
 
 
 @dataclass
@@ -277,41 +256,37 @@ def _vertex_lines(vertices: np.ndarray) -> List[bytes]:
 
 
 def _face_lines(faces: np.ndarray, n: int) -> List[bytes]:
-    """"f a b c" lines of 1-based int64 faces over n vertices.  The text of
-    1..n is formatted once and gathered; a value outside 1..n is formatted
-    by %d where it stands."""
-    outside = (faces < 1) | (faces > n)
-    texts = [b"%d" % i for i in faces[outside].tolist()]
-    n_words = max(map(len, texts + [b"%d" % n])) // 8 + 1   # a byte left for the separator
+    """"f a b c" lines of 1-based int64 faces over n vertices, every value
+    in 1..n: the text of 1..n is formatted once and gathered."""
+    n_words = len(b"%d" % n) // 8 + 1   # a byte left for the separator
     table = _index_words(n, n_words)
-    if texts:
-        faces = np.where(outside, 0, faces)
-    spill = np.frombuffer(b"".join(t.ljust(8 * n_words, b"\0") for t in texts),
-                          dtype="<u8").reshape(-1, n_words)
     step = _BLOCK_VALUES // 3
-    out, spilled = [], 0
+    out = []
     for start in range(0, len(faces), step):
         block = faces[start:start + step]
         words = np.empty((len(block), 1 + 3 * n_words), dtype=_U)
         words[:, 0] = int.from_bytes(b"f ", "little")
         fields = words[:, 1:].reshape(len(block), 3, n_words)
         fields[:] = table.take(block, axis=0)
-        here = outside[start:start + step]
-        count = np.count_nonzero(here)
-        if count:
-            fields[here] = spill[spilled:spilled + count]
-            spilled += count
         out.append(_text(words, fields, b" "))
     return out
 
 
 def export_obj(mesh: ProjectedMesh) -> bytes:
-    """Serialize a projected mesh as OBJ text (1-based face indices)."""
+    """Serialize a projected mesh as OBJ text (1-based face indices).
+
+    OutOfDomain when the mesh has no vertices or a face index lies outside
+    0..n-1 for its n vertices: OBJ has no vertex 0, and reads a negative
+    index relative to the last vertex.
+    """
+    n = len(mesh.vertices)
     if mesh.vertices.size == 0:
         raise OutOfDomain("no vertices to export")
-    faces = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3) + 1
+    faces = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3)
+    if faces.size and (faces.min() < 0 or faces.max() >= n):
+        raise OutOfDomain(f"face index outside the {n} vertices 0..{n - 1}")
     return b"".join(_vertex_lines(np.asarray(mesh.vertices, dtype=float))
-                    + _face_lines(faces, len(mesh.vertices)))
+                    + _face_lines(faces + 1, n))
 
 
 CSV_COLUMNS = ("u", "v", "x1", "y1", "x2", "y2", "N1", "N2", "N3", "angle")

@@ -30,7 +30,6 @@ import numpy as np
 from .ambient import J1, J2, J3
 from .errors import ConfigError, OutOfDomain, as_array, check_range
 
-CONSTRAINT_TOL = 1e-8
 HOPF_TUBE_TOL = 1e-9
 XI1_SIN_FLOOR = 1e-6
 XI1_SIN_SAMPLES = 1001  # the equally spaced v where |sin(xi1)| must clear the floor
@@ -268,13 +267,6 @@ class XiProfile:
         """Pointwise |cos^2(xi1) xi2' - sin^2(xi1) xi3'|."""
         (x1, _), (_, d2), (_, d3) = self.jets(v, 1)
         return np.abs(np.cos(x1) ** 2 * d2 - np.sin(x1) ** 2 * d3)
-
-    def is_admissible(self) -> bool:
-        """True when the constraint residual on sample_vs() stays below
-        CONSTRAINT_TOL and the branch is not degenerate (fiber-tangent)."""
-        if np.max(self.constraint_residual(self.sample_vs())) > CONSTRAINT_TOL:
-            return False
-        return not self.hopf_tube[0]
 
     def sample_vs(self) -> np.ndarray:
         return np.linspace(self.v_min, self.v_max, PROFILE_SAMPLES)

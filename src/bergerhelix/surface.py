@@ -43,7 +43,7 @@ import numpy as np
 
 from .ambient import J1, J2, J3, BergerParams, frame_components
 from .constants import HelixConstants, compute_constants, phi_field
-from .errors import DegenerateTangentPlane, OutOfDomain, as_array, check_range
+from .errors import DegenerateTangentPlane, OutOfDomain, as_array, check_grid_size, check_range
 from .family import XiProfile, assemble
 
 GRAM_DET_TOL = 1e-12
@@ -64,19 +64,14 @@ def beta(u, consts: HelixConstants) -> np.ndarray:
     Accepts scalar or array u; output shape is u.shape + (4,).  Lies on
     the unit sphere because g11 + g33 = 1.
     """
-    return beta_derivatives(u, consts, order=0)
-
-
-def beta_derivatives(u, consts: HelixConstants, order: int = 1) -> np.ndarray:
-    """Exact u-derivative of order up to four: each derivative scales by
-    the frequency and permutes (cos, sin) -> (-sin, cos) without phase
-    arithmetic, so exact zeros stay exact.  Complex u stays complex."""
-    return _beta_jet(u, consts, order)[0]
+    return _beta_jet(u, consts, 0)[0]
 
 
 def _beta_jet(u, consts: HelixConstants, *orders: int) -> List[np.ndarray]:
-    """beta_derivatives(u, consts, k) for each k of orders, from one
-    cos/sin pass."""
+    """The exact u-derivative of beta of each order in orders (0..4), from
+    one cos/sin pass: each derivative scales by the frequency and permutes
+    (cos, sin) -> (-sin, cos) without phase arithmetic, so exact zeros stay
+    exact.  Complex u stays complex."""
     for order in orders:
         if order not in (0, 1, 2, 3, 4):
             raise OutOfDomain(f"derivative order must be in 0..4, got {order}")
@@ -333,8 +328,7 @@ class SurfaceGrid:
 
 def grid_axes(surface: HelixSurface, nu: int, nv: int):
     """The axes (us, vs) of the uniform nu x nv grid over the surface domain."""
-    if nu < 2 or nv < 2:
-        raise OutOfDomain(f"grid needs nu, nv >= 2, got ({nu}, {nv})")
+    check_grid_size(nu, nv, OutOfDomain)
     return (np.linspace(surface.u_domain[0], surface.u_domain[1], nu),
             np.linspace(surface.v_domain[0], surface.v_domain[1], nv))
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .ambient import J1, connection_table, frame_components
 from .constants import lambda_field
-from .errors import ConfigError, as_array
+from .errors import ConfigError, as_array, check_grid_size
 from .family import assemble
 from .surface import (
     CSTEP,
@@ -140,8 +140,7 @@ class VerifyConfig:
     tolerances: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.nu < 2 or self.nv < 2:
-            raise ConfigError(f"grid needs nu, nv >= 2, got ({self.nu}, {self.nv})")
+        check_grid_size(self.nu, self.nv, ConfigError)
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ConfigError(f"unknown tolerance names {unknown}; known names: "
@@ -537,8 +536,7 @@ def _fields(run):
 def _first_order_system(run):
     surface = run.surface
     c = fit_phase_constant(surface)
-    us = surface.u_domain[0] + low_discrepancy(100, SEED + 5)[:, 0] \
-        * (surface.u_domain[1] - surface.u_domain[0])
+    us, _ = _sample_points(surface, 100, SEED + 5)
     return {"first_order_system": (
         first_order_system_residual(surface, us, surface.v_domain[0], c), us.size)}
 

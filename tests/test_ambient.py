@@ -8,13 +8,8 @@ from bergerhelix.ambient import (
     J2,
     J3,
     BergerParams,
-    berger_metric,
     connection_table,
-    frame_decompose,
-    frame_reconstruct,
-    frame_triple,
-    hopf_frame,
-    hopf_map,
+    frame_components,
 )
 from bergerhelix.errors import InvalidAngle, OutOfDomain
 
@@ -29,6 +24,12 @@ def random_unit(rng=RNG):
 def random_tangent(p, rng=RNG):
     x = rng.normal(size=4)
     return x - (x @ p) * p
+
+
+def berger_metric(eps, p, X, Y):
+    """The reference g(X, Y) = <X, Y> + (eps^2 - 1) <X, J1 p> <Y, J1 p>."""
+    j1p = J1 @ p
+    return X @ Y + (eps * eps - 1.0) * (X @ j1p) * (Y @ j1p)
 
 
 # ---------------------------------------------------------------- structures
@@ -53,100 +54,67 @@ def test_frame_fields_are_j_actions():
     for _ in range(100):
         p = random_unit()
         x1, y1, x2, y2 = p
-        X1, X2, X3 = hopf_frame(p)
-        assert np.allclose(X1, [-y1, x1, -y2, x2], atol=0)
-        assert np.allclose(X2, [-y2, -x2, y1, x1], atol=0)
-        assert np.allclose(X3, [-x2, y2, x1, -y1], atol=0)
+        assert np.allclose(J1 @ p, [-y1, x1, -y2, x2], atol=0)
+        assert np.allclose(J2 @ p, [-y2, -x2, y1, x1], atol=0)
+        assert np.allclose(J3 @ p, [-x2, y2, x1, -y1], atol=0)
 
 
 def test_x1_equals_j1p_componentwise():
-    for _ in range(20):
-        p = random_unit()
-        assert np.array_equal(hopf_frame(p)[0], J1 @ p)
+    # the row-vector form that frame_components applies to a batch
+    P = np.stack([random_unit() for _ in range(20)])
+    for J in (J1, J2, J3):
+        assert np.array_equal(P @ J.T, np.stack([J @ p for p in P]))
     # the algebraic identity needs no sphere membership at all
     for _ in range(20):
         p = RNG.normal(size=4) * 3.0
         assert np.array_equal(J1 @ p, np.array([-p[1], p[0], -p[3], p[2]]))
 
 
-# ------------------------------------------------------------------ hopf map
-
-def test_hopf_map_poles():
-    assert np.allclose(hopf_map([1, 0, 0, 0]), [0, 0, 0.5], atol=1e-15)
-    assert np.allclose(hopf_map([0, 0, 1, 0]), [0, 0, -0.5], atol=1e-15)
-
-
-def test_hopf_map_equator_point():
-    s = 1 / np.sqrt(2)
-    assert np.allclose(hopf_map([s, 0, s, 0]), [0.5, 0, 0], atol=1e-15)
-
-
-def test_hopf_map_lands_on_half_sphere():
-    for _ in range(50):
-        q = hopf_map(random_unit())
-        assert abs(np.linalg.norm(q) - 0.5) < 1e-9
-
-
-def test_hopf_map_fiber_invariance():
-    for _ in range(50):
-        p = random_unit()
-        phi = RNG.uniform(0, 2 * np.pi)
-        rotated = np.cos(phi) * p + np.sin(phi) * (J1 @ p)
-        assert np.max(np.abs(hopf_map(rotated) - hopf_map(p))) < 1e-10
-
-
-def test_hopf_map_rejects_off_sphere():
-    with pytest.raises(OutOfDomain, match="deviates from 1"):
-        hopf_map([1.1, 0, 0, 0])
-
-
 def test_hopf_frame_at_base_point():
-    X1, X2, X3 = hopf_frame([1, 0, 0, 0])
-    assert np.allclose(X1, [0, 1, 0, 0], atol=0)
-    assert np.allclose(X2, [0, 0, 0, 1], atol=0)
-    assert np.allclose(X3, [0, 0, 1, 0], atol=0)
+    p = np.array([1.0, 0, 0, 0])
+    assert np.allclose(J1 @ p, [0, 1, 0, 0], atol=0)
+    assert np.allclose(J2 @ p, [0, 0, 0, 1], atol=0)
+    assert np.allclose(J3 @ p, [0, 0, 1, 0], atol=0)
 
 
 def test_hopf_frame_orthonormal():
+    # (p, J1 p, J2 p, J3 p) is an orthonormal basis of R^4, so the frame
+    # fields are tangent to the sphere and orthonormal in the round metric
     for _ in range(50):
-        X = np.stack(hopf_frame(random_unit()))
-        assert np.max(np.abs(X @ X.T - np.eye(3))) < 1e-12
+        p = random_unit()
+        X = np.stack([p, J1 @ p, J2 @ p, J3 @ p])
+        assert np.max(np.abs(X @ X.T - np.eye(4))) < 1e-12
 
 
 # -------------------------------------------------------------------- metric
+#
+# (E1, E2, E3) = (J1 p / eps, J2 p, J3 p) is g-orthonormal, so the frame
+# components c of a tangent vector carry the metric: c(X) . c(Y) = g(X, Y).
 
 def test_metric_round_case():
     params = BergerParams(1.0, np.pi / 4)
     for _ in range(20):
         p = random_unit()
         X, Y = random_tangent(p), random_tangent(p)
-        assert abs(berger_metric(params, p, X, Y) - X @ Y) < 1e-12
+        cx, cy = frame_components(params, p, X), frame_components(params, p, Y)
+        assert abs(cx @ cy - X @ Y) < 1e-12
 
 
 def test_metric_on_hopf_field():
     for eps in (0.5, 1.0, 1.7):
         params = BergerParams(eps, np.pi / 3)
         p = random_unit()
-        X1 = hopf_frame(p)[0]
-        assert abs(berger_metric(params, p, X1, X1) - eps ** 2) < 1e-12
+        c = frame_components(params, p, J1 @ p)
+        assert np.allclose(c, [eps, 0, 0], atol=1e-12)
+        assert abs(c @ c - berger_metric(eps, p, J1 @ p, J1 @ p)) < 1e-12
 
 
 def test_frame_is_orthonormal():
     for eps in (0.3, 1.0, 2.0):
         params = BergerParams(eps, np.pi / 4)
         p = random_unit()
-        e1, e2, e3 = frame_triple(params, p)
-        for e in (e1, e2, e3):
-            assert abs(berger_metric(params, p, e, e) - 1.0) < 1e-12
-        assert abs(berger_metric(params, p, e1, e2)) < 1e-12
-        assert abs(berger_metric(params, p, e2, e3)) < 1e-12
-
-
-def test_metric_rejects_non_tangent():
-    params = BergerParams(1.0, np.pi / 4)
-    p = random_unit()
-    with pytest.raises(OutOfDomain, match="<X, p>"):
-        berger_metric(params, p, p, random_tangent(p))
+        frame = np.stack([J1 @ p / eps, J2 @ p, J3 @ p])
+        assert np.max(np.abs(frame_components(params, p, frame) - np.eye(3))) < 1e-12
 
 
 # ----------------------------------------------------------------- decompose
@@ -154,9 +122,7 @@ def test_metric_rejects_non_tangent():
 def test_decompose_frame_vector():
     params = BergerParams(0.8, np.pi / 4)
     p = random_unit()
-    e2 = frame_triple(params, p)[1]
-    c = frame_decompose(params, p, e2)
-    assert np.allclose(c, [0, 1, 0], atol=1e-12)
+    assert np.allclose(frame_components(params, p, J2 @ p), [0, 1, 0], atol=1e-12)
 
 
 def test_decompose_first_component_formula():
@@ -164,13 +130,13 @@ def test_decompose_first_component_formula():
     for _ in range(20):
         p = random_unit()
         X = random_tangent(p)
-        c1 = frame_decompose(params, p, X)[0]
+        c1 = frame_components(params, p, X)[0]
         assert abs(c1 - params.epsilon * (X @ (J1 @ p))) < 1e-12
 
 
 def test_decompose_zero_vector():
     params = BergerParams(1.0, np.pi / 4)
-    assert frame_decompose(params, random_unit(), np.zeros(4)) == (0.0, 0.0, 0.0)
+    assert frame_components(params, random_unit(), np.zeros(4)).tolist() == [0.0, 0.0, 0.0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,7 +148,9 @@ def test_decompose_reconstruct_roundtrip(eps, seed):
     p /= np.linalg.norm(p)
     X = rng.normal(size=4)
     X -= (X @ p) * p
-    rebuilt = frame_reconstruct(params, p, frame_decompose(params, p, X))
+    c = frame_components(params, p, X)
+    assert abs(c @ c - berger_metric(eps, p, X, X)) < 1e-10 * max(1.0, X @ X)
+    rebuilt = c[0] / eps * (J1 @ p) + c[1] * (J2 @ p) + c[2] * (J3 @ p)
     assert np.max(np.abs(rebuilt - X)) < 1e-10
 
 

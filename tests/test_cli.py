@@ -166,7 +166,7 @@ def test_degenerate_grid_size_exits_two(capsys):
 
 def test_verify_refuses_a_degenerate_grid_before_any_check(capsys):
     assert main(["verify", "--nu", "1"]) == 2
-    assert capsys.readouterr().err == "error: grid needs nu, nv >= 2, got (1, 101)\n"
+    assert capsys.readouterr().err == "error: grid needs integers nu, nv >= 2, got (1, 101)\n"
 
 
 def test_generate_fd_method(tmp_path):

@@ -314,13 +314,18 @@ def test_accepted_profiles_have_nonzero_motion():
 # ----------------------------------------------------------------- hopf tube
 
 def test_is_admissible():
-    assert example_profile().is_admissible()
+    # admissible: the constraint residual vanishes and the branch is not a Hopf tube
+    def constraint(prof):
+        return np.max(prof.constraint_residual(prof.sample_vs()))
+
+    ref = example_profile()
+    assert constraint(ref) < 1e-8 and not ref.hopf_tube[0]
     crooked = XiProfile(xi=0.0, xi1=Constant(math.pi / 3), xi2=Linear(1.0),
                         xi3=Linear(0.5), v_min=0.0, v_max=1.0)
-    assert not crooked.is_admissible()
+    assert constraint(crooked) > 1e-8
     tube = XiProfile(xi=0.0, xi1=Constant(0.0), xi2=Constant(1.0),
                      xi3=Constant(0.0), v_min=0.0, v_max=1.0)
-    assert not tube.is_admissible()   # constraint holds but the branch is degenerate
+    assert constraint(tube) < 1e-8 and tube.hopf_tube[0]   # the branch is degenerate
 
 
 def test_detect_hopf_tube_branches():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bergerhelix.surface as surface_module
-from bergerhelix.ambient import BergerParams, frame_components
+from bergerhelix.ambient import J1, J2, J3, BergerParams, frame_components
 from bergerhelix.constants import compute_constants
 from bergerhelix.errors import DegenerateTangentPlane, OutOfDomain
 from bergerhelix.family import (
@@ -26,8 +26,8 @@ from bergerhelix.surface import (
     GRAM_DET_TOL,
     NON_FINITE,
     HelixSurface,
+    _beta_jet,
     beta,
-    beta_derivatives,
     first_fundamental_form,
     first_order_system_residual,
     fit_phase_constant,
@@ -77,7 +77,7 @@ def test_beta_speed_squared():
         c = compute_constants(BergerParams(eps, th))
         want = c.B * math.sin(th) ** 2 / eps ** 2
         for u in rng.uniform(0, 10, 20):
-            bp = beta_derivatives(u, c, 1)
+            bp, = _beta_jet(u, c, 1)
             assert float(bp @ bp) == pytest.approx(want, rel=1e-12)
 
 
@@ -99,8 +99,7 @@ def test_beta_phases_advance_linearly():
 
 
 def test_beta_derivative_values_at_zero():
-    d1 = beta_derivatives(0.0, C_REF, 1)
-    d2 = beta_derivatives(0.0, C_REF, 2)
+    d1, d2 = _beta_jet(0.0, C_REF, 1, 2)
     s1, s3 = math.sqrt(C_REF.g11), math.sqrt(C_REF.g33)
     assert np.allclose(d1, [0, s1 * C_REF.alpha1, 0, s3 * C_REF.alpha2], atol=1e-16)
     assert np.allclose(d2, [-s1 * C_REF.alpha1 ** 2, 0, -s3 * C_REF.alpha2 ** 2, 0],
@@ -109,7 +108,7 @@ def test_beta_derivative_values_at_zero():
 
 def test_beta_rejects_bad_order():
     with pytest.raises(OutOfDomain, match="derivative order must be in 0..4"):
-        beta_derivatives(0.0, C_REF, 5)
+        _beta_jet(0.0, C_REF, 5)
 
 
 def test_beta_fourth_order_recursion():
@@ -118,8 +117,8 @@ def test_beta_fourth_order_recursion():
         c = compute_constants(BergerParams(eps, th))
         coeff = c.b_tilde ** 2 - 2 * c.a_tilde
         for u in rng.uniform(0, 20, 100):
-            resid = beta_derivatives(u, c, 4) + coeff * beta_derivatives(u, c, 2) \
-                + c.a_tilde ** 2 * beta(u, c)
+            b, b2, b4 = _beta_jet(u, c, 0, 2, 4)
+            resid = b4 + coeff * b2 + c.a_tilde ** 2 * b
             assert np.max(np.abs(resid)) < 1e-10
 
 
@@ -223,16 +222,15 @@ def test_normal_fiber_fraction_is_cos_squared():
 
 
 def test_reconstructed_normal_is_orthogonal_to_both_partials():
-    from bergerhelix.ambient import berger_metric, frame_reconstruct
     s = surface_ref()
-    for (u, v) in [(0.9, 1.1), (2.7, 4.2), (11.0, 0.6)]:
-        comps = np.array(normal_components(s, u, v))
-        comps /= np.linalg.norm(comps)
-        F = position(s, u, v)
-        N = frame_reconstruct(s.params, F, comps)
-        fu, fv = partials(s, u, v)
-        assert abs(berger_metric(s.params, F, N, fu)) < 1e-9
-        assert abs(berger_metric(s.params, F, N, fv)) < 1e-9
+    eps = s.params.epsilon
+    td = tangent_data(s, np.array([0.9, 2.7, 11.0]), np.array([1.1, 4.2, 0.6]))
+    for F, fu, fv, comps in zip(td.F, td.fu, td.fv, td.normal):
+        comps = comps / np.linalg.norm(comps)
+        j1F = J1 @ F
+        N = comps[0] / eps * j1F + comps[1] * (J2 @ F) + comps[2] * (J3 @ F)
+        for X in (fu, fv):   # g(N, X) = <N, X> + (eps^2 - 1) <N, J1 F> <X, J1 F>
+            assert abs(N @ X + (eps * eps - 1.0) * (N @ j1F) * (X @ j1F)) < 1e-9
 
 
 def test_normal_antisymmetry_under_argument_swap():
@@ -460,7 +458,7 @@ def test_tangent_data_kernel_identities(data):
     u, v = data.draw(kernel_points(s))
     td = tangent_data(s, u, v)
     A, = assemble(s.profile, v)
-    for got, b in ((td.F, beta(u, s.consts)), (td.fu, beta_derivatives(u, s.consts, 1))):
+    for got, b in ((td.F, beta(u, s.consts)), (td.fu, _beta_jet(u, s.consts, 1)[0])):
         assert_same_bits(got, np.einsum('...ij,...j->...i', A, b))
     assert_same_bits(td.normal, np.cross(td.cu, td.cv))
     n1, n2, n3 = np.moveaxis(td.normal, -1, 0)

@@ -17,7 +17,7 @@ import bergerhelix.surface as surface_module
 import bergerhelix.verify as verify_module
 from bergerhelix.ambient import BergerParams
 from bergerhelix.constants import HelixConstants, compute_constants
-from bergerhelix.errors import ConfigError, as_array
+from bergerhelix.errors import ConfigError, OutOfDomain, as_array
 from bergerhelix.export import export_csv, export_obj, project_grid
 from bergerhelix.family import (Constant, Linear, Sinusoid, Tabulated, XiProfile,
                                 derive_xi3, example_profile)
@@ -397,8 +397,24 @@ def test_verify_config_refuses_a_tolerance_that_is_not_a_non_negative_number(val
 
 @pytest.mark.parametrize("nu, nv", [(1, 81), (81, 1), (0, 0)])
 def test_verify_config_refuses_a_grid_below_two_by_two(nu, nv):
-    with pytest.raises(ConfigError, match=rf"grid needs nu, nv >= 2, got \({nu}, {nv}\)"):
+    with pytest.raises(ConfigError, match=rf"grid needs integers nu, nv >= 2, got \({nu}, {nv}\)"):
         VerifyConfig(nu=nu, nv=nv)
+
+
+def test_one_grid_size_rule_for_verify_and_sample_grid():
+    s = ref_surface()
+    # a numpy integer is an integer
+    wide = VerifyConfig(nu=np.int64(81), nv=np.int64(81))
+    assert run_all(s, wide).to_json() == run_all(s, VerifyConfig()).to_json()
+    assert sample_grid(s, np.int64(3), 2).positions.shape == (3, 2, 4)
+    # 2 x 2 is the smallest grid
+    assert run_all(s, VerifyConfig(nu=2, nv=2)).entry("angle_constancy").passed
+    assert [a.size for a in grid_axes(s, 2, 2)] == [2, 2]
+    # 2.5 is refused by both callers, before np.linspace sees it
+    with pytest.raises(ConfigError, match=r"integers nu, nv >= 2, got \(2.5, 3\)"):
+        VerifyConfig(nu=2.5, nv=3)
+    with pytest.raises(OutOfDomain, match=r"integers nu, nv >= 2, got \(2.5, 3\)"):
+        sample_grid(s, 2.5, 3)
 
 
 def test_verify_config_accepts_zero_and_infinite_tolerances():
