@@ -1,8 +1,9 @@
 """Closed-form constants and auxiliary fields of a helix surface.
 
 Every quantity here is an explicit function of (epsilon, theta); nothing
-is obtained by integrating an ODE.  The ODE residual checks elsewhere
-treat these closed forms as the candidate solutions.
+is obtained by integrating an ODE.  The report judges a surface by these
+constants, and reads lambda off the surface's shape operator rather than
+from lambda_field.
 """
 
 from __future__ import annotations

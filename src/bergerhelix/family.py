@@ -375,10 +375,11 @@ def detect_hopf_tube(profile: XiProfile):
 
 def _number(value, what: str) -> float:
     """A finite JSON number as a float; any other value (a string, null,
-    a list, the NaN and Infinity that Python's json accepts, or an integer
-    beyond the double range) is a ConfigError."""
-    # the comparison is exact for ints and false for NaN
-    if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+    true or false, a list, the NaN and Infinity that Python's json
+    accepts, or an integer beyond the double range) is a ConfigError."""
+    # bool is an int; the comparison is exact for ints and false for NaN
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and abs(value) <= sys.float_info.max):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 

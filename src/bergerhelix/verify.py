@@ -9,10 +9,15 @@ whole nu x nv grid, the nine interior points of the curvature and the
 shape operator, and beta's jet at the 32 points of the u-products.  The
 sweep reduces each block of u rows as it arrives, so no full-grid array is
 held, and keeps the samples of a subgrid of at most 21 x 21 of its
-points, which separable_vs_direct compares with tangent_data.  run_all is
-a loop over the registry: it skips the helix-only checks on a Hopf tube,
-looks up each tolerance, reduces every residual with a NaN-propagating max
-(so a NaN fails its entry) and collects the entries in a CheckReport.
+points, which separable_vs_direct compares with tangent_data.  Every entry
+measures the surface: the one shape-operator evaluation at the interior
+points gives both its entries against [[0, -eps], [-eps, lambda]] and
+lambda_measured, the spread along each v-line of the gauge eta(v) of the
+Riccati solution lambda = 2 sqrt(B) tan(eta(v) - 2 cos(th) sqrt(B) u).
+run_all is a loop over the registry: it skips the helix-only checks on a
+Hopf tube, looks up each tolerance, reduces every residual with a
+NaN-propagating max (so a NaN fails its entry) and collects the entries
+in a CheckReport.
 Sample points come from a deterministic low-discrepancy sequence, so two
 runs with the same configuration produce byte-identical reports.
 
@@ -33,7 +38,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .ambient import J1, connection_table, frame_components
-from .constants import lambda_field
 from .errors import ConfigError, as_array, check_grid_size
 from .family import assemble
 from .surface import (
@@ -64,7 +68,7 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "gram_diagonal": 1e-9,
     "gram_off_diagonal": 1e-9,
     "j1_products": 1e-9,
-    "lambda_ode": 1e-6,
+    "lambda_measured": 1e-7,
     "normal_closed_form": 1e-8,
     "product_table": 1e-9,
     "profile_constraint": 1e-8,
@@ -72,7 +76,6 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "shape_operator": 1e-4,
 }
 
-FIELD_SAMPLES = 200
 SUBGRID_SIDE = 21     # points per axis that separable_vs_direct compares
 SEED = 0
 
@@ -146,8 +149,9 @@ class VerifyConfig:
             raise ConfigError(f"unknown tolerance names {unknown}; known names: "
                               + ", ".join(sorted(DEFAULT_TOLERANCES)))
         for name, value in self.tolerances.items():
-            # NaN fails the comparison; inf, which passes any residual but NaN, is allowed
-            if not (isinstance(value, numbers.Real) and value >= 0):
+            # NaN fails the comparison; inf, which passes any residual but NaN, is
+            # allowed; bool is an int, but True is no tolerance
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value >= 0):
                 raise ConfigError(f"tolerance {name}={value!r} must be a non-negative number")
 
     def tol(self, name: str) -> float:
@@ -341,7 +345,7 @@ def normal_closed_form_n1(surface: HelixSurface, u, v):
 
 # --------------------------------------------------------------------------
 # the run of one run_all call, and the registry:
-# fn(run) -> {entry: (residual, samples[, note])}
+# fn(run) -> {entry: (residual, samples)}
 # --------------------------------------------------------------------------
 
 class _Run:
@@ -516,23 +520,6 @@ def _normal_closed_form(run):
                                    us.size)}
 
 
-def _fields(run):
-    """The Riccati equation lambda' + cos(th) lambda^2 + 4 (eps^2 - 1)
-    cos^3(th) + 4 cos(th) = 0 of the lambda closed form, under a complex
-    step in u."""
-    surface = run.surface
-    params, consts = surface.params, surface.consts
-    eps, ct = params.epsilon, math.cos(params.theta)
-    # keep the tan argument well inside (-pi/2, pi/2), so no pole is near
-    u_cap = 0.6 / (2.0 * ct * math.sqrt(consts.B))
-    us = (low_discrepancy(FIELD_SAMPLES, SEED + 17)[:, 0] - 0.5) * 2.0 * u_cap
-
-    lam = lambda_field(us, consts, params)
-    dlam = np.imag(lambda_field(us + 1j * CSTEP, consts, params)) / CSTEP
-    return {"lambda_ode": (np.abs(dlam + lam * lam * ct
-                                  + 4.0 * (eps * eps - 1.0) * ct ** 3 + 4.0 * ct), FIELD_SAMPLES)}
-
-
 def _first_order_system(run):
     surface = run.surface
     c = fit_phase_constant(surface)
@@ -564,30 +551,34 @@ def _gauss_curvature(run):
 
 
 def _shape_operator(run):
-    """Entries of the shape operator against [[0, -eps], [-eps, lambda]].
+    """Entries of the shape operator against [[0, -eps], [-eps, lambda]],
+    and its lambda against the Riccati solution
+    lambda = 2 sqrt(B) tan(eta(v) - 2 cos(th) sqrt(B) u).
 
-    The (2,2) entry is the measured lambda and is reported in a note,
-    never asserted (its eta(v) gauge is free).
+    eta = atan(lambda / (2 sqrt B)) + 2 cos(th) sqrt(B) u is then constant
+    mod pi along each v-line, whatever the free gauge eta(v).  The nudge of
+    _interior_points moves only u, so each column of the 3 x 3 block of
+    points is one v-line; lambda_measured is the spread of eta mod pi
+    across it, an angle with no poles.
     """
     surface, pts = run.surface, run.interior
     S = shape_operator_matrix(surface, pts[:, 0], pts[:, 1])
     eps = surface.params.epsilon
     resid = np.abs(np.stack([S[:, 0, 0], S[:, 0, 1] + eps, S[:, 1, 0] + eps], -1))
     resid[~np.isfinite(resid)] = math.inf
-    out = (resid, len(pts))
-    regular = np.all(np.isfinite(S), axis=(-2, -1))
-    if np.any(regular):
-        lam = S[np.argmax(regular), 1, 1]
-        out += (f"measured shape-operator trace at first probe point: {lam:.12g}",)
-    return {"shape_operator": out}
+    sB, ct = math.sqrt(surface.consts.B), math.cos(surface.params.theta)
+    eta = (np.arctan(S[:, 1, 1] / (2.0 * sB)) + 2.0 * ct * sB * pts[:, 0]).reshape(3, 3)
+    turn = (eta - eta[0] + math.pi / 2) % math.pi - math.pi / 2
+    return {"shape_operator": (resid, len(pts)),
+            "lambda_measured": (np.ptp(turn, axis=0), len(pts))}
 
 
 @dataclass(frozen=True)
 class Check:
     """A registered check.  fn(run), run the _Run of one run_all call,
-    returns, per entry name, (residual, samples) plus optional notes; the
-    residual is a number or an array of per-sample residuals.  helix_only
-    checks are skipped on a Hopf tube."""
+    returns, per entry name, (residual, samples); the residual is a number
+    or an array of per-sample residuals.  helix_only checks are skipped on
+    a Hopf tube."""
 
     name: str
     fn: Callable[[_Run], dict]
@@ -603,7 +594,6 @@ CHECKS: Tuple[Check, ...] = (
     Check("product_table", _product_table),
     Check("j1_products", _j1_products),
     Check("normal_closed_form", _normal_closed_form),
-    Check("fields", _fields),
     Check("first_order_system", _first_order_system, helix_only=True),
     Check("gram", _gram, helix_only=True),
     Check("gauss_curvature", _gauss_curvature, helix_only=True),
@@ -630,12 +620,11 @@ def run_all(surface: HelixSurface, config: Optional[VerifyConfig] = None) -> Che
     for check in CHECKS:
         if hopf_tube and check.helix_only:
             continue
-        for name, (residual, samples, *notes) in check.fn(run).items():
+        for name, (residual, samples) in check.fn(run).items():
             r = np.asarray(residual, dtype=float)
             # np.max keeps a NaN, so a NaN residual fails its entry
             report.add(name, float(np.max(r)) if r.size else math.inf,
                        config.tol(name), samples)
-            report.notes.extend(notes)
 
     if hopf_tube:
         report.notes.append("skipped helix-only checks: " + ", ".join(

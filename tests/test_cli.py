@@ -145,7 +145,13 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     json.dumps(dict(EXAMPLE_CONFIG, xi2={"linear": {"slope": None}})),
     json.dumps(EXAMPLE_CONFIG)[:40],
     json.dumps(dict(EXAMPLE_CONFIG, xi2={"linear": {"slope": math.nan}}, xi3="auto")),
-], ids=["string-slope", "null-slope", "truncated-json", "nan-slope"])
+    # true and false are not numbers, though a Python bool is an int
+    json.dumps(dict(EXAMPLE_CONFIG, xi2={"linear": {"slope": True}})),
+    json.dumps(dict(EXAMPLE_CONFIG, xi=False)),
+    json.dumps(dict(EXAMPLE_CONFIG, xi3="auto", xi1={"table": {
+        "v": [0.0, True, 3.0, 2 * math.pi], "value": [math.pi / 4] * 4}})),
+], ids=["string-slope", "null-slope", "truncated-json", "nan-slope", "true-slope", "false-xi",
+        "true-table-entry"])
 def test_malformed_config_values_exit_two(tmp_path, capsys, text):
     cfg = tmp_path / "broken.json"
     cfg.write_text(text)
