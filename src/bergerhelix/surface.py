@@ -4,8 +4,11 @@ differential data.
 The pointwise kernel, tangent_data, evaluates F, F_u, F_v, the normal and
 the Gram determinant at any (u, v) that broadcast against each other: a
 point, matched arrays, or us[:, None] against vs[None, :] for a grid, where
-A is built once per distinct v.  position, partials, normal_components,
-measured_angle and first_fundamental_form are views of it.
+A is built once per distinct v.  position, partials, normal_components
+and measured_angle are views of it.  first_fundamental_form and the
+structure probes at the end of this module read a TangentData their
+caller evaluated, so that verify can evaluate all of its real point sets
+in one tangent_data call.
 
 The grid kernel, sweep_blocks, serves verify's angle sweep and
 sample_grid (and through it the exports).  All of the u-dependence of F
@@ -204,8 +207,13 @@ def tangent_data(surface: HelixSurface, u, v) -> TangentData:
     v = as_array(v)
     b, bu = _beta_jet(u, surface.consts, 0, 1)
     A, fv = _family_jet(surface, v, lambda D: _apply(D, b))
-    F = _apply(A, b)
-    fu = _apply(A, bu)
+    return _tangent_tail(surface, _apply(A, b), _apply(A, bu), fv)
+
+
+def _tangent_tail(surface: HelixSurface, F, fu, fv) -> TangentData:
+    """The TangentData of F and its partials fu, fv: their frame
+    components, the normal, the Gram determinant and _classify's codes and
+    angles.  tangent_data and verify's complex-step jet both end here."""
     cu = frame_components(surface.params, F, fu)
     cv = frame_components(surface.params, F, fv)
     normal = np.empty(cu.shape, np.result_type(cu, cv))
@@ -292,9 +300,9 @@ def measured_angle(surface: HelixSurface, u, v):
     return _view(surface, u, v, regular=True).angle[()]
 
 
-def first_fundamental_form(surface: HelixSurface, u, v):
-    """(E, F, G) of the induced metric at (u, v), in the ambient metric."""
-    td = _view(surface, u, v)
+def first_fundamental_form(surface: HelixSurface, td: TangentData):
+    """(E, F, G) of the induced metric, in the ambient metric, at the
+    points of td, the tangent_data there."""
     eps = surface.params.epsilon
     j1F = td.F @ J1.T
 
@@ -468,23 +476,23 @@ def sweep_grid(surface: HelixSurface, us, vs, jet=None) -> SweepData:
 # structure probes used by the certification suite and tests
 # --------------------------------------------------------------------------
 
-def fit_phase_constant(surface: HelixSurface) -> float:
+def fit_phase_constant(surface: HelixSurface, td: TangentData) -> float:
     """Fit the integration constant of the normal-rotation phase.
 
     The tangent field F_u expands as sin(th)[sin(th)/eps J1 F
     - cos(th) cos(phi) J2 F - cos(th) sin(phi) J3 F], so phi is read off
     the projections of F_u on J2 F and J3 F at the domain corner
-    (u_min, v_min).
+    (u_min, v_min); td is the tangent_data there.
     """
-    u, v = surface.u_domain[0], surface.v_domain[0]
-    td = _view(surface, u, v)
+    u = surface.u_domain[0]
     p2, p3 = float(td.fu @ (J2 @ td.F)), float(td.fu @ (J3 @ td.F))
     return math.atan2(-p3, -p2) - float(phi_field(u, surface.consts, surface.params))
 
 
-def first_order_system_residual(surface: HelixSurface, u, v, c: float):
+def first_order_system_residual(surface: HelixSurface, u, td: TangentData, c: float):
     """Max componentwise residual of the first-order position system,
-    per point of the broadcast (u, v).
+    per point of td, the tangent_data at points whose u-coordinates u
+    broadcast to td's shape.
 
     With phi(u) = -2 B u / eps + c the system reads
     F_u = sin(th)[sin(th)/eps J1 F - cos(th) cos(phi) J2 F
@@ -492,7 +500,6 @@ def first_order_system_residual(surface: HelixSurface, u, v, c: float):
     """
     th = surface.params.theta
     eps = surface.params.epsilon
-    td = tangent_data(surface, u, v)
     F = td.F
     phi = phi_field(np.asarray(u, dtype=float), surface.consts, surface.params, c)[..., None]
     rhs = math.sin(th) * (
@@ -503,20 +510,25 @@ def first_order_system_residual(surface: HelixSurface, u, v, c: float):
     return np.max(np.abs(td.fu - rhs), axis=-1)[()]
 
 
-def recover_coefficient_fields(surface: HelixSurface, v) -> np.ndarray:
-    """Solve for the four vector coefficients of the trig expansion of
-    F(., v) by least squares on the five samples u in {0, pi/(4 a1),
-    pi/(4 a2), 1, 2}.
+def _coefficient_samples(consts: HelixConstants) -> np.ndarray:
+    """The five u of recover_coefficient_fields: 0, pi/(4 a1), pi/(4 a2),
+    1 and 2."""
+    return np.array([0.0, math.pi / (4 * consts.alpha1), math.pi / (4 * consts.alpha2), 1.0, 2.0])
 
-    Returns an array of shape v.shape + (4, 4) whose rows are the
-    recovered vectors multiplying cos(a1 u), sin(a1 u), cos(a2 u),
-    sin(a2 u).
+
+def recover_coefficient_fields(surface: HelixSurface, td: TangentData) -> np.ndarray:
+    """Solve for the four vector coefficients of the trig expansion of
+    F(., v) by least squares on the five samples of _coefficient_samples.
+
+    td is tangent_data at (us, v) with us the five samples on its first
+    axis, us.reshape(us.shape + (1,) * v.ndim) against v.  Returns an array
+    of shape v.shape + (4, 4) whose rows are the recovered vectors
+    multiplying cos(a1 u), sin(a1 u), cos(a2 u), sin(a2 u).
     """
     a1, a2 = surface.consts.alpha1, surface.consts.alpha2
-    us = np.array([0.0, math.pi / (4 * a1), math.pi / (4 * a2), 1.0, 2.0])
-    v = np.asarray(v, dtype=float)
+    us = _coefficient_samples(surface.consts)
     M = np.stack([np.cos(a1 * us), np.sin(a1 * us),
                   np.cos(a2 * us), np.sin(a2 * us)], axis=-1)
-    Fs = tangent_data(surface, us.reshape(us.shape + (1,) * v.ndim), v).F
-    g, *_ = np.linalg.lstsq(M, Fs.reshape(us.size, -1), rcond=None)
-    return np.moveaxis(g.reshape((4,) + v.shape + (4,)), 0, -2)
+    shape = td.F.shape[1:-1]
+    g, *_ = np.linalg.lstsq(M, td.F.reshape(us.size, -1), rcond=None)
+    return np.moveaxis(g.reshape((4,) + shape + (4,)), 0, -2)

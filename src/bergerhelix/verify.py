@@ -2,18 +2,25 @@
 
 The checks form one registry, CHECKS.  Each maps a run, the surface and
 VerifyConfig of one run_all call, to named residuals with their sample
-counts.  The run evaluates each point set that several checks read once,
-on first use, and drops it with the call: the grid axes, the family A(v)
-on them, one pass of the separable kernel surface.sweep_blocks over the
-whole nu x nv grid, the nine interior points of the curvature and the
-shape operator, and beta's jet at the 32 points of the u-products.  The
-sweep reduces each block of u rows as it arrives, so no full-grid array is
-held, and keeps the samples of a subgrid of at most 21 x 21 of its
-points, which separable_vs_direct compares with tangent_data.  Every entry
-measures the surface: the one shape-operator evaluation at the interior
-points gives both its entries against [[0, -eps], [-eps, lambda]] and
-lambda_measured, the spread along each v-line of the gauge eta(v) of the
-Riccati solution lambda = 2 sqrt(B) tan(eta(v) - 2 cos(th) sqrt(B) u).
+counts.  The run makes each evaluation once, on first use, and drops it
+with the call: the grid axes, the family A(v) on them, and one pass of
+the separable kernel surface.sweep_blocks over the whole nu x nv grid;
+then three evaluations of which each check reads its own slice.  One
+tangent_data call covers every real point set, flattened and
+concatenated: the nudge candidates of the nine interior points, a
+subgrid of at most 21 x 21 grid points, the samples of
+normal_closed_form and first_order_system, the domain corner of
+fit_phase_constant and the points of recover_coefficient_fields.  One
+complex-step jet at the interior points serves the curvature and the
+shape operator.  One beta jet and one assemble at the 1000 sample points
+of fourth_order_ode serve it and, through their first 32 rows, the
+u-products.  The sweep reduces each block of u rows as it arrives, so no
+full-grid array is held, and keeps its samples on the subgrid, which
+separable_vs_direct compares with tangent_data.  Every entry measures the
+surface: the one shape-operator evaluation at the interior points gives
+both its entries against [[0, -eps], [-eps, lambda]] and lambda_measured,
+the spread along each v-line of the gauge eta(v) of the Riccati solution
+lambda = 2 sqrt(B) tan(eta(v) - 2 cos(th) sqrt(B) u).
 run_all is a loop over the registry: it skips the helix-only checks on a
 Hopf tube, looks up each tolerance, reduces every residual with a
 NaN-propagating max (so a NaN fails its entry) and collects the entries
@@ -45,10 +52,13 @@ from .surface import (
     GRAM_DET_TOL,
     NON_FINITE,
     HelixSurface,
+    TangentData,
     _apply,
     _beta_jet,
+    _coefficient_samples,
     _dot,
     _family_jet,
+    _tangent_tail,
     first_fundamental_form,
     first_order_system_residual,
     fit_phase_constant,
@@ -78,6 +88,8 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 
 SUBGRID_SIDE = 21     # points per axis that separable_vs_direct compares
 SEED = 0
+ODE_SAMPLES = 1000    # sample points of fourth_order_ode
+PRODUCT_SAMPLES = 32  # the first of them, which the u-products read
 
 
 @dataclass(frozen=True)
@@ -203,31 +215,42 @@ def _complex_steps(u, v):
     return np.stack([u + 1j * CSTEP, u + 0j]), np.stack([v + 0j, v + 1j * CSTEP])
 
 
+def _complex_jet(surface: HelixSurface, u, v):
+    """The complex-step jet at (u, v), read by the curvature and the shape
+    operator: (td, F_uu, F_uv) at the points of _complex_steps, td their
+    TangentData, F_uu = A beta'' and F_uv = A' beta'.  One _beta_jet and one
+    assemble give them all, and td ends in tangent_data's own
+    _tangent_tail, so it equals tangent_data at those points bit for bit."""
+    us, vs = _complex_steps(u, v)
+    b, bu, buu = _beta_jet(us, surface.consts, 0, 1, 2)
+    A, dA = assemble(surface.profile, vs, 1)
+    td = _tangent_tail(surface, _apply(A, b), _apply(A, bu), _apply(dA, b))
+    return td, _apply(A, buu), _apply(dA, bu)
+
+
 # --------------------------------------------------------------------------
 # differential probes
 # --------------------------------------------------------------------------
 
-def gauss_curvature_numeric(surface: HelixSurface, u, v):
-    """Intrinsic curvature from the first fundamental form alone.
+def gauss_curvature_numeric(surface: HelixSurface, jet):
+    """Intrinsic curvature from the first fundamental form alone, at the
+    points of jet, the _complex_jet there.
 
     The two-determinant formula det(M1) - det(M2) over (EG - F^2)^2, with
-    the metric a dot product of frame components (nothing cancels) at the
-    points of _complex_steps.  Complex steps of it give the first
-    derivatives; E_vv, F_uv and G_uu are complex steps of the exact E_v,
-    F_u and G_u, from F_uu = A beta'' and F_uv = A' beta'.  Where EG - F^2
-    falls below GRAM_DET_TOL the metric is singular and K reads inf.
+    the metric a dot product of the jet's frame components (nothing
+    cancels).  Complex steps of it give the first derivatives; E_vv, F_uv
+    and G_uu are complex steps of the exact E_v, F_u and G_u, from the
+    jet's F_uu = A beta'' and F_uv = A' beta'.  Where EG - F^2 falls below
+    GRAM_DET_TOL the metric is singular and K reads inf.
     """
-    us, vs = _complex_steps(*surface.check_domain(u, v))
-    b, bu, buu = _beta_jet(us, surface.consts, 0, 1, 2)
-    A, dA = assemble(surface.profile, vs, 1)
-    P, Pu, Pv, Puu, Puv = (_apply(M, x) for M, x in ((A, b), (A, bu), (dA, b), (A, buu), (dA, bu)))
+    td, Puu, Puv = jet
+    P, Pu, Pv, cu, cv = td.F, td.fu, td.fv, td.cu, td.cv
 
     def c(p, X):
         """Frame components of X at p, bilinear in (p, X)."""
         return frame_components(surface.params, p, X)
 
-    cu, cv = c(P, Pu), c(P, Pv)
-    # their exact derivatives, by the product rule
+    # the exact derivatives of cu and cv, by the product rule
     cu_u, cu_v, cv_u = c(Pu, Pu) + c(P, Puu), c(Pv, Pu) + c(P, Puv), c(Pu, Pv) + c(P, Puv)
     # axis 1 holds the step: 0 in u, 1 in v
     metric = np.stack([_dot(cu, cu), _dot(cu, cv), _dot(cv, cv)])
@@ -252,17 +275,10 @@ def gauss_curvature_numeric(surface: HelixSurface, u, v):
     return np.where(det < GRAM_DET_TOL, math.inf, K)[()]
 
 
-def _interior_points(surface: HelixSurface) -> np.ndarray:
-    """Nine interior points, the 3 x 3 grid at the quarters of the
-    domain, as (u, v) rows, nudged off near-singular parameter lines.
-
-    The curvature divides by the square of EG - F^2 and the shape operator
-    by a basis as degenerate as the tangent plane, so a point steps in u,
-    up to 16 times, until the relative determinant is healthy (a NaN one
-    is not).  The steps do not depend on the metric: one
-    first_fundamental_form call evaluates the first 16 candidates of every
-    point, which takes its first healthy one or else the 17th.
-    """
+def _nudge_candidates(surface: HelixSurface) -> Tuple[np.ndarray, np.ndarray]:
+    """(us, v): the nine interior points, the 3 x 3 grid at the quarters
+    of the domain, v of shape (9,), and us (17, 9), the u of each point
+    followed by its 16 steps in u."""
     u0, u1 = surface.u_domain
     v0, v1 = surface.v_domain
     fracs = np.array([1.0, 2.0, 3.0]) / 4.0
@@ -270,23 +286,38 @@ def _interior_points(surface: HelixSurface) -> np.ndarray:
     v = v0 + np.tile(fracs, 3) * (v1 - v0)
     for _ in range(16):
         us.append(u0 + (us[-1] - u0 + (u1 - u0) / 7.3) % (u1 - u0))
-    us = np.stack(us)
-    E, Fc, G = first_fundamental_form(surface, us[:-1], v)
+    return np.stack(us), v
+
+
+def _interior_points(surface: HelixSurface, candidates, td: TangentData) -> np.ndarray:
+    """Nine interior points as (u, v) rows, nudged off near-singular
+    parameter lines.
+
+    The curvature divides by the square of EG - F^2 and the shape operator
+    by a basis as degenerate as the tangent plane, so a point steps in u,
+    up to 16 times, until the relative determinant is healthy (a NaN one
+    is not).  The steps do not depend on the metric: candidates is
+    _nudge_candidates, td the tangent_data at their first 16 rows, and one
+    first_fundamental_form call reads them all; each point takes its first
+    healthy candidate or else the 17th.
+    """
+    us, v = candidates
+    E, Fc, G = first_fundamental_form(surface, td)
     healthy = np.concatenate([E * G - Fc * Fc > 0.05 * E * G, np.ones((1, v.size), bool)])
     return np.stack([us[np.argmax(healthy, axis=0), np.arange(v.size)], v], axis=-1)
 
 
-def shape_operator_matrix(surface: HelixSurface, u, v) -> np.ndarray:
+def shape_operator_matrix(surface: HelixSurface, td: TangentData) -> np.ndarray:
     """The shape operator in the orthonormal tangent basis (T, JT)/sin(th).
 
-    The unit normal is differentiated along both coordinate directions by
-    complex steps of its frame components, from one tangent_data call at
-    the points of _complex_steps, and corrected by the ambient connection;
-    the operator is then expressed in the basis made of the normalized
-    tangent F_u and its quarter-turn.  Batched over (u, v); NaN where the
-    tangent plane degenerates or a value is not finite.
+    td is the TangentData of a _complex_jet, at the points of
+    _complex_steps.  The unit normal is differentiated along both
+    coordinate directions by complex steps of its frame components and
+    corrected by the ambient connection; the operator is then expressed in
+    the basis made of the normalized tangent F_u and its quarter-turn.
+    Batched over the jet's points; NaN where the tangent plane degenerates
+    or a value is not finite.
     """
-    td = tangent_data(surface, *_complex_steps(u, v))
     n = _unit_normals(td.normal)
     n0, cu, cv = n[0].real, td.cu[0].real, td.cv[0].real
     dNu, dNv = n[0].imag / CSTEP, n[1].imag / CSTEP
@@ -349,9 +380,17 @@ def normal_closed_form_n1(surface: HelixSurface, u, v):
 # --------------------------------------------------------------------------
 
 class _Run:
-    """The surface and config of one run_all call, and the point sets
-    that several checks share, each evaluated on first use.  A run lives
-    for one call, so nothing is kept between calls."""
+    """The surface and config of one run_all call, and the evaluations
+    that several checks share, each made on first use.  A run lives for
+    one call, so nothing is kept between calls.
+
+    Beside the grid's axes, family jet and sweep there are three shared
+    evaluations, and each check reads its own slice of one of them:
+    real, one tangent_data call on every real point set; jet, one
+    _complex_jet at the interior points; and samples, one beta jet and one
+    assemble at the sample points of fourth_order_ode, whose first rows
+    are those of the u-products.
+    """
 
     def __init__(self, surface: HelixSurface, config: VerifyConfig):
         self.surface, self.config = surface, config
@@ -367,21 +406,76 @@ class _Run:
         return _family_jet(self.surface, self.axes[1], lambda D: D)
 
     @cached_property
-    def interior(self) -> np.ndarray:
-        """The interior points of the curvature and the shape operator."""
-        return _interior_points(self.surface)
+    def subgrid(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The indices, per axis, of at most SUBGRID_SIDE evenly spread
+        grid points, where separable_vs_direct compares the kernels."""
+        return tuple(np.linspace(0, axis.size - 1, min(axis.size, SUBGRID_SIDE)).round().astype(int)
+                     for axis in self.axes)
 
     @cached_property
-    def u_jet(self):
-        """(us, vs, jet) at the 32 sample points of the u-products, jet
-        beta and its first three u-derivatives from one cos/sin pass."""
-        us, vs = _sample_points(self.surface, 32, SEED)
-        return us, vs, _beta_jet(us, self.surface.consts, 0, 1, 2, 3)
+    def candidates(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The nudge candidates of the interior points, _nudge_candidates."""
+        return _nudge_candidates(self.surface)
+
+    @cached_property
+    def real(self) -> Dict[str, Tuple[np.ndarray, np.ndarray, TangentData]]:
+        """Per real point set, (u, v, td): the set's points as its check
+        gives them and tangent_data at their broadcast shape.  One
+        tangent_data call evaluates all the sets, flattened and
+        concatenated, and each td is a slice of it: the kernel works point
+        by point, so the slice equals tangent_data on the set alone bit for
+        bit."""
+        surface = self.surface
+        (us, vs), (iu, iv), (cand, cand_v) = self.axes, self.subgrid, self.candidates
+        u0, v0 = surface.u_domain[0], surface.v_domain[0]
+        sets = {
+            "interior": (cand[:-1], cand_v),
+            "subgrid": (us[iu, None], vs[None, iv]),
+            "normal": _sample_points(surface, 100, SEED),
+            "first_order": (_sample_points(surface, 100, SEED + 5)[0], v0),
+            "corner": (u0, v0),
+            "gram": (_coefficient_samples(surface.consts)[:, None],
+                     np.linspace(surface.v_domain[0], surface.v_domain[1], 7)),
+        }
+        shapes = [np.broadcast_shapes(np.shape(u), np.shape(v)) for u, v in sets.values()]
+        flat = [np.concatenate([np.broadcast_to(p[k], shape).ravel()
+                                for p, shape in zip(sets.values(), shapes)]) for k in (0, 1)]
+        td = tangent_data(surface, *flat)
+        out, start = {}, 0
+        for (name, (u, v)), shape in zip(sets.items(), shapes):
+            stop = start + math.prod(shape)
+            out[name] = u, v, TangentData(*(
+                getattr(td, f.name)[start:stop].reshape(shape + getattr(td, f.name).shape[1:])
+                for f in dataclasses.fields(TangentData)))
+            start = stop
+        return out
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """The interior points of the curvature and the shape operator."""
+        return _interior_points(self.surface, self.candidates, self.real["interior"][2])
+
+    @cached_property
+    def jet(self):
+        """The _complex_jet at the interior points."""
+        return _complex_jet(self.surface, self.interior[:, 0], self.interior[:, 1])
+
+    @cached_property
+    def samples(self):
+        """(us, vs, jet, A) at the ODE_SAMPLES sample points: jet beta and
+        its first four u-derivatives from one cos/sin pass, A the family at
+        vs.  Their first PRODUCT_SAMPLES rows are the points of
+        _sample_points(surface, PRODUCT_SAMPLES, SEED), those of the
+        u-products."""
+        surface = self.surface
+        us, vs = _sample_points(surface, ODE_SAMPLES, SEED)
+        A, = assemble(surface.profile, vs)
+        return us, vs, _beta_jet(us, surface.consts, 0, 1, 2, 3, 4), A
 
     @cached_property
     def sweep(self):
         """One pass of sweep_blocks over the grid, on family_jet, as
-        (peaks, counted, subgrid, angle, defect).
+        (peaks, counted, angle, defect).
 
         Each block is reduced as it arrives to the peaks and count of
         angle_constancy: its NaN-propagating extremes are exact, so the
@@ -389,14 +483,12 @@ class _Run:
         extremes are all finite counts every sample, and its largest
         |angle - target| is read from its extreme angles, since rounding
         keeps the order; only a block with a NaN or an infinity goes
-        through the per-sample masks.  subgrid holds the indices, per axis,
-        of at most SUBGRID_SIDE evenly spread grid points, and angle and
-        defect the samples there, copied from the blocks that hold them.
+        through the per-sample masks.  angle and defect hold the samples
+        at the subgrid, copied from the blocks that hold them.
         """
         surface = self.surface
         target = math.pi / 2 if surface.profile.hopf_tube[0] else surface.params.theta
-        iu, iv = (np.linspace(0, axis.size - 1, min(axis.size, SUBGRID_SIDE)).round().astype(int)
-                  for axis in self.axes)
+        iu, iv = self.subgrid
         peaks, counted, angles, defects, start = [], 0, [], [], 0
         for block in sweep_blocks(surface, *self.axes, self.family_jet):
             angle = block.angle
@@ -415,7 +507,7 @@ class _Run:
                 if n:
                     peaks.append(np.max(np.abs(angle[kept] - target)))
                     counted += n
-        return peaks, counted, (iu, iv), np.concatenate(angles), np.concatenate(defects)
+        return peaks, counted, np.concatenate(angles), np.concatenate(defects)
 
 
 def _family(run):
@@ -436,7 +528,7 @@ def _angle_sweep(run):
     counting non-finite samples so that they fail it, from the run's sweep
     of the separable kernel.  The residual is the list of block maxima,
     empty (inf) when no sample counts."""
-    peaks, counted, *_ = run.sweep
+    peaks, counted, _, _ = run.sweep
     return {"angle_constancy": (peaks, counted)}
 
 
@@ -444,9 +536,8 @@ def _separable_vs_direct(run):
     """The sweep's separable kernel against tangent_data on its subgrid,
     the very samples angle_constancy reduced: inf where the defect codes
     differ, else the largest angle difference over usable samples."""
-    *_, (iu, iv), angle, defect = run.sweep
-    us, vs = run.axes
-    direct = tangent_data(run.surface, us[iu, None], vs[None, iv])
+    _, _, angle, defect = run.sweep
+    direct = run.real["subgrid"][2]
     diff = np.where(direct.defect == 0, np.abs(angle - direct.angle), 0.0)
     return {"separable_vs_direct": (np.where(defect == direct.defect, diff, math.inf),
                                     diff.size)}
@@ -457,19 +548,17 @@ def _fourth_order_ode(run):
     divided by max(1, |A| (|beta_uuuu| + |b~^2 - 2 a~| |beta_uu| + a~^2 |beta|)),
     the size of its terms: they reach about alpha1^4 at small eps, where
     their rounding alone would exceed an absolute tolerance."""
-    surface = run.surface
-    us, vs = _sample_points(surface, 1000, SEED)
-    c = surface.consts
-    b4, b2, b0 = _beta_jet(us, c, 4, 2, 0)
+    us, _, (b0, _, b2, _, b4), A = run.samples
+    c = run.surface.consts
     k2, k0 = c.b_tilde ** 2 - 2.0 * c.a_tilde, c.a_tilde ** 2
-    A, = assemble(surface.profile, vs)
     comb = np.einsum('kij,kj->ki', A, b4 + k2 * b2 + k0 * b0)
     size = np.einsum('kij,kj->ki', np.abs(A), np.abs(b4) + abs(k2) * np.abs(b2) + k0 * np.abs(b0))
     return {"fourth_order_ode": (np.abs(comb) / np.maximum(1.0, size), us.size)}
 
 
 def _product_table(run):
-    """The ten euclidean products of F and its first three u-derivatives.
+    """The ten euclidean products of F and its first three u-derivatives,
+    at the first PRODUCT_SAMPLES sample points.
 
     The products are v-independent (the family acts orthogonally), so
     sampling runs along u at the first v of the domain.  Each residual
@@ -478,54 +567,52 @@ def _product_table(run):
     at small eps and theta.
     """
     surface = run.surface
-    us, _, jet = run.u_jet
+    jet = run.samples[2]
     c = surface.consts
     A, = assemble(surface.profile, surface.v_domain[0])
-    ders = [(A @ b.T).T for b in jet]
+    ders = [(A @ b[:PRODUCT_SAMPLES].T).T for b in jet[:4]]
     norms = [np.linalg.norm(d, axis=-1) for d in ders]
     return {"product_table": ([np.abs(np.sum(ders[i] * ders[j], axis=-1) - target)
                                / (norms[i] * norms[j])
                                for (i, j), target in product_table_targets(c).items()],
-                              us.size)}
+                              PRODUCT_SAMPLES)}
 
 
 def _j1_products(run):
-    """Products mixing J1 with the u-derivatives of F.
+    """Products mixing J1 with the u-derivatives of F, at the first
+    PRODUCT_SAMPLES sample points.
 
     <J1 F, F_u> = sin^2(th)/eps, <J1 F, F_uu> = 0,
     <F_u, J1 F_uu> = i_const, <J1 F_u, F_uuu> = 0.
     """
     surface = run.surface
-    us, vs, jet = run.u_jet
+    _, _, jet, A = run.samples
     c = surface.consts
     eps = surface.params.epsilon
     th = surface.params.theta
-    A, = assemble(surface.profile, vs)
-    d = [np.einsum('kij,kj->ki', A, b) for b in jet]
+    d = [np.einsum('kij,kj->ki', A[:PRODUCT_SAMPLES], b[:PRODUCT_SAMPLES]) for b in jet[:4]]
     j1 = [x @ J1.T for x in d]
     return {"j1_products": ([
         np.abs(np.sum(j1[0] * d[1], -1) - math.sin(th) ** 2 / eps),
         np.abs(np.sum(j1[0] * d[2], -1)),
         np.abs(np.sum(d[1] * j1[2], -1) - c.i_const) / max(1.0, abs(c.i_const)),
         np.abs(np.sum(j1[1] * d[3], -1)),
-    ], us.size)}
+    ], PRODUCT_SAMPLES)}
 
 
 def _normal_closed_form(run):
     """Numeric N1 from the cross product against the closed form."""
-    surface = run.surface
-    us, vs = _sample_points(surface, 100, SEED)
-    n1 = tangent_data(surface, us, vs).normal[:, 0]
-    return {"normal_closed_form": (np.abs(n1 - normal_closed_form_n1(surface, us, vs)),
+    us, vs, td = run.real["normal"]
+    n1 = td.normal[:, 0]
+    return {"normal_closed_form": (np.abs(n1 - normal_closed_form_n1(run.surface, us, vs)),
                                    us.size)}
 
 
 def _first_order_system(run):
     surface = run.surface
-    c = fit_phase_constant(surface)
-    us, _ = _sample_points(surface, 100, SEED + 5)
-    return {"first_order_system": (
-        first_order_system_residual(surface, us, surface.v_domain[0], c), us.size)}
+    c = fit_phase_constant(surface, run.real["corner"][2])
+    us, _, td = run.real["first_order"]
+    return {"first_order_system": (first_order_system_residual(surface, us, td, c), us.size)}
 
 
 def _gram(run):
@@ -533,8 +620,8 @@ def _gram(run):
     g11, g11, g33, g33, at seven v across the domain."""
     surface = run.surface
     c = surface.consts
-    vs = np.linspace(surface.v_domain[0], surface.v_domain[1], 7)
-    g = recover_coefficient_fields(surface, vs)
+    _, vs, td = run.real["gram"]
+    g = recover_coefficient_fields(surface, td)
     G = g @ np.swapaxes(g, -1, -2)
     return {
         "gram_off_diagonal": (np.abs(G * (1.0 - np.eye(4))), vs.size),
@@ -545,9 +632,8 @@ def _gram(run):
 
 def _gauss_curvature(run):
     """Numeric intrinsic curvature against 4 (1 - eps^2) cos^2(th)."""
-    surface, pts = run.surface, run.interior
-    K = gauss_curvature_numeric(surface, pts[:, 0], pts[:, 1])
-    return {"gauss_curvature": (np.abs(K - surface.consts.gauss_k), len(pts))}
+    K = gauss_curvature_numeric(run.surface, run.jet)
+    return {"gauss_curvature": (np.abs(K - run.surface.consts.gauss_k), len(run.interior))}
 
 
 def _shape_operator(run):
@@ -562,7 +648,7 @@ def _shape_operator(run):
     across it, an angle with no poles.
     """
     surface, pts = run.surface, run.interior
-    S = shape_operator_matrix(surface, pts[:, 0], pts[:, 1])
+    S = shape_operator_matrix(surface, run.jet[0])
     eps = surface.params.epsilon
     resid = np.abs(np.stack([S[:, 0, 0], S[:, 0, 1] + eps, S[:, 1, 0] + eps], -1))
     resid[~np.isfinite(resid)] = math.inf
@@ -607,7 +693,7 @@ def run_all(surface: HelixSurface, config: Optional[VerifyConfig] = None) -> Che
     Checks never abort the suite; each contributes its own entries.  On a
     Hopf-tube (degenerate) profile the angle target switches to pi/2 and
     the helix-only checks are skipped with a note.  The checks share one
-    _Run, so a point set several of them read is evaluated once per call.
+    _Run, so each of its evaluations is made at most once per call.
     """
     if config is None:
         config = VerifyConfig()

@@ -16,9 +16,9 @@ from bergerhelix.cli import main
 from bergerhelix.constants import ab_coefficients, compute_constants, lambda_field, phi_field
 from bergerhelix.family import Constant, Linear, Sinusoid, XiProfile, assemble, \
     derive_xi3, example_profile
-from bergerhelix.surface import make_surface, normal_components, recover_coefficient_fields, \
-    sample_grid
-from bergerhelix.verify import CHECKS, VerifyConfig, _interior_points, _Run, \
+from bergerhelix.surface import _coefficient_samples, make_surface, normal_components, \
+    recover_coefficient_fields, sample_grid, tangent_data
+from bergerhelix.verify import CHECKS, VerifyConfig, _complex_jet, _Run, \
     gauss_curvature_numeric, run_all, shape_operator_matrix
 from test_verify import strict_json
 
@@ -68,8 +68,8 @@ def test_criterion_02_gauss_curvature_constant():
     for eps, th in PAIRS:
         s = _surface(eps, th)
         K = s.consts.gauss_k
-        for (u, v) in _interior_points(s):
-            err = abs(gauss_curvature_numeric(s, u, v) - K)
+        for (u, v) in _Run(s, VerifyConfig()).interior:
+            err = abs(gauss_curvature_numeric(s, _complex_jet(s, u, v)) - K)
             worst = max(worst, err)
         wit[(eps, th)] = K
     ok = worst <= 1e-3
@@ -122,7 +122,7 @@ def test_criterion_05_gram_relations():
         want_11 = eps / (2 * c.B) * c.alpha2
         want_33 = eps / (2 * c.B) * c.alpha1
         for v in (0.0, 1.3, 4.9):
-            g = recover_coefficient_fields(s, v)
+            g = recover_coefficient_fields(s, tangent_data(s, _coefficient_samples(c), v))
             G = g @ g.T
             worst_off = max(worst_off, float(np.max(np.abs(G - np.diag(np.diag(G))))))
             worst_diag = max(worst_diag,
@@ -230,8 +230,8 @@ def test_criterion_09_shape_operator_form():
     worst = 0.0
     for eps, th in PAIRS:
         s = _surface(eps, th)
-        for (u, v) in _interior_points(s):
-            S = shape_operator_matrix(s, u, v)
+        for (u, v) in _Run(s, VerifyConfig()).interior:
+            S = shape_operator_matrix(s, _complex_jet(s, u, v)[0])
             worst = max(worst, abs(S[0, 0]), abs(S[0, 1] + eps), abs(S[1, 0] + eps))
     ok = worst <= 1e-4
     _report(9, ok, "shape operator matches [[0, -eps], [-eps, lambda]] at 9 interior points",

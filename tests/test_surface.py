@@ -27,6 +27,7 @@ from bergerhelix.surface import (
     NON_FINITE,
     HelixSurface,
     _beta_jet,
+    _coefficient_samples,
     beta,
     first_fundamental_form,
     first_order_system_residual,
@@ -194,7 +195,7 @@ def test_tangent_norm_is_sin_theta():
         p = BergerParams(eps, th)
         s = make_surface(p, example_profile())
         for (u, v) in [(0.5, 0.3), (3.0, 4.0)]:
-            E, _, _ = first_fundamental_form(s, u, v)
+            E, _, _ = first_fundamental_form(s, tangent_data(s, u, v))
             assert E == pytest.approx(math.sin(th) ** 2, abs=1e-9)
 
 
@@ -520,16 +521,17 @@ def test_first_order_system_along_u():
     for eps, th in [(1.0, math.pi / 4), (0.8, math.pi / 6), (1.5, math.pi / 3)]:
         p = BergerParams(eps, th)
         s = make_surface(p, example_profile())
-        c = fit_phase_constant(s)
-        rng = np.random.default_rng(6)
         v0 = s.v_domain[0]
+        c = fit_phase_constant(s, tangent_data(s, s.u_domain[0], v0))
+        rng = np.random.default_rng(6)
         for u in rng.uniform(*s.u_domain, 100):
-            assert first_order_system_residual(s, float(u), v0, c) < 1e-7
+            td = tangent_data(s, float(u), v0)
+            assert first_order_system_residual(s, float(u), td, c) < 1e-7
 
 
 def test_recovered_coefficient_gram():
     s = surface_ref()
-    g = recover_coefficient_fields(s, 0.7)
+    g = recover_coefficient_fields(s, tangent_data(s, _coefficient_samples(s.consts), 0.7))
     G = g @ g.T
     off = G - np.diag(np.diag(G))
     assert np.max(np.abs(off)) < 1e-9

@@ -35,7 +35,8 @@ from bergerhelix.verify import (
     CHECKS,
     DEFAULT_TOLERANCES,
     VerifyConfig,
-    _interior_points,
+    _complex_jet,
+    _complex_steps,
     _Run,
     gauss_curvature_numeric,
     low_discrepancy,
@@ -153,7 +154,7 @@ def test_j1_first_product_value():
 def test_gauss_curvature_values(eps, th, expected):
     s = ref_surface(eps, th)
     assert registry_entry(s, "gauss_curvature")[1]
-    got = gauss_curvature_numeric(s, 0.9, 1.1)
+    got = gauss_curvature_numeric(s, _complex_jet(s, 0.9, 1.1))
     assert got == pytest.approx(expected, abs=1e-3)
 
 
@@ -173,8 +174,8 @@ def test_gauss_curvature_inf_on_singular_metric():
     # surface, where EG - F^2 vanishes; a regular point beside it stays finite
     s = ref_surface()
     u = math.pi / (s.consts.alpha1 - s.consts.alpha2)
-    assert gauss_curvature_numeric(s, u, 1.0) == math.inf
-    K = gauss_curvature_numeric(s, np.array([u, 0.9]), np.array([1.0, 1.1]))
+    assert gauss_curvature_numeric(s, _complex_jet(s, u, 1.0)) == math.inf
+    K = gauss_curvature_numeric(s, _complex_jet(s, np.array([u, 0.9]), np.array([1.0, 1.1])))
     assert K[0] == math.inf and K[1] == pytest.approx(0.0, abs=1e-3)
 
 
@@ -183,7 +184,7 @@ def test_shape_operator_form():
         s = ref_surface(eps, th)
         e = registry_entry(s, "shape_operator")
         assert e[1], (eps, th, e)
-        S = shape_operator_matrix(s, 0.9, 1.1)
+        S = shape_operator_matrix(s, _complex_jet(s, 0.9, 1.1)[0])
         assert S[0, 1] == pytest.approx(-eps, abs=1e-4)
         assert S[1, 0] == pytest.approx(-eps, abs=1e-4)
         assert abs(S[0, 0]) < 1e-4
@@ -198,13 +199,13 @@ def test_shape_operator_exact_at_the_range_corners():
 def test_shape_operator_is_nan_on_a_degenerate_tangent_plane():
     # u = 0 is a singular line of the reference surface; the point beside it is regular
     s = ref_surface()
-    S = shape_operator_matrix(s, np.array([0.0, 0.9]), np.array([1.0, 1.1]))
+    S = shape_operator_matrix(s, _complex_jet(s, np.array([0.0, 0.9]), np.array([1.0, 1.1]))[0])
     assert np.all(np.isnan(S[0])) and np.all(np.isfinite(S[1]))
 
 
 def test_shape_operator_trace_matches_reported_lambda():
     s = ref_surface()
-    S = shape_operator_matrix(s, 0.9, 1.1)
+    S = shape_operator_matrix(s, _complex_jet(s, 0.9, 1.1)[0])
     assert np.trace(S) == pytest.approx(S[1, 1], abs=1e-4)
 
 
@@ -578,8 +579,8 @@ def test_lambda_measured_passes_valid_surfaces_across_the_range(profile, fv_meth
 def test_a_nan_lambda_at_one_interior_point_fails_lambda_measured(monkeypatch):
     exact = verify_module.shape_operator_matrix
 
-    def spoiled(surface, u, v):
-        S = exact(surface, u, v)
+    def spoiled(surface, td):
+        S = exact(surface, td)
         S[4, 1, 1] = np.nan
         return S
 
@@ -745,7 +746,7 @@ def sequential_interior_points(surface):
     v = v0 + np.tile(fracs, 3) * (v1 - v0)
     calls = 0
     for _ in range(16):
-        E, Fc, G = verify_module.first_fundamental_form(surface, u, v)
+        E, Fc, G = verify_module.first_fundamental_form(surface, tangent_data(surface, u, v))
         calls += 1
         nudge = ~(E * G - Fc * Fc > 0.05 * E * G)
         if not np.any(nudge):
@@ -762,7 +763,7 @@ def counted_interior_points(monkeypatch, surface, fff=first_fundamental_form):
         return fff(*args)
 
     monkeypatch.setattr(verify_module, "first_fundamental_form", counting)
-    return _interior_points(surface), len(calls)
+    return _Run(surface, VerifyConfig()).interior, len(calls)
 
 
 @pytest.mark.parametrize("eps,th,steps", [(0.8, math.pi / 4, 2), (0.05, 1.55, 6),
@@ -777,12 +778,12 @@ def test_interior_points_match_the_sequential_search(monkeypatch, eps, th, steps
 
 
 def test_interior_points_end_on_the_last_candidate_where_the_metric_is_nan(monkeypatch):
-    def nan_metric(surface, u, v):
-        nan = np.full(np.broadcast_shapes(np.shape(u), np.shape(v)), np.nan)
+    def nan_metric(surface, td):
+        nan = np.full(td.gram.shape, np.nan)
         return nan, nan, nan
 
     s = ref_surface(0.8)
-    healthy = _interior_points(s)
+    healthy = _Run(s, VerifyConfig()).interior
     monkeypatch.setattr(verify_module, "first_fundamental_form", nan_metric)
     want, calls = sequential_interior_points(s)
     assert calls == 16
@@ -872,16 +873,70 @@ def test_run_all_evaluates_each_shared_set_once_per_call(monkeypatch, case, runs
     jets = counted(monkeypatch, verify_module, "_family_jet")
     samples = counted(monkeypatch, verify_module, "_sample_points")
     shape = counted(monkeypatch, verify_module, "shape_operator_matrix")
+    direct = (counted(monkeypatch, verify_module, "tangent_data"),
+              counted(monkeypatch, surface_module, "tangent_data"))
+    complex_jets = counted(monkeypatch, verify_module, "_complex_jet")
+    beta_jets = counted(monkeypatch, verify_module, "_beta_jet")
+    assembled = counted(monkeypatch, verify_module, "assemble")
     for _ in range(runs):
         run_all(s, VerifyConfig(nu=21, nv=21))
+    helix_runs = runs if case == "helix" else 0
     # the helix-only curvature and shape operator do not run on a Hopf tube;
     # shape_operator and lambda_measured read one evaluation
-    assert len(interior) == len(shape) == (runs if case == "helix" else 0)
+    assert len(interior) == len(shape) == helix_runs
     assert len(forms) == len(jets) == runs
     # the sweep's forms take the run's family jet, not one of their own
     assert all(args[2] is not None for args in forms)
-    # product_table and j1_products share the 32 points of the u-products
-    assert sum(args[1] == 32 for args in samples) == runs
+    # every real point set is read from one tangent_data call
+    assert len(direct[0]) == runs and direct[1] == []
+    assert not any(np.iscomplexobj(a) for args in direct[0] for a in args[1:])
+    # the curvature and the shape operator read one complex-step jet, one
+    # beta jet and one assemble at complex points
+    assert len(complex_jets) == helix_runs
+    assert sum(np.iscomplexobj(args[0]) for args in beta_jets) == helix_runs
+    assert sum(np.iscomplexobj(args[1]) for args in assembled) == helix_runs
+    # fourth_order_ode, product_table and j1_products share one sample set
+    # of 1000 points, with one beta jet at them
+    assert sum(args[1] == 1000 for args in samples) == runs
+    assert sum(not np.iscomplexobj(args[0]) for args in beta_jets) == runs
+
+
+def assert_same_tangent_data(got, want, names):
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+TANGENT_FIELDS = [f.name for f in dataclasses.fields(surface_module.TangentData)]
+PARITY_CASES = [(profile, eps, th, fv_method)
+                for profile in closed_form_profiles() for eps, th in FAULT_POINTS[:4]
+                for fv_method in ("analytic", "fd")]
+
+
+@pytest.mark.parametrize("profile, eps, th, fv_method", PARITY_CASES + [
+    (None, 1.0, math.pi / 4, "analytic")])
+def test_shared_evaluations_equal_each_set_evaluated_alone(profile, eps, th, fv_method):
+    """Each slice of the run's one tangent_data call equals tangent_data at
+    that set's own (u, v), bit for bit, and so does the complex-step jet
+    at the interior points; the case without a profile is the NaN tail,
+    whose non-finite samples take _classify's masked path."""
+    s = (nan_tail_surface() if profile is None
+         else make_surface(BergerParams(eps, th), profile, fv_method=fv_method))
+    run = _Run(s, VerifyConfig())
+    for name, (u, v, td) in run.real.items():
+        assert_same_tangent_data(td, tangent_data(s, u, v), TANGENT_FIELDS)
+    if profile is None:
+        assert np.any(run.real["subgrid"][2].defect == NON_FINITE)
+    pts = run.interior
+    assert_same_tangent_data(run.jet[0], tangent_data(s, *_complex_steps(pts[:, 0], pts[:, 1])),
+                             TANGENT_FIELDS)
+    # the u-products read the first 32 rows of the 1000 sample points
+    us, vs, jet, A = run.samples
+    u32, v32 = verify_module._sample_points(s, 32, verify_module.SEED)
+    assert us[:32].tobytes() == u32.tobytes() and vs[:32].tobytes() == v32.tobytes()
+    for b, want in zip(jet, surface_module._beta_jet(u32, s.consts, 0, 1, 2, 3)):
+        assert b[:32].tobytes() == want.tobytes()
+    assert A[:32].tobytes() == family_module.assemble(s.profile, v32)[0].tobytes()
 
 
 @pytest.mark.parametrize("nu, nv", [(81, 81), (41, 1001)])
@@ -892,7 +947,8 @@ def test_separable_vs_direct_compares_the_sweep_on_the_subgrid_axes(case, nu, nv
     at 41 x 1001 the subgrid rows lie in two blocks."""
     s = {"analytic": ref_surface(0.8), "fd": ref_surface(0.8, fv_method="fd"),
          "nan_tail": nan_tail_surface()}[case]
-    *_, (iu, iv), angle, defect = _Run(s, VerifyConfig(nu, nv)).sweep
+    run = _Run(s, VerifyConfig(nu, nv))
+    (iu, iv), (_, _, angle, defect) = run.subgrid, run.sweep
     us, vs = grid_axes(s, nu, nv)
     assert iu.size == iv.size == verify_module.SUBGRID_SIDE
     sub = sweep_grid(s, us[iu], vs[iv])
