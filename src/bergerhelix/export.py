@@ -10,10 +10,13 @@ significant digits come from a double-double product with exact powers of
 ten, exact enough to certify the rounding unless the scaled value lies
 within 2**-30 of a tie.  Every value it cannot certify (zeros, NaN,
 infinities, values outside the range, near-ties) is formatted by % itself.
-The face indices of export_obj are formatted once per vertex: the text of
-1..n is built once per call and gathered for every face, and an index
-outside the mesh is refused.  Both exports format about _BLOCK_VALUES
-values at a time, the CSV in whole grid rows.
+Each value's text is laid out NUL-padded in four uint64 words, its digits
+packed side by side (the dot of a fixed-notation value with |x| >= 10
+among them), and one bytes.translate drops the padding.  The face indices
+of export_obj are formatted once per vertex: the text of 1..n is built
+once per call and gathered for every face, and an index outside the mesh
+is refused.  Both exports format about _BLOCK_VALUES values at a time,
+the CSV in whole grid rows.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ POLE_TOL = 1e-9
 
 
 def _pole_index(pole: int) -> int:
-    """The 0-based coordinate of a 1-based pole axis."""
-    if pole not in (1, 2, 3, 4):
-        raise OutOfDomain(f"pole axis must be in 1..4, got {pole}")
-    return pole - 1
+    """The 0-based coordinate of a 1-based pole axis, an int or numpy
+    integer (not a bool) in 1..4."""
+    if isinstance(pole, bool) or not isinstance(pole, (int, np.integer)) or not 1 <= pole <= 4:
+        raise OutOfDomain(f"pole axis must be an integer in 1..4, got {pole!r}")
+    return int(pole) - 1
 
 
 @dataclass
@@ -80,13 +84,16 @@ def project_grid(grid: SurfaceGrid, pole: int = 4) -> ProjectedMesh:
 
 # ------------------------------------------------------------ %.17g in numpy
 #
-# _fields lays out the text of each value in six little-endian uint64 words,
-# NUL-padded: [sign, "0.000" prefix, d0, "."], four words of (digit, "." or
-# NUL) pairs for d1..d16, and [exponent, NUL..., separator].  Deleting the
-# NULs leaves b"%.17g" % x.  The digits are Loitsch's plan
-# ("Printing floating-point numbers quickly and accurately with integers",
-# PLDI 2010): a fast path for what it can prove correct, here with Dekker's
-# exact split and two-product (1971, no FMA), and % for the rest.
+# _fields lays out the text of each value in _WORDS = 4 little-endian uint64
+# words, NUL-padded: [sign, "0.000" prefix, d0, "."], two words of the digits
+# d1..d16 side by side, and [exponent, NUL..., separator].  Where fixed
+# notation puts the dot after a digit d_k, 1 <= k <= 15, the digits after d_k
+# move one byte right behind the dot and d16 spills into the last word, which
+# fixed notation leaves empty.  Deleting the NULs leaves b"%.17g" % x.  The
+# digits are Loitsch's plan ("Printing floating-point numbers quickly and
+# accurately with integers", PLDI 2010): a fast path for what it can prove
+# correct, here with Dekker's exact split and two-product (1971, no FMA), and
+# % for the rest.
 
 _U = np.uint64
 _SPLIT = 134217729.0                        # 2**27 + 1
@@ -146,23 +153,26 @@ def _float_digits(x):
     return np.signbit(x), n, k, ok
 
 
-# 4-digit chunks c = 100 a + b as (digit, ".") byte pairs, and for chunk w
-# of d1..d16 the significant length of N when w is its last non-zero chunk
-# (1 if c is 0).
-_P = np.arange(100)
-_PAIR = (_P // 10 + ord("0")) | ord(".") << 8 | (_P % 10 + ord("0")) << 16 | ord(".") << 24
-_CHUNK = (_PAIR[:, None] | _PAIR << 32).astype(_U).ravel()
-_PAIR_LEN = (_P > 0).astype(np.int8) + (_P % 10 > 0)     # significant digits of b
-_SIG = np.where(_P > 0, 2 + _PAIR_LEN, _PAIR_LEN[:, None]).ravel()    # ... of c
-_CHUNK_LEN = [np.where(_SIG > 0, _SIG + np.int8(4 * w + 1), np.int8(1)) for w in range(4)]
+_WORDS = 4
 
-# Words 0-4 keyed by (k - _K_LO) * 18 + L, L the significant length of N
-# (1..17): the "0.000" prefix, 0xFF over the digits d1.. kept and "." over
-# the dot.  Byte 6 + 2 i holds digit d_i and byte 7 + 2 i the dot after it.
-# %.17g is fixed notation for -4 <= k <= 16 (integer digits are kept, and a
-# dot follows digit k when digits remain) and scientific otherwise.
+# 4-digit chunks c as ASCII in the low and in the high half of a word, and
+# for chunk w of d1..d16 the significant length of N when w is its last
+# non-zero chunk (1 if c is 0).
+_C = np.arange(10 ** 4)
+_QUAD = sum((_C // 10 ** (3 - i) % 10 + ord("0")) << 8 * i for i in range(4)).astype(_U)
+_QUAD = (_QUAD, _QUAD << _U(32))
+_SIG = np.where(_C > 0, 4 - (_C % 10 == 0) - (_C % 100 == 0) - (_C % 1000 == 0), 0)
+_CHUNK_LEN = [np.where(_SIG > 0, _SIG + 4 * w + 1, 1).astype(np.int8) for w in range(4)]
+
+# Words 0-2 keyed by (k - _K_LO) * 18 + L, L the significant length of N
+# (1..17): the "0.000" prefix, "." after d0 and 0xFF over the digits d1..
+# kept; byte 7 + i holds digit d_i.  %.17g is fixed notation for
+# -4 <= k <= 16 (integer digits are kept, and a dot follows digit k when
+# digits remain) and scientific otherwise.  _DOT_IN_DIGITS is the k of a dot
+# after d_k, 1 <= k <= 15, else 0; _LOW and _POINT, indexed by that k, mask
+# the digit bytes before the dot and place the dot in words 1-2.
 _K = np.arange(_K_LO, _K_HI + 1)[:, None]
-_B = np.arange(40)
+_B = np.arange(8 * 3)
 _FIXED = (_K >= 0) & (_K <= 16)
 _LENGTH = np.maximum(np.arange(18), np.where(_FIXED, _K + 1, 0))
 _DOT_AT = np.where(_FIXED, _K, np.where((_K < 0) & (_K >= -4), 17, 0))
@@ -170,25 +180,34 @@ _DOT_AT = np.where(_LENGTH > _DOT_AT + 1, _DOT_AT, 17)       # 17: no dot
 
 
 def _byte_words(table) -> np.ndarray:
-    """Rows of 40 bytes as rows of 5 little-endian words."""
+    """Rows of 8 w bytes as rows of w little-endian words."""
     return table.astype("u1").view("<u8").astype(_U)
 
 
-_PREFIX = _byte_words(((_K < 0) & (_K >= -4) & (_B >= 1) & (_B <= 1 - _K))
-                      * np.where(_B == 2, ord("."), ord("0")))
-_KEEP = _byte_words(((_B >= 8) & (_B % 2 == 0) & ((_B - 6) // 2 < np.arange(18)[:, None])) * 0xFF)
-_DOT = _byte_words(((_B % 2 == 1) & ((_B - 7) // 2 == np.arange(18)[:, None])) * ord("."))
-_TABLE = (_PREFIX[:, None] | _KEEP[_LENGTH] | _DOT[_DOT_AT]).reshape(-1, 5)
-_TABLE = [np.ascontiguousarray(_TABLE[:, w]) for w in range(5)]
+_PREFIX = (((_K < 0) & (_K >= -4) & (_B >= 1) & (_B <= 1 - _K))
+           * np.where(_B == 2, ord("."), ord("0")))
+_TABLE = _byte_words(_PREFIX[:, None] + (_DOT_AT[..., None] == 0) * (_B == 7) * ord(".")
+                     + ((_B >= 8) & (_B <= 6 + _LENGTH[..., None])) * 0xFF).reshape(-1, 3)
+_TABLE = [np.ascontiguousarray(_TABLE[:, w]) for w in range(3)]
+_DOT_IN_DIGITS = np.where(_DOT_AT <= 15, _DOT_AT, 0).astype(np.int8).ravel()
+_LOW = _byte_words((_B[:16] < np.arange(16)[:, None]) * 0xFF)
+_POINT = _byte_words((_B[:16] == np.arange(16)[:, None]) * ord("."))
 _EXPONENT = np.frombuffer(b"".join((b"" if -4 <= k <= 16 else b"e%+03d" % k).ljust(8, b"\0")
                                    for k in range(_K_LO, _K_HI + 1)), dtype="<u8").astype(_U)
-del _P, _PAIR, _PAIR_LEN, _SIG, _K, _B, _FIXED, _LENGTH, _DOT_AT, _PREFIX, _KEEP, _DOT
+del _C, _SIG, _K, _B, _FIXED, _LENGTH, _DOT_AT, _PREFIX
+
+
+def _printf(values: np.ndarray) -> np.ndarray:
+    """b"%.17g" % x of each value as a row of three words, NUL-padded: the
+    values the fast path cannot certify."""
+    text = b"".join((b"%.17g" % x).ljust(24, b"\0") for x in values.tolist())
+    return np.frombuffer(text, dtype="<u8").reshape(-1, 3)
 
 
 def _fields(values: np.ndarray, out: np.ndarray) -> None:
-    """Write b"%.17g" % x of each float value into out (values.shape + (6,)
-    uint64 words), leaving the top byte of each field's last word zero for a
-    separator."""
+    """Write b"%.17g" % x of each float value into out (values.shape +
+    (_WORDS,) uint64 words), leaving the top byte of each field's last word
+    zero for a separator."""
     neg, n, k, ok = _float_digits(values.astype(np.float64, copy=False))
     hi = n // 10 ** 8
     lo = n - hi * 10 ** 8
@@ -199,14 +218,24 @@ def _fields(values: np.ndarray, out: np.ndarray) -> None:
     key = k * 18 + np.maximum(np.maximum(_CHUNK_LEN[0][chunks[0]], _CHUNK_LEN[1][chunks[1]]),
                               np.maximum(_CHUNK_LEN[2][chunks[2]], _CHUNK_LEN[3][chunks[3]]))
     out[..., 0] = _TABLE[0][key] | neg * _U(ord("-")) | (d0 + 48).astype(_U) << _U(48)
-    for w, c in enumerate(chunks):
-        out[..., w + 1] = _CHUNK[c] & _TABLE[w + 1][key]
-    out[..., 5] = _EXPONENT[k]
+    for w in (1, 2):
+        out[..., w] = (_QUAD[0][chunks[2 * w - 2]] | _QUAD[1][chunks[2 * w - 1]]) & _TABLE[w][key]
+    out[..., 3] = _EXPONENT[k]
+    if k.max(initial=0) > -_K_LO:           # some |x| >= 10: a dot among the digits?
+        dot = _DOT_IN_DIGITS[key]
+        at = np.nonzero(dot)
+        dot = dot[at]
+        digits = out[at + (slice(1, 3),)]
+        low = _LOW[dot]
+        moved = digits & ~low
+        digits = digits & low | moved << _U(8) | _POINT[dot]
+        digits[:, 1] |= moved[:, 0] >> _U(56)
+        out[at + (slice(1, 3),)] = digits
+        out[at + (3,)] = moved[:, 1] >> _U(56)
     if not ok.all():
         bad = np.nonzero(~ok)
-        text = b"".join((b"%.17g" % x).ljust(40, b"\0") for x in values[bad].tolist())
-        out[bad + (slice(0, 5),)] = np.frombuffer(text, dtype="<u8").reshape(-1, 5)
-        out[bad + (5,)] = 0
+        out[bad + (slice(0, 3),)] = _printf(values[bad])
+        out[bad + (3,)] = 0
 
 
 def _text(words: np.ndarray, fields: np.ndarray, sep: bytes) -> bytes:
@@ -234,10 +263,10 @@ def _index_words(n: int, n_words: int) -> np.ndarray:
     return text.view("<u8").astype(_U, copy=False)
 
 
-# Values formatted at a time.  8192 (64 KiB per temporary array) ran faster
-# than 4096 or 16384 on a 251 x 251 export, and unlike 16384 kept the
-# process's peak RSS where % left it.
-_BLOCK_VALUES = 8192
+# Values formatted at a time.  12288 (96 KiB per temporary array, 384 KiB
+# of words) ran faster than 4096 or 8192 on a 251 x 251 export and no slower
+# than 16384, and kept the process's peak RSS within 1 MB of 8192's.
+_BLOCK_VALUES = 12288
 
 
 def _vertex_lines(vertices: np.ndarray) -> List[bytes]:
@@ -247,9 +276,9 @@ def _vertex_lines(vertices: np.ndarray) -> List[bytes]:
     out = []
     for start in range(0, m, step):
         block = vertices[start:start + step]
-        words = np.empty((len(block), 1 + 6 * c), dtype=_U)
+        words = np.empty((len(block), 1 + _WORDS * c), dtype=_U)
         words[:, 0] = int.from_bytes(b"v ", "little")
-        fields = words[:, 1:].reshape(len(block), c, 6)
+        fields = words[:, 1:].reshape(len(block), c, _WORDS)
         _fields(block, fields)
         out.append(_text(words, fields, b" "))
     return out
@@ -301,7 +330,7 @@ def export_csv(grid: SurfaceGrid) -> bytes:
     nu, nv = grid.shape
     if nu == 0 or nv == 0:
         raise OutOfDomain("no samples to export")
-    u_words, v_words = np.empty((nu, 6), dtype=_U), np.empty((nv, 6), dtype=_U)
+    u_words, v_words = np.empty((nu, _WORDS), dtype=_U), np.empty((nv, _WORDS), dtype=_U)
     _fields(grid.us, u_words)
     _fields(grid.vs, v_words)
     step = max(1, _BLOCK_VALUES // (8 * nv))
@@ -310,7 +339,7 @@ def export_csv(grid: SurfaceGrid) -> bytes:
         rows = slice(start, start + step)
         cols = np.concatenate([grid.positions[rows], grid.normals[rows],
                                grid.angles[rows, :, None]], axis=2)
-        words = np.empty(cols.shape[:2] + (10, 6), dtype=_U)
+        words = np.empty(cols.shape[:2] + (10, _WORDS), dtype=_U)
         words[:, :, 0] = u_words[rows, None]
         words[:, :, 1] = v_words
         _fields(cols, words[:, :, 2:])

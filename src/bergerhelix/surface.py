@@ -195,18 +195,25 @@ def _family_jet(surface: HelixSurface, v, apply):
 def tangent_data(surface: HelixSurface, u, v) -> TangentData:
     """Evaluate F = A(v) beta(u), its partials and the normal data.
 
-    u and v broadcast against each other; A is assembled on v as given
-    and beta on u, so a grid passed as (us[:, None], vs[None, :]) builds
-    each A(v) once, and beta and beta' share one cos/sin pass.  F_v comes
-    from _family_jet.  The normal is the cross product of the frame
-    components, written out as np.cross computes it.  Complex (u, v) stay
-    complex.  The domain of (u, v) is not checked here; the pointwise
-    views check it.
+    u and v broadcast against each other; A is assembled once per
+    distinct v (by bit pattern, so -0.0 and 0.0 stay apart) and gathered,
+    so a grid passed as (us[:, None], vs[None, :]) or a point set that
+    repeats its v builds each A(v) once, and beta and beta' share one
+    cos/sin pass.  F_v comes from _family_jet.  The normal is the cross
+    product of the frame components, written out as np.cross computes it.
+    Complex (u, v) stay complex.  The domain of (u, v) is not checked here;
+    the pointwise views check it.
     """
     u = as_array(u)
     v = as_array(v)
     b, bu = _beta_jet(u, surface.consts, 0, 1)
-    A, fv = _family_jet(surface, v, lambda D: _apply(D, b))
+    flat = v.reshape(-1)
+    # int64 keys sort faster than the bytes of a void view, which complex v needs
+    bits = flat.view(np.int64 if flat.dtype == np.float64 else f"V{flat.itemsize}")
+    _, first, back = np.unique(bits, return_index=True, return_inverse=True)
+    back = back.reshape(v.shape)
+    A, fv = _family_jet(surface, flat[first], lambda D: _apply(D[back], b))
+    A = A[back]
     return _tangent_tail(surface, _apply(A, b), _apply(A, bu), fv)
 
 

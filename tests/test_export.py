@@ -1,16 +1,19 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergerhelix import export
 from bergerhelix.ambient import BergerParams
 from bergerhelix.errors import OutOfDomain
 from bergerhelix.export import (
     _P_HI,
     _P_LO,
+    _WORDS,
     CSV_COLUMNS,
     POLE_TOL,
     ProjectedMesh,
@@ -129,6 +132,19 @@ def test_stereographic_pole_error():
         mesh = project_grid(g, pole)
         assert mesh.defects == [(0, 1)]
         assert mesh.vertices[1].tolist() == [0, 0, 0] and len(mesh.faces) == 0
+
+
+@pytest.mark.parametrize("pole", [0, 5, 2.0, 1.5, True, False, np.True_, "2"])
+def test_project_grid_refuses_a_pole_outside_the_axes(pole):
+    # a float 2.0 used to index with a float, and True to project from axis 1
+    with pytest.raises(OutOfDomain, match="pole axis must be an integer in 1..4"):
+        project_grid(ref_grid(2, 2), pole)
+
+
+def test_project_grid_takes_numpy_integer_poles():
+    g = ref_grid(5, 4)
+    for pole in (np.int64(2), np.uint8(3), np.int32(4)):
+        assert np.array_equal(project_grid(g, pole).vertices, project_grid(g, int(pole)).vertices)
 
 
 def test_stereographic_roundtrip():
@@ -329,7 +345,7 @@ def test_csv_nan_for_defect_samples():
 def formatted(values):
     """The text _fields lays out for each value, NULs removed."""
     values = np.asarray(values)
-    out = np.empty(values.shape + (6,), dtype=np.uint64)
+    out = np.empty(values.shape + (_WORDS,), dtype=np.uint64)
     _fields(values, out)
     return [w.astype("<u8").tobytes().translate(None, b"\0") for w in out]
 
@@ -376,6 +392,72 @@ def test_formatter_matches_printf_on_edges(values):
     assert_like_printf(np.asarray(values, dtype=np.float64))
 
 
+def fixed_notation_values():
+    """For each decimal exponent k = 0..17 and significant length n = 1..17,
+    (x, k, n) with a double x whose %.17g text has exactly n significant
+    digits and k + 1 before the dot: the digits 1234... times a power of
+    ten, or an odd m / 2**j with its j = n - k - 1 decimals ending in 5."""
+    cases = []
+    for k in range(18):
+        for n in range(1, 18):
+            j = n - k - 1
+            if j <= 0:
+                x = float(int("12345678912345678"[:n]) * 10 ** -j)
+            else:
+                x = (12 * 10 ** (n - 2) // 5 ** j | 1) / 2 ** j
+            cases.append((x, k, n))
+    return cases
+
+
+def test_fixed_notation_values_cover_every_dot_position_and_length():
+    for x, k, n in fixed_notation_values():
+        text = b"%.17g" % x
+        if k <= 16:
+            integer, _, fraction = text.partition(b".")
+            assert (len(integer), len((integer + fraction).rstrip(b"0"))) == (k + 1, n), text
+        else:
+            assert text.startswith(b"1") and text.endswith(b"e+17"), text
+
+
+def test_formatter_matches_printf_at_every_dot_position_and_length():
+    assert_like_printf(with_neighbours([x for x, _, _ in fixed_notation_values()]))
+
+
+def distance_to_tie(x):
+    """How far |x| * 10**(16 - k) lies from the nearest rounding tie (an
+    odd multiple of 1/2), exactly; k is the decimal exponent of x, and
+    1 <= |x| < 1e17."""
+    a = Fraction(abs(x))
+    scaled = a * 10 ** (17 - len(str(int(a))))
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2))
+
+
+def test_fast_path_formats_values_from_ten_to_1e17_unless_near_a_tie(monkeypatch):
+    # every |x| in [10, 1e17) leaves the fast path only within 2**-30 of a
+    # tie, give or take the 1e-14 error of the scaled value
+    fallback, wrapped = [], export._printf
+
+    def printf(values):
+        fallback.extend(values.tolist())
+        return wrapped(values)
+
+    monkeypatch.setattr(export, "_printf", printf)
+    rng = np.random.default_rng(7)
+    ties = np.array([10.0 ** a + 2.0 ** (a - 17) for a in range(1, 16)])   # 18 digits, the last 5
+    values = np.concatenate([
+        with_neighbours([x for x, k, _ in fixed_notation_values() if k <= 16]),
+        with_neighbours(10.0 ** np.arange(1, 17)),
+        rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(1, 17, 20_000),
+        ties,
+        np.nextafter(1e17, 0.0) - np.arange(0.0, 200.0, 16.0),
+    ])
+    assert_like_printf(values)
+    assert set(ties.tolist()) <= set(fallback)
+    for x in fallback:
+        if 10 <= abs(x) < 1e17:
+            assert distance_to_tie(x) < 2.0 ** -30 + 1e-14, x
+
+
 def test_formatter_ties_round_to_even():
     assert formatted([2.0 ** -25, 3 * 2.0 ** -25]) == [b"2.9802322387695312e-08",
                                                        b"8.9406967163085938e-08"]
@@ -415,6 +497,33 @@ def test_extreme_grid_matches_per_value_reference():
                        normals=extreme_values(rng, (nu, nv, 3)),
                        angles=extreme_values(rng, (nu, nv)), fv_method="analytic")
     assert export_csv(grid) == csv_reference(grid)
+
+
+def dot_among_digits_values(rng, shape):
+    """Values of both signs over [10, 1e16] in magnitude, a third of them
+    cut to at most two decimals: %.17g writes them in fixed notation with
+    the dot after digit 1..15."""
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(1, 16, size=shape)
+    short = rng.random(shape) < 1 / 3
+    x[short] = np.round(x[short], 2)
+    return x
+
+
+def test_dot_among_digits_grid_matches_per_value_reference():
+    rng = np.random.default_rng(33)
+    nu, nv = 9, 7
+    grid = SurfaceGrid(us=dot_among_digits_values(rng, nu), vs=dot_among_digits_values(rng, nv),
+                       positions=dot_among_digits_values(rng, (nu, nv, 4)),
+                       normals=dot_among_digits_values(rng, (nu, nv, 3)),
+                       angles=dot_among_digits_values(rng, (nu, nv)), fv_method="analytic")
+    assert export_csv(grid) == csv_reference(grid)
+
+
+def test_dot_among_digits_mesh_matches_per_value_reference():
+    rng = np.random.default_rng(34)
+    faces = np.array([[8, 9, 10], [0, 39, 38], [10, 1, 0]], dtype=np.int64)
+    mesh = ProjectedMesh(nu=5, nv=8, vertices=dot_among_digits_values(rng, (40, 3)), faces=faces)
+    assert export_obj(mesh) == obj_reference(mesh)
 
 
 def test_extreme_mesh_matches_per_value_reference():

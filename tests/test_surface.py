@@ -515,6 +515,36 @@ def test_tangent_data_assembles_once(monkeypatch, fv_method, vs):
     assert np.all(np.isfinite(td.fv))   # fd's complex step needs no stencil either
 
 
+@pytest.mark.parametrize("fv_method", ["analytic", "fd"])
+@pytest.mark.parametrize("complex_step", [False, True], ids=["real", "complex"])
+def test_tangent_data_assembles_each_distinct_v_once(monkeypatch, fv_method, complex_step):
+    # a point set that repeats its v equals tangent_data point by point,
+    # bit for bit; -0.0 and 0.0 are distinct.  A complex Gram determinant
+    # may differ in its last bit between a batch and a single point, with
+    # or without repeats, so it is compared only for real points.
+    s = surface_ref(fv_method=fv_method)
+    u, v = np.linspace(0.1, 2.0, 12), np.array([0.3, 0.7, 0.3, -0.0, 0.0, 0.7] * 2)
+    if complex_step:
+        u, v = u + 1e-3j, v.astype(complex)
+        v.imag = 1e-3
+    alone = [tangent_data(s, u[i], v[i]) for i in range(12)]
+    sizes = []
+
+    def counting(profile, vv, *args):
+        sizes.append(np.size(vv))
+        return assemble(profile, vv, *args)
+
+    monkeypatch.setattr(surface_module, "assemble", counting)
+    td = tangent_data(s, u, v)
+    assert sizes == [4]
+    for f in dataclasses.fields(td):
+        got = getattr(td, f.name)
+        assert got.shape[0] == 12
+        for i in range(12):
+            if not (complex_step and f.name == "gram"):
+                assert got[i].tobytes() == getattr(alone[i], f.name).tobytes(), (f.name, i)
+
+
 # -------------------------------------------------- first-order system, gram
 
 def test_first_order_system_along_u():
