@@ -16,14 +16,15 @@ sits in b = beta(u), and beta' = K b for a constant block rotation K, so
 every product the normal needs is a quadratic form b^T Q(v) b: a
 (rows x 10) @ (10 x nv) product over the monomials b_i b_j, i <= j, for
 each block of u rows, and no (nu, nv, 4) array is built.  The generator
-yields the normal, angle and defect codes one block at a time, so verify
-reduces each block as it arrives.  Every block is computed in the same
-buffers, one product buffer and a few work buffers allocated per call, so
-a yielded block is valid only until the next one is requested; sweep_grid
-writes each block into preallocated whole-grid arrays.  sample_grid takes
-its normals, angles and defect codes from sweep_grid, and its positions
-from the einsum of tangent_data, so they equal tangent_data's F bit for
-bit.
+yields the normal, the cosine |N1| / |N| and the defect codes one block at
+a time, so verify reduces each block as it arrives and takes arccos only
+where it needs an angle.  Every block is computed in the same buffers, one
+product buffer and a few work buffers allocated per call, so a yielded
+block is valid only until the next one is requested; sweep_grid writes
+each block, its cosines as angles, into preallocated whole-grid arrays.
+sample_grid takes its normals, angles and defect codes from sweep_grid,
+and its positions from the einsum of tangent_data, so they equal
+tangent_data's F bit for bit.
 
 F_v is dA/dv beta(u) from the profile jets, or with fv_method "fd" from a
 complex step of A's value code.  tangent_data keeps complex (u, v) complex.
@@ -32,14 +33,14 @@ Samples a kernel cannot use carry one of two defect kinds, by one rule
 for both kernels: non_finite (some value is NaN or infinite) and
 degenerate_tangent_plane (the Gram determinant of (F_u, F_v) is below
 GRAM_DET_TOL).  A healthy set of samples, the usual case, is recognised by
-whole-set reductions (a finite sum, a large enough minimum) and skips the
-per-sample masks.
+its extremes (a finite largest |N|^2 and Gram determinant, a large enough
+smallest one) and skips the per-sample masks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -219,54 +220,68 @@ def tangent_data(surface: HelixSurface, u, v) -> TangentData:
 
 def _tangent_tail(surface: HelixSurface, F, fu, fv) -> TangentData:
     """The TangentData of F and its partials fu, fv: their frame
-    components, the normal, the Gram determinant and _classify's codes and
-    angles.  tangent_data and verify's complex-step jet both end here."""
+    components, the normal, the Gram determinant, _classify's codes and the
+    angles of its cosines.  tangent_data and verify's complex-step jet both
+    end here."""
     cu = frame_components(surface.params, F, fu)
     cv = frame_components(surface.params, F, fv)
     normal = np.empty(cu.shape, np.result_type(cu, cv))
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         normal[..., k] = cu[..., i] * cv[..., j] - cu[..., j] * cv[..., i]
-    gram = np.sum(fu * fu, -1) * np.sum(fv * fv, -1) - np.sum(fu * fv, -1) ** 2
-    defect, angle = _classify(gram, normal[..., 0], normal[..., 1], normal[..., 2])
+    # ufuncs: a point's sums are numpy scalars, whose own arithmetic rounds
+    # a complex square unlike the array loops
+    fuv = np.sum(fu * fv, -1)
+    gram = np.subtract(np.multiply(np.sum(fu * fu, -1), np.sum(fv * fv, -1)),
+                       np.multiply(fuv, fuv))
+    defect, cosine = _classify(gram, normal[..., 0], normal[..., 1], normal[..., 2])
     return TangentData(F=F, fu=fu, fv=fv, cu=cu, cv=cv, normal=normal, gram=gram,
-                       angle=angle, defect=defect)
+                       angle=_angles(cosine, cosine), defect=defect)
 
 
 def _classify(gram, n1, n2, n3, out=None):
-    """Defect codes and angles of both kernels from the real parts of the
-    Gram determinant and of the normal's frame components.
+    """Defect codes and cosines |N1| / |N| of both kernels from the real
+    parts of the Gram determinant and of the normal's frame components.
 
-    A sample gets the first defect kind that applies; the angle
-    arccos(|N1| / |N|) is NaN wherever the code is nonzero.  out, if
-    given, is (defect, angle, work): an int8 and two float arrays of the
-    samples' shape, which receive the codes, the angles and scratch
-    values.  A healthy set of samples, every value finite and every Gram
-    determinant at least GRAM_DET_TOL, is told apart by whole-set
-    reductions and gets zero codes without per-sample masks.
+    A sample gets the first defect kind that applies; its cosine is NaN
+    wherever the code is nonzero.  out, if given, is (defect, cosine, work):
+    an int8 and two float arrays of the samples' shape.  A healthy set of
+    samples, every |N|^2 finite and every Gram determinant finite and at
+    least GRAM_DET_TOL, is told apart by its extremes and gets zero codes
+    without per-sample masks.
     """
     gram, n1, n2, n3 = gram.real, n1.real, n2.real, n3.real
     if out is None:
         out = np.empty(gram.shape, np.int8), np.empty(gram.shape), np.empty(gram.shape)
-    defect, angle, work = out
-    # the angle is evaluated on defective samples too and overwritten there
+    defect, cosine, work = out
+    # the cosine is evaluated on defective samples too and overwritten there
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        np.multiply(n1, n1, out=angle)
-        angle += np.multiply(n2, n2, out=work)
-        angle += np.multiply(n3, n3, out=work)       # |N|^2
-        # a sum is finite only if every summand is, and a NaN minimum fails
-        healthy = (np.isfinite(np.sum(angle) + np.sum(gram))
-                   and np.min(gram, initial=math.inf) >= GRAM_DET_TOL)
+        np.multiply(n1, n1, out=cosine)
+        cosine += np.multiply(n2, n2, out=work)
+        cosine += np.multiply(n3, n3, out=work)       # |N|^2
+        # a NaN extreme fails its comparison
+        healthy = (np.max(cosine, initial=-math.inf) < math.inf
+                   and np.min(gram, initial=math.inf) >= GRAM_DET_TOL
+                   and np.max(gram, initial=-math.inf) < math.inf)
         if healthy:
             defect.fill(0)
         else:
             finite = np.isfinite(gram) & np.isfinite(n1) & np.isfinite(n2) & np.isfinite(n3)
             defect[...] = np.where(finite, np.where(gram < GRAM_DET_TOL, DEGENERATE, 0),
                                    NON_FINITE)
-        ratio = np.divide(np.abs(n1, out=work), np.sqrt(angle, out=angle), out=angle)
-        np.arccos(np.minimum(ratio, 1.0, out=angle), out=angle)   # ratio >= 0 where a number
+        np.divide(np.abs(n1, out=work), np.sqrt(cosine, out=cosine), out=cosine)
     if not healthy:
-        angle[defect != 0] = np.nan
-    return defect, angle
+        cosine[defect != 0] = np.nan
+    return defect, cosine
+
+
+def _angles(cosine, out=None):
+    """arccos(min(cosine, 1)), non-increasing in the cosine, into out if
+    given (cosine itself may be out); NaN where the cosine is NaN, written
+    after numpy's arccos, which may flip the sign of a NaN."""
+    angle = np.arccos(np.minimum(cosine, 1.0, out=out), out=out)
+    if math.isnan(np.max(angle, initial=0.0)):
+        angle[np.isnan(angle)] = np.nan
+    return angle
 
 
 def _view(surface: HelixSurface, u, v, regular: bool = False) -> TangentData:
@@ -377,15 +392,17 @@ class SweepData:
     """The separable kernel on an nu x nv grid, indexed [i, j] for
     (us[i], vs[j]).
 
-    angle and defect are as in TangentData, and n1, n2, n3 are the frame
-    components of its normal.
+    defect is as in TangentData and n1, n2, n3 are the frame components of
+    its normal; a block of sweep_blocks holds the cosine |N1| / |N| (NaN
+    wherever defect is nonzero), sweep_grid's whole grid its angle.
     """
 
-    angle: np.ndarray
     defect: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
     n3: np.ndarray
+    cosine: Optional[np.ndarray] = None
+    angle: Optional[np.ndarray] = None
 
 
 def _sweep_forms(surface: HelixSurface, vs: np.ndarray, jet=None):
@@ -421,9 +438,14 @@ def _products_minus(a, b, c, d, out, work):
     return np.subtract(out, np.multiply(c, d, out=work), out=out)
 
 
+def _block_rows(nv: int) -> int:
+    """The u rows of a block of sweep_blocks on nv columns."""
+    return max(1, SWEEP_BLOCK // max(nv, 1))
+
+
 def sweep_blocks(surface: HelixSurface, us, vs, jet=None) -> Iterator[SweepData]:
-    """The angle, defect code and normal of the surface on the grid
-    us x vs, from the separable quadratic forms of _sweep_forms (given
+    """The cosine |N1| / |N|, defect code and normal of the surface on the
+    grid us x vs, from the separable quadratic forms of _sweep_forms (given
     jet), as one SweepData per block of whole u rows.
 
     A block holds about SWEEP_BLOCK samples, and every block is computed
@@ -440,17 +462,15 @@ def sweep_blocks(surface: HelixSurface, us, vs, jet=None) -> Iterator[SweepData]
     b = beta(us, surface.consts)
     monomials = b[:, _ROW] * b[:, _COL]
     eps = surface.params.epsilon
-    rows = max(1, SWEEP_BLOCK // max(vs.size, 1))
+    rows = _block_rows(vs.size)
     shape = (min(rows, us.size), vs.size)
     products = np.empty((9,) + shape)
-    n1, n2, angle, work = np.empty((4,) + shape)
+    n1, n2, cosine, work = np.empty((4,) + shape)
     defect = np.empty(shape, np.int8)
     for i in range(0, us.size, rows):
         m = monomials[i:i + rows]
         r = m.shape[0]
-        P = products[:, :r]
-        for Pk, Ck in zip(P, C):
-            np.matmul(m, Ck, out=Pk)
+        P = np.matmul(m, C, out=products[:, :r])
         j1_fu, cu2, cu3, j1_fv, cv2, cv3, fuu, fvv, fuv = P
         # eps j1, fuu fvv - fuv^2 and the cross product of the frame
         # components, each operation in the order of these formulas, written
@@ -461,20 +481,24 @@ def sweep_blocks(surface: HelixSurface, us, vs, jet=None) -> Iterator[SweepData]
         N1 = _products_minus(cu2, cv3, cu3, cv2, n1[:r], w)
         N2 = _products_minus(cu3, cv1, cu1, cv3, n2[:r], w)
         N3 = _products_minus(cu1, cv2, cu2, cv1, fuv, w)
-        codes, angles = _classify(gram, N1, N2, N3, (defect[:r], angle[:r], w))
-        yield SweepData(angle=angles, defect=codes, n1=N1, n2=N2, n3=N3)
+        codes, cosines = _classify(gram, N1, N2, N3, (defect[:r], cosine[:r], w))
+        yield SweepData(defect=codes, n1=N1, n2=N2, n3=N3, cosine=cosines)
 
 
 def sweep_grid(surface: HelixSurface, us, vs, jet=None) -> SweepData:
-    """The blocks of sweep_blocks written into whole (nu, nv) arrays."""
+    """The blocks of sweep_blocks written into whole (nu, nv) arrays, each
+    block's cosines as angles."""
     shape = (np.size(us), np.size(vs))
-    grid = SweepData(*(np.empty(shape, np.int8 if f.name == "defect" else float)
-                       for f in fields(SweepData)))
+    # angle first: allocated last, it left glibc's heap to fault in about 600
+    # more pages per 251 x 251 sample_grid
+    grid = SweepData(angle=np.empty(shape), defect=np.empty(shape, np.int8),
+                     n1=np.empty(shape), n2=np.empty(shape), n3=np.empty(shape))
     start = 0
     for block in sweep_blocks(surface, us, vs, jet):
-        stop = start + block.angle.shape[0]
-        for f in fields(SweepData):
-            getattr(grid, f.name)[start:stop] = getattr(block, f.name)
+        stop = start + block.defect.shape[0]
+        for name in ("defect", "n1", "n2", "n3"):
+            getattr(grid, name)[start:stop] = getattr(block, name)
+        _angles(block.cosine, grid.angle[start:stop])
         start = stop
     return grid
 

@@ -14,9 +14,10 @@ fit_phase_constant and the points of recover_coefficient_fields.  One
 complex-step jet at the interior points serves the curvature and the
 shape operator.  One beta jet and one assemble at the 1000 sample points
 of fourth_order_ode serve it and, through their first 32 rows, the
-u-products.  The sweep reduces each block of u rows as it arrives, so no
-full-grid array is held, and keeps its samples on the subgrid, which
-separable_vs_direct compares with tangent_data.  Every entry measures the
+u-products.  The sweep reduces each block of u rows as it arrives (no
+full-grid array is held; arccos is taken at its extreme cosines alone)
+and keeps its samples on the subgrid, which separable_vs_direct
+compares with tangent_data.  Every entry measures the
 surface: the one shape-operator evaluation at the interior points gives
 both its entries against [[0, -eps], [-eps, lambda]] and lambda_measured,
 the spread along each v-line of the gauge eta(v) of the Riccati solution
@@ -53,8 +54,10 @@ from .surface import (
     NON_FINITE,
     HelixSurface,
     TangentData,
+    _angles,
     _apply,
     _beta_jet,
+    _block_rows,
     _coefficient_samples,
     _dot,
     _family_jet,
@@ -477,37 +480,39 @@ class _Run:
         """One pass of sweep_blocks over the grid, on family_jet, as
         (peaks, counted, angle, defect).
 
-        Each block is reduced as it arrives to the peaks and count of
+        Each block is reduced as it arrives to the peak and count of
         angle_constancy: its NaN-propagating extremes are exact, so the
         entry equals that of the whole grid bit for bit.  A block whose
-        extremes are all finite counts every sample, and its largest
-        |angle - target| is read from its extreme angles, since rounding
-        keeps the order; only a block with a NaN or an infinity goes
-        through the per-sample masks.  angle and defect hold the samples
-        at the subgrid, copied from the blocks that hold them.
+        extreme cosines are finite counts every sample, and its largest
+        |angle - target| is read from the angles of those two cosines alone,
+        since arccos is non-increasing; only a block with a NaN or an
+        infinity goes through the per-sample masks.  angle and defect hold
+        the samples at the subgrid, gathered from the blocks that hold them.
         """
         surface = self.surface
         target = math.pi / 2 if surface.profile.hopf_tube[0] else surface.params.theta
-        iu, iv = self.subgrid
-        peaks, counted, angles, defects, start = [], 0, [], [], 0
-        for block in sweep_blocks(surface, *self.axes, self.family_jet):
-            angle = block.angle
-            stop = start + angle.shape[0]
-            sub = np.ix_(iu[(iu >= start) & (iu < stop)] - start, iv)
-            angles.append(angle[sub])
-            defects.append(block.defect[sub])
-            start = stop
-            low, high = np.min(angle), np.max(angle)
+        (us, vs), (iu, iv) = self.axes, self.subgrid
+        rows = _block_rows(vs.size)
+        # the subgrid rows of each block, counted from the block's first row
+        picks = [np.ix_(i, iv) for i in
+                 np.split(iu % rows, np.searchsorted(iu, np.arange(rows, us.size, rows)))]
+        peaks, counted, cosines, defects = [], 0, [], []
+        for block, pick in zip(sweep_blocks(surface, us, vs, self.family_jet), picks):
+            cosine = block.cosine
+            cosines.append(cosine[pick])
+            defects.append(block.defect[pick])
+            low, high = np.min(cosine), np.max(cosine)
             if math.isfinite(low) and math.isfinite(high):
-                peaks.append(max(high - target, target - low))
-                counted += angle.size
+                top, bottom = _angles(np.array([low, high]))
+                peaks.append(max(top - target, target - bottom))
+                counted += cosine.size
             else:
-                kept = ~np.isnan(angle) | (block.defect == NON_FINITE)
+                kept = ~np.isnan(cosine) | (block.defect == NON_FINITE)
                 n = int(np.count_nonzero(kept))
                 if n:
-                    peaks.append(np.max(np.abs(angle[kept] - target)))
+                    peaks.append(np.max(np.abs(_angles(cosine[kept]) - target)))
                     counted += n
-        return peaks, counted, np.concatenate(angles), np.concatenate(defects)
+        return peaks, counted, _angles(np.concatenate(cosines)), np.concatenate(defects)
 
 
 def _family(run):

@@ -351,18 +351,22 @@ def test_sample_grid_is_the_sweep_kernel(monkeypatch, case, block):
 @pytest.mark.parametrize("case", ["analytic", "nan_tail"])
 def test_sweep_grid_equals_the_concatenated_copies_of_its_blocks(monkeypatch, case):
     """The blocks written into preallocated whole-grid arrays, bit for bit
-    as copying and concatenating them; 23 rows in blocks of three end in a
-    ragged block of two."""
+    as copying and concatenating them, the cosines as their _angles; 23
+    rows in blocks of three end in a ragged block of two."""
     s = {"analytic": surface_ref, "nan_tail": nan_tail_surface}[case]()
     monkeypatch.setattr(surface_module, "SWEEP_BLOCK", 3 * 19 + 5)
     us, vs = grid_axes(s, 23, 19)
-    names = [f.name for f in dataclasses.fields(surface_module.SweepData)]
+    names = ["defect", "n1", "n2", "n3", "cosine"]
     blocks = [[getattr(block, name).copy() for name in names]
               for block in sweep_blocks(s, us, vs)]
     assert len(blocks) == 8 and len(blocks[-1][0]) == 2
+    assert all(block.angle is None for block in sweep_blocks(s, us, vs))
     sweep = sweep_grid(s, us, vs)
-    for name, parts in zip(names, zip(*blocks)):
-        assert_same_bits(getattr(sweep, name), np.concatenate(parts))
+    whole = dict(zip(names, (np.concatenate(parts) for parts in zip(*blocks))))
+    for name in names[:-1]:
+        assert_same_bits(getattr(sweep, name), whole[name])
+    assert sweep.cosine is None
+    assert_same_bits(sweep.angle, surface_module._angles(whole["cosine"]))
 
 
 def test_grid_rejects_trivial_sizes():
@@ -481,13 +485,14 @@ def test_tangent_data_kernel_identities(data):
 def test_classify_gives_the_per_sample_codes_on_either_path(spoil):
     """One spoiled sample sends the whole set through the per-sample masks
     (a huge but finite n1 too, as |N|^2 overflows); the rest keep code 0
-    and the angles of the healthy path."""
+    and the cosines of the healthy path.  _angles of the cosines are the
+    angles arccos(min(cosine, 1)), with +NaN at every defect."""
     rng = np.random.default_rng(3)
     values = {"gram": rng.uniform(0.1, 1.0, 40), "n1": rng.normal(size=40),
               "n2": rng.normal(size=40), "n3": rng.normal(size=40)}
     if spoil:
         values[spoil[0]][17] = spoil[1]
-    defect, angle = surface_module._classify(**values)
+    defect, cosine = surface_module._classify(**values)
     gram, n1, n2, n3 = values.values()
     finite = np.isfinite(gram) & np.isfinite(n1) & np.isfinite(n2) & np.isfinite(n3)
     want = np.select([~finite, gram < GRAM_DET_TOL], [NON_FINITE, DEGENERATE], 0).astype(np.int8)
@@ -495,7 +500,13 @@ def test_classify_gives_the_per_sample_codes_on_either_path(spoil):
     assert np.count_nonzero(defect) == (spoil is not None and spoil[0] != "n1")
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = np.abs(n1) / np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
-        assert_same_bits(angle, np.where(want == 0, np.arccos(np.minimum(ratio, 1.0)), np.nan))
+        assert_same_bits(cosine, np.where(want == 0, ratio, np.nan))
+        angle = np.arccos(np.minimum(ratio, 1.0))
+    angle[want != 0] = np.nan
+    got = surface_module._angles(cosine)
+    assert_same_bits(got, angle)
+    assert not np.any(np.signbit(got))
+    assert_same_bits(surface_module._angles(cosine.copy(), cosine), angle)
 
 
 @pytest.mark.parametrize("fv_method", ["analytic", "fd"])
@@ -519,9 +530,7 @@ def test_tangent_data_assembles_once(monkeypatch, fv_method, vs):
 @pytest.mark.parametrize("complex_step", [False, True], ids=["real", "complex"])
 def test_tangent_data_assembles_each_distinct_v_once(monkeypatch, fv_method, complex_step):
     # a point set that repeats its v equals tangent_data point by point,
-    # bit for bit; -0.0 and 0.0 are distinct.  A complex Gram determinant
-    # may differ in its last bit between a batch and a single point, with
-    # or without repeats, so it is compared only for real points.
+    # bit for bit, for real and for complex points; -0.0 and 0.0 are distinct
     s = surface_ref(fv_method=fv_method)
     u, v = np.linspace(0.1, 2.0, 12), np.array([0.3, 0.7, 0.3, -0.0, 0.0, 0.7] * 2)
     if complex_step:
@@ -541,8 +550,7 @@ def test_tangent_data_assembles_each_distinct_v_once(monkeypatch, fv_method, com
         got = getattr(td, f.name)
         assert got.shape[0] == 12
         for i in range(12):
-            if not (complex_step and f.name == "gram"):
-                assert got[i].tobytes() == getattr(alone[i], f.name).tobytes(), (f.name, i)
+            assert got[i].tobytes() == getattr(alone[i], f.name).tobytes(), (f.name, i)
 
 
 # -------------------------------------------------- first-order system, gram

@@ -298,8 +298,8 @@ def blas_outputs():
     s = ref_surface(0.8)
     sweep = sweep_grid(s, *grid_axes(s, 41, 1001))
     digest = hashlib.sha256()
-    for f in dataclasses.fields(sweep):
-        digest.update(getattr(sweep, f.name).tobytes())
+    for a in (sweep.defect, sweep.n1, sweep.n2, sweep.n3, sweep.angle):
+        digest.update(a.tobytes())
     exports = []
     for nu, nv in ((251, 251), (41, 1001)):
         g = sample_grid(s, nu, nv)
@@ -955,3 +955,33 @@ def test_separable_vs_direct_compares_the_sweep_on_the_subgrid_axes(case, nu, nv
     assert angle.tobytes() == sub.angle.tobytes()
     assert defect.tobytes() == sub.defect.tobytes()
     assert np.any(defect != 0) and (case != "nan_tail" or np.any(defect == NON_FINITE))
+
+
+@pytest.mark.parametrize("nu, nv", [(81, 81), (1001, 41)])
+@pytest.mark.parametrize("profile, eps, th, fv_method", PARITY_CASES)
+def test_angle_sweep_matches_the_per_sample_oracle(profile, eps, th, fv_method, nu, nv):
+    """The sweep reads a block's peak from the angles of its two extreme
+    cosines where they are finite, and through the per-sample masks
+    elsewhere; either way the entry equals, bit for bit, the reduction of
+    sweep_grid's per-sample angles over the whole grid.  At 1001 x 41 the
+    default SWEEP_BLOCK makes two blocks."""
+    s = make_surface(BergerParams(eps, th), profile, fv_method=fv_method)
+    cfg = VerifyConfig(nu, nv)
+    got = reduced_entries(REGISTRY["angle_sweep"].fn(_Run(s, cfg)))
+    assert got == reduced_entries(whole_grid_angle_sweep(s, cfg))
+
+
+@pytest.mark.parametrize("nu, nv", [(81, 81), (1001, 41)])
+def test_arccos_is_non_increasing_over_each_blocks_sorted_cosines(nu, nv):
+    """The property the sweep's reading of the extreme cosines rests on,
+    block by block on the surfaces of the oracle test above, among which
+    blocks with finite extremes and blocks with a NaN both occur."""
+    finite = set()
+    for profile, eps, th, fv_method in PARITY_CASES:
+        s = make_surface(BergerParams(eps, th), profile, fv_method=fv_method)
+        for block in surface_module.sweep_blocks(s, *grid_axes(s, nu, nv)):
+            cosine = np.sort(block.cosine, axis=None)
+            finite.add(bool(np.isfinite(cosine[-1])))
+            angle = surface_module._angles(cosine[np.isfinite(cosine)])
+            assert np.all(angle[1:] <= angle[:-1])
+    assert finite == {True, False}
