@@ -548,13 +548,13 @@ def _coefficient_samples(consts: HelixConstants) -> np.ndarray:
 
 
 def recover_coefficient_fields(surface: HelixSurface, td: TangentData) -> np.ndarray:
-    """Solve for the four vector coefficients of the trig expansion of
-    F(., v) by least squares on the five samples of _coefficient_samples.
+    """The four vector coefficients of the trig expansion of F(., v), by
+    least squares on the five samples of _coefficient_samples.  Their Gram
+    matrix is D A^T A D, D^2 = diag(g11, g11, g33, g33): verify checks A.
 
-    td is tangent_data at (us, v) with us the five samples on its first
-    axis, us.reshape(us.shape + (1,) * v.ndim) against v.  Returns an array
-    of shape v.shape + (4, 4) whose rows are the recovered vectors
-    multiplying cos(a1 u), sin(a1 u), cos(a2 u), sin(a2 u).
+    td is tangent_data at (us, v), us.reshape(us.shape + (1,) * v.ndim)
+    with us the five samples.  Returns shape v.shape + (4, 4), rows the
+    vectors multiplying cos(a1 u), sin(a1 u), cos(a2 u), sin(a2 u).
     """
     a1, a2 = surface.consts.alpha1, surface.consts.alpha2
     us = _coefficient_samples(surface.consts)

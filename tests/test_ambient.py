@@ -139,7 +139,7 @@ def test_decompose_zero_vector():
     assert frame_components(params, random_unit(), np.zeros(4)).tolist() == [0.0, 0.0, 0.0]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.floats(0.15, 2.5), st.integers(0, 10 ** 6))
 def test_decompose_reconstruct_roundtrip(eps, seed):
     rng = np.random.default_rng(seed)
@@ -175,7 +175,7 @@ def test_connection_vertical_rotation_entries():
     assert tuple(t[0, 2]) == (0.0, -k, 0.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.floats(0.05, 2.0))
 def test_connection_metric_compatibility(eps):
     # orthonormal frame: coefficient array antisymmetric in the last two slots

@@ -264,7 +264,7 @@ def test_obj_without_faces_is_its_vertex_lines(faces):
     assert b"f " not in export_obj(mesh)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(1, 2_000).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=60))))
 def test_obj_faces_match_per_value_reference(case):
@@ -367,13 +367,13 @@ def test_powers_of_ten_are_exact_double_doubles():
         assert int(hi) + int(lo) == 10 ** q
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
 def test_formatter_matches_printf_on_raw_bit_patterns(bits):
     assert_like_printf(np.array(bits, dtype=np.uint64).view(np.float64))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                 min_size=1, max_size=64))
 def test_formatter_matches_printf_on_floats(xs):

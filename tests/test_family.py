@@ -70,7 +70,7 @@ def profile_functions(draw):
                                 xi3=None, v_min=0.0, v_max=TWO_PI)).xi3
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(profile_functions(), st.floats(H_JET, TWO_PI - H_JET))
 def test_jet_orders_agree_and_derivative_matches_difference(f, v):
     value, = f.jet(v)
@@ -80,7 +80,7 @@ def test_jet_orders_agree_and_derivative_matches_difference(f, v):
     assert abs(derivative - central) <= 1e-6
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.floats(0.0, TWO_PI), profile_functions(), profile_functions(), profile_functions(),
        st.lists(st.floats(0.0, TWO_PI), min_size=1, max_size=5))
 def test_assemble_order_one_keeps_a_bitwise(xi, xi1, xi2, xi3, vs):

@@ -413,7 +413,7 @@ def sweep_surfaces(draw):
     return make_surface(BergerParams(eps, th), prof, fv_method=fv)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(sweep_surfaces(), st.sampled_from([surface_module.SWEEP_BLOCK, 2 * 13 + 3]))
 def test_sweep_grid_matches_tangent_data(s, block):
     # the small block computes the 17 rows two at a time in the same buffers
@@ -453,7 +453,7 @@ def kernel_points(draw, s):
     return (u[0], v[0]) if shape == "point" else (u, v)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_tangent_data_kernel_identities(data):
     """tangent_data against the plain recipe, bit for bit: F = A beta(u),
