@@ -10,21 +10,22 @@ structure probes at the end of this module read a TangentData their
 caller evaluated, so that verify can evaluate all of its real point sets
 in one tangent_data call.
 
-The grid kernel, sweep_blocks, serves verify's angle sweep and
+The grid kernel, map_blocks, serves verify's angle sweep and
 sample_grid (and through it the exports).  All of the u-dependence of F
 sits in b = beta(u), and beta' = K b for a constant block rotation K, so
 every product the normal needs is a quadratic form b^T Q(v) b: a
 (rows x 10) @ (10 x nv) product over the monomials b_i b_j, i <= j, for
-each block of u rows, and no (nu, nv, 4) array is built.  The generator
-yields the normal, the cosine |N1| / |N| and the defect codes one block at
-a time, so verify reduces each block as it arrives and takes arccos only
-where it needs an angle.  Every block is computed in the same buffers, one
-product buffer and a few work buffers allocated per call, so a yielded
-block is valid only until the next one is requested; sweep_grid writes
-each block, its cosines as angles, into preallocated whole-grid arrays.
-sample_grid takes its normals, angles and defect codes from sweep_grid,
-and its positions from the einsum of tangent_data, so they equal
-tangent_data's F bit for bit.
+each block of u rows, and no (nu, nv, 4) array is built.  The blocks are
+independent of each other, so map_blocks spreads them over one thread per
+CPU the process may run on, and hands each block's normal, cosine
+|N1| / |N| and defect codes to the caller's fn inside the thread that
+computed it: verify reduces each block there and takes arccos only where
+it needs an angle, and sweep_grid writes each block, its cosines as
+angles, into preallocated whole-grid arrays.  A worker computes every
+block it takes in the same ten float buffers and one int8 buffer, so a
+block is valid only during its fn call.  sample_grid takes its normals,
+angles and defect codes from sweep_grid, and its positions from the
+einsum of tangent_data, so they equal tangent_data's F bit for bit.
 
 F_v is dA/dv beta(u) from the profile jets, or with fv_method "fd" from a
 complex step of A's value code.  tangent_data keeps complex (u, v) complex.
@@ -40,8 +41,10 @@ smallest one) and skips the per-sample masks.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +57,7 @@ GRAM_DET_TOL = 1e-12
 # complex step: f'(x) = Im f(x + i CSTEP) / CSTEP has no subtraction, so it
 # is exact to rounding, and CSTEP^2 vanishes beside any double
 CSTEP = 1e-200
-SWEEP_BLOCK = 1 << 15    # grid samples per block of u rows in sweep_blocks
+SWEEP_BLOCK = 1 << 15    # grid samples per block of u rows in map_blocks
 
 # defect codes of TangentData.defect: 0 marks a usable sample, code k + 1 the
 # kind DEFECT_KINDS[k]; a sample gets the first kind that applies
@@ -366,16 +369,17 @@ def grid_axes(surface: HelixSurface, nu: int, nv: int):
 def sample_grid(surface: HelixSurface, nu: int, nv: int) -> SurfaceGrid:
     """Evaluate the surface on a uniform nu x nv grid.
 
-    The normals, angles and defect codes are those of sweep_grid.  The
-    positions A(v) beta(u) are tangent_data's, by the same einsum, so they
-    equal its F bit for bit.  One _family_jet serves both, so the profile
-    is assembled once.  Defective samples are recorded, not fatal.
+    The normals (its own array), angles and defect codes are those of
+    sweep_grid.  The positions A(v) beta(u) are tangent_data's, by the
+    same einsum, so they equal its F bit for bit.  One _family_jet serves
+    both, so the profile is assembled once.  Defective samples are
+    recorded, not fatal.
     """
     us, vs = grid_axes(surface, nu, nv)
     jet = _family_jet(surface, vs, lambda D: D)
     positions = _apply(jet[0], beta(us, surface.consts)[:, None])
     sweep = sweep_grid(surface, us, vs, jet)
-    normals = np.stack((sweep.n1, sweep.n2, sweep.n3), axis=-1)
+    normals = sweep.normals
     normals[sweep.defect != 0] = np.nan
     defects = [(int(i), int(j), DEFECT_KINDS[sweep.defect[i, j] - 1])
                for i, j in zip(*np.nonzero(sweep.defect))]
@@ -393,8 +397,9 @@ class SweepData:
     (us[i], vs[j]).
 
     defect is as in TangentData and n1, n2, n3 are the frame components of
-    its normal; a block of sweep_blocks holds the cosine |N1| / |N| (NaN
-    wherever defect is nonzero), sweep_grid's whole grid its angle.
+    its normal; a block of map_blocks holds the cosine |N1| / |N| (NaN
+    wherever defect is nonzero), sweep_grid's whole grid its angle and, in
+    normals, the (nu, nv, 3) array of which n1, n2 and n3 are views.
     """
 
     defect: np.ndarray
@@ -403,6 +408,7 @@ class SweepData:
     n3: np.ndarray
     cosine: Optional[np.ndarray] = None
     angle: Optional[np.ndarray] = None
+    normals: Optional[np.ndarray] = None
 
 
 def _sweep_forms(surface: HelixSurface, vs: np.ndarray, jet=None):
@@ -439,20 +445,38 @@ def _products_minus(a, b, c, d, out, work):
 
 
 def _block_rows(nv: int) -> int:
-    """The u rows of a block of sweep_blocks on nv columns."""
+    """The u rows of a block of map_blocks on nv columns."""
     return max(1, SWEEP_BLOCK // max(nv, 1))
 
 
-def sweep_blocks(surface: HelixSurface, us, vs, jet=None) -> Iterator[SweepData]:
-    """The cosine |N1| / |N|, defect code and normal of the surface on the
-    grid us x vs, from the separable quadratic forms of _sweep_forms (given
-    jet), as one SweepData per block of whole u rows.
+def _workers() -> int:
+    """The CPUs this process may run on, the most threads map_blocks uses."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
-    A block holds about SWEEP_BLOCK samples, and every block is computed
-    in the same few buffers, so the work memory stays small however large
-    the grid, and a caller that reduces each block as it arrives never
-    holds a full-grid array.  A yielded block is therefore valid only
-    until the next one is requested.  Agrees with
+
+def map_blocks(surface: HelixSurface, us, vs, fn: Callable[[SweepData, int], object],
+               jet=None) -> list:
+    """[fn(block, start), ...] over the blocks of whole u rows of the grid
+    us x vs, in block order, where block is a SweepData of the cosine
+    |N1| / |N|, defect code and normal of rows start, start + 1, ... from
+    the separable quadratic forms of _sweep_forms (given jet).
+
+    A block holds about SWEEP_BLOCK samples.  The blocks go to
+    W = min(_workers(), blocks) workers: the calling thread and W - 1
+    threads, each taking the next block index from one shared iterator,
+    and a single block runs in the calling thread alone.  fn runs in the
+    worker that computed the block, so it must call no traced (public)
+    function of the package.  The buffers are allocated here, in the
+    calling thread: per worker one (9, rows, nv) product buffer, one work
+    buffer and one int8 defect buffer, 10 floats per sample of a block, in
+    which the worker computes every block it takes.  A block is therefore
+    valid only during its fn call; fn returns copies of what it keeps.
+    Every block is computed by the same operations whichever worker takes
+    it, so the results do not depend on W.  An exception in any worker
+    reaches the caller once every thread has ended.  Agrees with
     tangent_data(surface, us[:, None], vs[None, :]) in every defect code
     and to rounding in every value; the domain is not checked.
     """
@@ -463,44 +487,72 @@ def sweep_blocks(surface: HelixSurface, us, vs, jet=None) -> Iterator[SweepData]
     monomials = b[:, _ROW] * b[:, _COL]
     eps = surface.params.epsilon
     rows = _block_rows(vs.size)
+    n = -(-us.size // rows)
+    workers = min(_workers(), n)
     shape = (min(rows, us.size), vs.size)
-    products = np.empty((9,) + shape)
-    n1, n2, cosine, work = np.empty((4,) + shape)
-    defect = np.empty(shape, np.int8)
-    for i in range(0, us.size, rows):
-        m = monomials[i:i + rows]
-        r = m.shape[0]
-        P = np.matmul(m, C, out=products[:, :r])
-        j1_fu, cu2, cu3, j1_fv, cv2, cv3, fuu, fvv, fuv = P
-        # eps j1, fuu fvv - fuv^2 and the cross product of the frame
-        # components, each operation in the order of these formulas, written
-        # into the buffers
-        w = work[:r]
-        cu1, cv1 = np.multiply(eps, j1_fu, out=j1_fu), np.multiply(eps, j1_fv, out=j1_fv)
-        gram = _products_minus(fuu, fvv, fuv, fuv, fuu, w)
-        N1 = _products_minus(cu2, cv3, cu3, cv2, n1[:r], w)
-        N2 = _products_minus(cu3, cv1, cu1, cv3, n2[:r], w)
-        N3 = _products_minus(cu1, cv2, cu2, cv1, fuv, w)
-        codes, cosines = _classify(gram, N1, N2, N3, (defect[:r], cosine[:r], w))
-        yield SweepData(defect=codes, n1=N1, n2=N2, n3=N3, cosine=cosines)
+    products = np.empty((workers, 9) + shape)
+    work = np.empty((workers,) + shape)
+    defect = np.empty((workers,) + shape, np.int8)
+    out = [None] * n
+    blocks = iter(range(n))
+    errors = []
+
+    def worker(w):
+        try:
+            for k in blocks:
+                start = k * rows
+                m = monomials[start:start + rows]
+                r = m.shape[0]
+                P = np.matmul(m, C, out=products[w, :, :r])
+                j1_fu, cu2, cu3, j1_fv, cv2, cv3, fuu, fvv, fuv = P
+                # eps j1, fuu fvv - fuv^2 and the cross product of the frame
+                # components, each operation in the order of these formulas;
+                # the slots of fvv, fuv and cu3 then take N1, N2 and N3, and
+                # that of cu1 the cosine
+                wk = work[w, :r]
+                cu1, cv1 = np.multiply(eps, j1_fu, out=j1_fu), np.multiply(eps, j1_fv, out=j1_fv)
+                gram = _products_minus(fuu, fvv, fuv, fuv, fuu, wk)
+                N1 = _products_minus(cu2, cv3, cu3, cv2, fvv, wk)
+                N2 = _products_minus(cu3, cv1, cu1, cv3, fuv, wk)
+                N3 = _products_minus(cu1, cv2, cu2, cv1, cu3, wk)
+                codes, cosines = _classify(gram, N1, N2, N3, (defect[w, :r], cu1, wk))
+                out[k] = fn(SweepData(defect=codes, n1=N1, n2=N2, n3=N3, cosine=cosines), start)
+        except BaseException as exc:    # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            t = threading.Thread(target=worker, args=(w,))
+            t.start()
+            threads.append(t)
+        worker(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def sweep_grid(surface: HelixSurface, us, vs, jet=None) -> SweepData:
-    """The blocks of sweep_blocks written into whole (nu, nv) arrays, each
-    block's cosines as angles."""
+    """The blocks of map_blocks written into whole (nu, nv) arrays, each
+    block's cosines as angles and its normal into one (nu, nv, 3) array."""
     shape = (np.size(us), np.size(vs))
     # angle first: allocated last, it left glibc's heap to fault in about 600
     # more pages per 251 x 251 sample_grid
-    grid = SweepData(angle=np.empty(shape), defect=np.empty(shape, np.int8),
-                     n1=np.empty(shape), n2=np.empty(shape), n3=np.empty(shape))
-    start = 0
-    for block in sweep_blocks(surface, us, vs, jet):
-        stop = start + block.defect.shape[0]
-        for name in ("defect", "n1", "n2", "n3"):
-            getattr(grid, name)[start:stop] = getattr(block, name)
-        _angles(block.cosine, grid.angle[start:stop])
-        start = stop
-    return grid
+    angle, defect, normals = np.empty(shape), np.empty(shape, np.int8), np.empty(shape + (3,))
+
+    def write(block, start):
+        rows = slice(start, start + block.defect.shape[0])
+        defect[rows] = block.defect
+        for k, n in enumerate((block.n1, block.n2, block.n3)):
+            normals[rows, :, k] = n
+        _angles(block.cosine, angle[rows])
+
+    map_blocks(surface, us, vs, write, jet)
+    n1, n2, n3 = np.moveaxis(normals, -1, 0)
+    return SweepData(defect=defect, n1=n1, n2=n2, n3=n3, angle=angle, normals=normals)
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The checks form one registry, CHECKS.  Each maps a run, the surface and
 VerifyConfig of one run_all call, to named residuals with their sample
 counts.  The run makes each evaluation once, on first use, and drops it
 with the call: the grid axes, the family A(v) on them, and one pass of
-the separable kernel surface.sweep_blocks over the whole nu x nv grid;
+the separable kernel surface.map_blocks over the whole nu x nv grid;
 then three evaluations of which each check reads its own slice.  One
 tangent_data call covers every real point set, flattened and
 concatenated: the nudge candidates of the nine interior points, a
@@ -13,8 +13,9 @@ normal_closed_form and first_order_system and the domain corner of
 fit_phase_constant.  One complex-step jet at the interior points serves
 the curvature and the shape operator.  One beta jet and one assemble at
 the 1000 sample points of fourth_order_ode serve it and, through their
-first 32 rows, the u-products.  The sweep reduces each block of u rows as it arrives (no
-full-grid array is held; arccos is taken at its extreme cosines alone)
+first 32 rows, the u-products.  The sweep reduces each block of u rows
+in the map_blocks worker that computed it, one thread per CPU (no
+full-grid array is held; arccos is taken at its extreme cosines alone),
 and keeps its samples on the subgrid, which separable_vs_direct
 compares with tangent_data.  Every entry measures the
 surface: the one shape-operator evaluation at the interior points gives
@@ -58,7 +59,6 @@ from .surface import (
     _angles,
     _apply,
     _beta_jet,
-    _block_rows,
     _dot,
     _family_jet,
     _tangent_tail,
@@ -66,7 +66,7 @@ from .surface import (
     first_order_system_residual,
     fit_phase_constant,
     grid_axes,
-    sweep_blocks,
+    map_blocks,
     tangent_data,
 )
 
@@ -477,42 +477,41 @@ class _Run:
 
     @cached_property
     def sweep(self):
-        """One pass of sweep_blocks over the grid, on family_jet, as
+        """One map_blocks over the grid, on family_jet, as
         (peaks, counted, angle, defect).
 
-        Each block is reduced as it arrives to the peak and count of
-        angle_constancy: its NaN-propagating extremes are exact, so the
-        entry equals that of the whole grid bit for bit.  A block whose
-        extreme cosines are finite counts every sample, and its largest
-        |angle - target| is read from the angles of those two cosines alone,
-        since arccos is non-increasing; only a block with a NaN or an
-        infinity goes through the per-sample masks.  angle and defect hold
-        the samples at the subgrid, gathered from the blocks that hold them.
+        Each block is reduced to the peak and count of angle_constancy in
+        the worker that computed it, so no full-grid array is held: its
+        NaN-propagating extremes are exact, so the entry equals that of the
+        whole grid bit for bit.  A block whose extreme cosines are finite
+        counts every sample, and its largest |angle - target| is read from
+        the angles of those two cosines alone, since arccos is
+        non-increasing; only a block with a NaN or an infinity goes through
+        the per-sample masks.  angle and defect hold the samples at the
+        subgrid, copied from the blocks that hold them and gathered in
+        block order.
         """
         surface = self.surface
         target = math.pi / 2 if surface.profile.hopf_tube[0] else surface.params.theta
         (us, vs), (iu, iv) = self.axes, self.subgrid
-        rows = _block_rows(vs.size)
-        # the subgrid rows of each block, counted from the block's first row
-        picks = [np.ix_(i, iv) for i in
-                 np.split(iu % rows, np.searchsorted(iu, np.arange(rows, us.size, rows)))]
-        peaks, counted, cosines, defects = [], 0, [], []
-        for block, pick in zip(sweep_blocks(surface, us, vs, self.family_jet), picks):
-            cosine = block.cosine
-            cosines.append(cosine[pick])
-            defects.append(block.defect[pick])
+
+        def reduce(block, start):
+            # runs in a map_blocks worker: no traced (public) call here
+            cosine, defect = block.cosine, block.defect
+            pick = np.ix_(iu[(start <= iu) & (iu < start + cosine.shape[0])] - start, iv)
             low, high = np.min(cosine), np.max(cosine)
             if math.isfinite(low) and math.isfinite(high):
                 top, bottom = _angles(np.array([low, high]))
-                peaks.append(max(top - target, target - bottom))
-                counted += cosine.size
-            else:
-                kept = ~np.isnan(cosine) | (block.defect == NON_FINITE)
-                n = int(np.count_nonzero(kept))
-                if n:
-                    peaks.append(np.max(np.abs(_angles(cosine[kept]) - target)))
-                    counted += n
-        return peaks, counted, _angles(np.concatenate(cosines)), np.concatenate(defects)
+                return max(top - target, target - bottom), cosine.size, cosine[pick], defect[pick]
+            kept = ~np.isnan(cosine) | (defect == NON_FINITE)
+            n = int(np.count_nonzero(kept))
+            peak = np.max(np.abs(_angles(cosine[kept]) - target)) if n else None
+            return peak, n, cosine[pick], defect[pick]
+
+        peaks, counts, cosines, defects = zip(*map_blocks(surface, us, vs, reduce,
+                                                          self.family_jet))
+        return ([p for p in peaks if p is not None], sum(counts),
+                _angles(np.concatenate(cosines)), np.concatenate(defects))
 
 
 def _family(run):

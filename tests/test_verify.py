@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -815,7 +816,7 @@ def test_streamed_angle_sweep_matches_the_whole_grid_reduction(monkeypatch, case
     monkeypatch.setattr(surface_module, "SWEEP_BLOCK", 3 * 37 + 5)
     cfg = VerifyConfig(nu=41, nv=37)
     axes = grid_axes(s, 41, 37)
-    assert len(list(surface_module.sweep_blocks(s, *axes))) == 14
+    assert len(surface_module.map_blocks(s, *axes, lambda block, start: start)) == 14
     if case == "nan_rows":
         # blocks 3 and 8 hold a non-finite row and block 0 the degenerate
         # row u = 0; the other eleven are healthy
@@ -834,8 +835,90 @@ def test_streamed_angle_sweep_matches_the_whole_grid_reduction(monkeypatch, case
         assert residual < 1e-8
 
 
-def test_run_all_holds_no_full_grid_array():
-    # two float arrays of the 1001 x 1001 grid take 16 MB
+@pytest.mark.parametrize("case", ["analytic", "nan_tail", "hopf_tube"])
+def test_results_do_not_depend_on_the_worker_count(monkeypatch, case):
+    """sweep_grid's arrays and the run_all report, bit for bit, whether the
+    14 blocks of 41 x 37 samples run in the calling thread alone or on three
+    workers; on the NaN tail every block holds a NaN, so the masked
+    reduction runs in the threads too."""
+    s = {"analytic": ref_surface(0.8), "nan_tail": nan_tail_surface(),
+         "hopf_tube": hopf_tube()}[case]
+    monkeypatch.setattr(surface_module, "SWEEP_BLOCK", 3 * 37 + 5)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    cfg = VerifyConfig(nu=41, nv=37)
+    outputs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(surface_module, "_workers", lambda: workers)
+        sweep = sweep_grid(s, *grid_axes(s, cfg.nu, cfg.nv))
+        outputs.append([getattr(sweep, name).tobytes()
+                        for name in ("defect", "n1", "n2", "n3", "angle", "normals")]
+                       + [run_all(s, cfg).to_json()])
+    assert outputs[0] == outputs[1]
+    assert len(started) == 2 * 2       # two threads per map_blocks on three workers
+    assert not any(t.is_alive() for t in started)
+
+
+def test_every_block_is_taken_once_under_frequent_thread_switches(monkeypatch):
+    """Eight workers, more than the cores, on 201 one-row blocks with the
+    interpreter switching threads every microsecond: each block's fn runs
+    once and its result lands in its own slot."""
+    monkeypatch.setattr(surface_module, "SWEEP_BLOCK", 37)
+    monkeypatch.setattr(surface_module, "_workers", lambda: 8)
+    s, calls = ref_surface(0.8), []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        starts = surface_module.map_blocks(s, *grid_axes(s, 201, 37),
+                                           lambda block, start: calls.append(start) or start)
+    finally:
+        sys.setswitchinterval(interval)
+    assert starts == list(range(201))
+    assert sorted(calls) == list(range(201))
+
+
+def test_an_exception_in_a_worker_thread_reaches_the_caller(monkeypatch):
+    """The calling thread holds its first block until a worker thread has
+    raised; every thread is joined before the exception is re-raised."""
+    monkeypatch.setattr(surface_module, "SWEEP_BLOCK", 3 * 37 + 5)
+    monkeypatch.setattr(surface_module, "_workers", lambda: 3)
+    s, main, raised = ref_surface(0.8), threading.get_ident(), threading.Event()
+    before = threading.active_count()
+
+    def fn(block, start):
+        if threading.get_ident() == main:
+            assert raised.wait(timeout=30)
+            return start
+        raised.set()
+        raise RuntimeError(f"block at row {start}")
+
+    with pytest.raises(RuntimeError, match="block at row"):
+        surface_module.map_blocks(s, *grid_axes(s, 41, 37), fn)
+    assert threading.active_count() == before
+
+
+def test_a_single_block_starts_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    monkeypatch.setattr(surface_module, "_workers", lambda: 2)
+    s = ref_surface(0.8)
+    assert run_all(s).overall_pass               # 81 x 81: one block
+    with pytest.raises(AssertionError, match="a thread was started"):
+        sweep_grid(s, *grid_axes(s, 1001, 41))   # two blocks
+
+
+def test_run_all_holds_no_full_grid_array(monkeypatch):
+    # two float arrays of the 1001 x 1001 grid take 16 MB; the sweep's
+    # workers take 2.6 MB each, so their number is fixed here, not the host's
+    monkeypatch.setattr(surface_module, "_workers", lambda: 4)
     s, cfg = ref_surface(0.8), VerifyConfig(nu=1001, nv=1001)
     tracemalloc.start()
     try:
@@ -1109,8 +1192,8 @@ def test_arccos_is_non_increasing_over_each_blocks_sorted_cosines(nu, nv):
     finite = set()
     for profile, eps, th, fv_method in PARITY_CASES:
         s = make_surface(BergerParams(eps, th), profile, fv_method=fv_method)
-        for block in surface_module.sweep_blocks(s, *grid_axes(s, nu, nv)):
-            cosine = np.sort(block.cosine, axis=None)
+        for cosine in surface_module.map_blocks(
+                s, *grid_axes(s, nu, nv), lambda block, start: np.sort(block.cosine, axis=None)):
             finite.add(bool(np.isfinite(cosine[-1])))
             angle = surface_module._angles(cosine[np.isfinite(cosine)])
             assert np.all(angle[1:] <= angle[:-1])
