@@ -16,8 +16,8 @@ sits in b = beta(u), and beta' = K b for a constant block rotation K, so
 every product the normal needs is a quadratic form b^T Q(v) b: a
 (rows x 10) @ (10 x nv) product over the monomials b_i b_j, i <= j, for
 each block of u rows, and no (nu, nv, 4) array is built.  The blocks are
-independent of each other, so map_blocks spreads them over one thread per
-CPU the process may run on, and hands each block's normal, cosine
+independent of each other, so map_blocks spreads them over up to
+SWEEP_WORKERS threads, and hands each block's normal, cosine
 |N1| / |N| and defect codes to the caller's fn inside the thread that
 computed it: verify reduces each block there and takes arccos only where
 it needs an angle, and sweep_grid writes each block, its cosines as
@@ -58,6 +58,9 @@ GRAM_DET_TOL = 1e-12
 # is exact to rounding, and CSTEP^2 vanishes beside any double
 CSTEP = 1e-200
 SWEEP_BLOCK = 1 << 15    # grid samples per block of u rows in map_blocks
+# the most workers map_blocks uses: the count whose gain was measured (on two
+# CPUs); each worker holds 10 floats per sample of a block, 2.6 MB
+SWEEP_WORKERS = 2
 
 # defect codes of TangentData.defect: 0 marks a usable sample, code k + 1 the
 # kind DEFECT_KINDS[k]; a sample gets the first kind that applies
@@ -392,23 +395,31 @@ _ROW, _COL = np.triu_indices(4)
 
 
 @dataclass
-class SweepData:
-    """The separable kernel on an nu x nv grid, indexed [i, j] for
-    (us[i], vs[j]).
+class SweepBlock:
+    """One block of map_blocks: u rows start, start + 1, ... of the grid,
+    indexed [i, j] for (us[start + i], vs[j]).
 
-    defect is as in TangentData and n1, n2, n3 are the frame components of
-    its normal; a block of map_blocks holds the cosine |N1| / |N| (NaN
-    wherever defect is nonzero), sweep_grid's whole grid its angle and, in
-    normals, the (nu, nv, 3) array of which n1, n2 and n3 are views.
+    defect is as in TangentData, n1, n2, n3 are the frame components of
+    its normal and cosine is |N1| / |N| (NaN wherever defect is nonzero).
     """
 
     defect: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
     n3: np.ndarray
-    cosine: Optional[np.ndarray] = None
-    angle: Optional[np.ndarray] = None
-    normals: Optional[np.ndarray] = None
+    cosine: np.ndarray
+
+
+@dataclass
+class SweepData:
+    """The separable kernel on a whole nu x nv grid, indexed [i, j] for
+    (us[i], vs[j]): defect as in TangentData, the frame components of the
+    normal in normals[i, j] and the measured angle (NaN wherever defect
+    is nonzero)."""
+
+    defect: np.ndarray
+    normals: np.ndarray     # (nu, nv, 3)
+    angle: np.ndarray
 
 
 def _sweep_forms(surface: HelixSurface, vs: np.ndarray, jet=None):
@@ -450,17 +461,19 @@ def _block_rows(nv: int) -> int:
 
 
 def _workers() -> int:
-    """The CPUs this process may run on, the most threads map_blocks uses."""
+    """The most threads map_blocks uses: SWEEP_WORKERS, or the CPUs this
+    process may run on where they are fewer."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:      # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(SWEEP_WORKERS, cpus)
 
 
-def map_blocks(surface: HelixSurface, us, vs, fn: Callable[[SweepData, int], object],
+def map_blocks(surface: HelixSurface, us, vs, fn: Callable[[SweepBlock, int], object],
                jet=None) -> list:
     """[fn(block, start), ...] over the blocks of whole u rows of the grid
-    us x vs, in block order, where block is a SweepData of the cosine
+    us x vs, in block order, where block is a SweepBlock of the cosine
     |N1| / |N|, defect code and normal of rows start, start + 1, ... from
     the separable quadratic forms of _sweep_forms (given jet).
 
@@ -476,9 +489,10 @@ def map_blocks(surface: HelixSurface, us, vs, fn: Callable[[SweepData, int], obj
     valid only during its fn call; fn returns copies of what it keeps.
     Every block is computed by the same operations whichever worker takes
     it, so the results do not depend on W.  An exception in any worker
-    reaches the caller once every thread has ended.  Agrees with
-    tangent_data(surface, us[:, None], vs[None, :]) in every defect code
-    and to rounding in every value; the domain is not checked.
+    stops the others taking blocks and reaches the caller once every
+    thread has ended.  Agrees with tangent_data(surface, us[:, None],
+    vs[None, :]) in every defect code and to rounding in every value; the
+    domain is not checked.
     """
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
@@ -500,6 +514,8 @@ def map_blocks(surface: HelixSurface, us, vs, fn: Callable[[SweepData, int], obj
     def worker(w):
         try:
             for k in blocks:
+                if errors:
+                    break
                 start = k * rows
                 m = monomials[start:start + rows]
                 r = m.shape[0]
@@ -516,7 +532,7 @@ def map_blocks(surface: HelixSurface, us, vs, fn: Callable[[SweepData, int], obj
                 N2 = _products_minus(cu3, cv1, cu1, cv3, fuv, wk)
                 N3 = _products_minus(cu1, cv2, cu2, cv1, cu3, wk)
                 codes, cosines = _classify(gram, N1, N2, N3, (defect[w, :r], cu1, wk))
-                out[k] = fn(SweepData(defect=codes, n1=N1, n2=N2, n3=N3, cosine=cosines), start)
+                out[k] = fn(SweepBlock(defect=codes, n1=N1, n2=N2, n3=N3, cosine=cosines), start)
         except BaseException as exc:    # re-raised in the calling thread
             errors.append(exc)
 
@@ -551,8 +567,7 @@ def sweep_grid(surface: HelixSurface, us, vs, jet=None) -> SweepData:
         _angles(block.cosine, angle[rows])
 
     map_blocks(surface, us, vs, write, jet)
-    n1, n2, n3 = np.moveaxis(normals, -1, 0)
-    return SweepData(defect=defect, n1=n1, n2=n2, n3=n3, angle=angle, normals=normals)
+    return SweepData(defect=defect, normals=normals, angle=angle)
 
 
 # --------------------------------------------------------------------------

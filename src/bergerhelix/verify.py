@@ -14,7 +14,7 @@ fit_phase_constant.  One complex-step jet at the interior points serves
 the curvature and the shape operator.  One beta jet and one assemble at
 the 1000 sample points of fourth_order_ode serve it and, through their
 first 32 rows, the u-products.  The sweep reduces each block of u rows
-in the map_blocks worker that computed it, one thread per CPU (no
+in the map_blocks worker that computed it, up to two threads (no
 full-grid array is held; arccos is taken at its extreme cosines alone),
 and keeps its samples on the subgrid, which separable_vs_direct
 compares with tangent_data.  Every entry measures the

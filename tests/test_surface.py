@@ -342,7 +342,7 @@ def test_sample_grid_is_the_sweep_kernel(monkeypatch, case, block):
         codes[i, j] = DEFECT_KINDS.index(kind) + 1
     assert_same_bits(codes, sweep.defect)
     ok = sweep.defect == 0
-    assert_same_bits(g.normals[ok], np.stack((sweep.n1, sweep.n2, sweep.n3), axis=-1)[ok])
+    assert_same_bits(g.normals[ok], sweep.normals[ok])
     assert np.all(np.isnan(g.normals[~ok]))
     # every case masks something: the degenerate row u = 0, and on nan_tail NaN columns
     assert np.any(~ok) and (case != "nan_tail" or np.any(sweep.defect == NON_FINITE))
@@ -352,27 +352,23 @@ def test_sample_grid_is_the_sweep_kernel(monkeypatch, case, block):
 def test_sweep_grid_equals_the_concatenated_copies_of_its_blocks(monkeypatch, case):
     """The blocks written into preallocated whole-grid arrays, bit for bit
     as copying and concatenating them, the cosines as their _angles and the
-    normal's components as views of one (nu, nv, 3) array; 23 rows in
-    blocks of three end in a ragged block of two."""
+    normal's components as the last axis of one (nu, nv, 3) array; 23 rows
+    in blocks of three end in a ragged block of two."""
     s = {"analytic": surface_ref, "nan_tail": nan_tail_surface}[case]()
     monkeypatch.setattr(surface_module, "SWEEP_BLOCK", 3 * 19 + 5)
     us, vs = grid_axes(s, 23, 19)
     names = ["defect", "n1", "n2", "n3", "cosine"]
     # the buffers are reused from block to block, so fn returns copies
     blocks = map_blocks(s, us, vs, lambda block, start: (
-        start, block.angle, [getattr(block, name).copy() for name in names]))
-    assert [start for start, _, _ in blocks] == list(range(0, 23, 3))
-    assert len(blocks[-1][2][0]) == 2
-    assert all(angle is None for _, angle, _ in blocks)
+        start, [getattr(block, name).copy() for name in names]))
+    assert [start for start, _ in blocks] == list(range(0, 23, 3))
+    assert len(blocks[-1][1][0]) == 2
     sweep = sweep_grid(s, us, vs)
-    whole = dict(zip(names, (np.concatenate(parts) for parts in zip(*(b for _, _, b in blocks)))))
-    for name in names[:-1]:
-        assert_same_bits(getattr(sweep, name), whole[name])
-    assert sweep.cosine is None
+    whole = dict(zip(names, (np.concatenate(parts) for parts in zip(*(b for _, b in blocks)))))
+    assert_same_bits(sweep.defect, whole["defect"])
     assert_same_bits(sweep.angle, surface_module._angles(whole["cosine"]))
     assert sweep.normals.shape == (23, 19, 3)
     for k, name in enumerate(names[1:4]):
-        assert np.shares_memory(getattr(sweep, name), sweep.normals)
         assert_same_bits(sweep.normals[..., k], whole[name])
 
 

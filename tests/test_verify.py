@@ -303,7 +303,7 @@ def blas_outputs():
     s = ref_surface(0.8)
     sweep = sweep_grid(s, *grid_axes(s, 41, 1001))
     digest = hashlib.sha256()
-    for a in (sweep.defect, sweep.n1, sweep.n2, sweep.n3, sweep.angle):
+    for a in (sweep.defect, *np.moveaxis(sweep.normals, -1, 0), sweep.angle):
         digest.update(a.tobytes())
     exports = []
     for nu, nv in ((251, 251), (41, 1001)):
@@ -858,7 +858,7 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch, case):
         monkeypatch.setattr(surface_module, "_workers", lambda: workers)
         sweep = sweep_grid(s, *grid_axes(s, cfg.nu, cfg.nv))
         outputs.append([getattr(sweep, name).tobytes()
-                        for name in ("defect", "n1", "n2", "n3", "angle", "normals")]
+                        for name in ("defect", "normals", "angle")]
                        + [run_all(s, cfg).to_json()])
     assert outputs[0] == outputs[1]
     assert len(started) == 2 * 2       # two threads per map_blocks on three workers
@@ -903,6 +903,32 @@ def test_an_exception_in_a_worker_thread_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_an_exception_stops_the_other_workers_taking_blocks(monkeypatch):
+    """The calling thread raises on its first block; the worker thread
+    then computes at most the one block it may already hold, not the rest
+    of the 201."""
+    monkeypatch.setattr(surface_module, "SWEEP_BLOCK", 37)
+    monkeypatch.setattr(surface_module, "_workers", lambda: 2)
+    s, main, raised, taken = ref_surface(0.8), threading.get_ident(), threading.Event(), []
+
+    def fn(block, start):
+        if threading.get_ident() == main:
+            raised.set()
+            raise RuntimeError("stop")
+        assert raised.wait(timeout=30)
+        taken.append(start)
+
+    with pytest.raises(RuntimeError, match="stop"):
+        surface_module.map_blocks(s, *grid_axes(s, 201, 37), fn)
+    assert len(taken) <= 1
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, surface_module.SWEEP_WORKERS)])
+def test_the_workers_are_the_cpus_up_to_the_measured_count(monkeypatch, cpus, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert surface_module._workers() == workers
+
+
 def test_a_single_block_starts_no_thread(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a thread was started")
@@ -915,10 +941,9 @@ def test_a_single_block_starts_no_thread(monkeypatch):
         sweep_grid(s, *grid_axes(s, 1001, 41))   # two blocks
 
 
-def test_run_all_holds_no_full_grid_array(monkeypatch):
+def test_run_all_holds_no_full_grid_array():
     # two float arrays of the 1001 x 1001 grid take 16 MB; the sweep's
-    # workers take 2.6 MB each, so their number is fixed here, not the host's
-    monkeypatch.setattr(surface_module, "_workers", lambda: 4)
+    # workers take 2.6 MB each, as many as the host's CPUs up to SWEEP_WORKERS
     s, cfg = ref_surface(0.8), VerifyConfig(nu=1001, nv=1001)
     tracemalloc.start()
     try:
@@ -927,6 +952,12 @@ def test_run_all_holds_no_full_grid_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1001 * 1001 * 8, peak
+
+
+def test_run_all_on_a_many_cpu_host_holds_no_full_grid_array(monkeypatch):
+    # the worker cap bounds the sweep's buffers on a host of 64 CPUs too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    test_run_all_holds_no_full_grid_array()
 
 
 # ------------------------------------------------------------ nudge search
