@@ -12,20 +12,25 @@ within 2**-30 of a tie.  Every value it cannot certify (zeros, NaN,
 infinities, values outside the range, near-ties) is formatted by % itself.
 Each value's text is laid out NUL-padded in four uint64 words, its digits
 packed side by side (the dot of a fixed-notation value with |x| >= 10
-among them), and one bytes.translate drops the padding.  The face indices
-of export_obj are formatted once per vertex: the text of 1..n is built
-once per call and gathered for every face, and an index outside the mesh
-is refused.  Both exports format about _BLOCK_VALUES values at a time,
-the CSV in whole grid rows.
+among them), and a numpy mask over the words' bytes drops the padding.
+The face indices of export_obj are formatted once per vertex: the text of
+1..n is built once per call and gathered for every face, and an index
+outside the mesh is refused.  Both exports format about _BLOCK_VALUES
+values at a time, the CSV in whole grid rows, on the sweep's workers
+(surface._run_blocks): numpy formats and compacts a block mostly without
+holding the GIL, so two blocks overlap.  Each block's text, a uint8 array,
+joins the output in block order, so the bytes do not depend on the worker
+count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
+from . import surface
 from .errors import OutOfDomain
 from .surface import SurfaceGrid
 
@@ -238,13 +243,15 @@ def _fields(values: np.ndarray, out: np.ndarray) -> None:
         out[bad + (3,)] = 0
 
 
-def _text(words: np.ndarray, fields: np.ndarray, sep: bytes) -> bytes:
-    """The text of words, whose fields (..., c, w) hold NUL-padded text with
-    the top byte of each field's last word zero: sep after each field of a
-    line, LF after its last."""
+def _text(words: np.ndarray, fields: np.ndarray, sep: bytes) -> np.ndarray:
+    """The text of words as uint8, whose fields (..., c, w) hold NUL-padded
+    text with the top byte of each field's last word zero: sep after each
+    field of a line, LF after its last.  The NULs are dropped by a mask,
+    which numpy compacts without holding the GIL."""
     fields[..., :-1, -1] |= _U(ord(sep)) << _U(56)
     fields[..., -1, -1] |= _U(ord("\n")) << _U(56)
-    return words.astype("<u8", copy=False).tobytes().translate(None, b"\0")
+    flat = words.astype("<u8", copy=False).view(np.uint8).reshape(-1)
+    return flat[flat != 0]
 
 
 def _index_words(n: int, n_words: int) -> np.ndarray:
@@ -263,42 +270,71 @@ def _index_words(n: int, n_words: int) -> np.ndarray:
     return text.view("<u8").astype(_U, copy=False)
 
 
-# Values formatted at a time.  12288 (96 KiB per temporary array, 384 KiB
-# of words) ran faster than 4096 or 8192 on a 251 x 251 export and no slower
-# than 16384, and kept the process's peak RSS within 1 MB of 8192's.
-_BLOCK_VALUES = 12288
+# Values formatted at a time: 192 KiB per temporary array, 768 KiB of words.
+# On two workers, mesh_export (251 x 251) ran 4% faster than at 12288, for
+# 3 MB more peak RSS: the other worker's heap keeps one block's temporaries,
+# 5.2 MB here against 2.9 MB at 12288.
+_BLOCK_VALUES = 24576
 
 
-def _vertex_lines(vertices: np.ndarray) -> List[bytes]:
+def _map_rows(task: Callable[[slice], np.ndarray], m: int, step: int) -> List[np.ndarray]:
+    """[task(rows), ...] over the slices of step rows of 0..m - 1, in row
+    order, on the sweep's workers (surface._run_blocks).
+
+    The calling thread copies each text another worker formatted, between
+    its own blocks: an allocator such as glibc's keeps what a thread
+    allocated in that thread's own heap, where half the output would
+    otherwise stay resident after the call, unusable by the calling thread.
+    """
+    n = -(-m // step)
+    texts, pending = [None] * n, []
+
+    def run(w, k):
+        text = task(slice(k * step, (k + 1) * step))
+        if w:
+            pending.append((k, text))
+            return
+        texts[k] = text
+        while pending:                  # only this thread pops
+            j, other = pending.pop()
+            texts[j] = other.copy()
+
+    surface._run_blocks(run, n, min(surface._workers(), n))
+    for j, other in pending:
+        texts[j] = other.copy()
+    return texts
+
+
+def _vertex_lines(vertices: np.ndarray) -> List[np.ndarray]:
     """"v x y z" lines of float vertices, one line per row."""
     m, c = vertices.shape
-    step = max(1, _BLOCK_VALUES // c)
-    out = []
-    for start in range(0, m, step):
-        block = vertices[start:start + step]
+
+    def lines(rows):
+        block = vertices[rows]
         words = np.empty((len(block), 1 + _WORDS * c), dtype=_U)
         words[:, 0] = int.from_bytes(b"v ", "little")
         fields = words[:, 1:].reshape(len(block), c, _WORDS)
         _fields(block, fields)
-        out.append(_text(words, fields, b" "))
-    return out
+        return _text(words, fields, b" ")
+
+    return _map_rows(lines, m, max(1, _BLOCK_VALUES // c))
 
 
-def _face_lines(faces: np.ndarray, n: int) -> List[bytes]:
+def _face_lines(faces: np.ndarray, n: int) -> List[np.ndarray]:
     """"f a b c" lines of 1-based int64 faces over n vertices, every value
     in 1..n: the text of 1..n is formatted once and gathered."""
     n_words = len(b"%d" % n) // 8 + 1   # a byte left for the separator
     table = _index_words(n, n_words)
-    step = _BLOCK_VALUES // 3
-    out = []
-    for start in range(0, len(faces), step):
-        block = faces[start:start + step]
+
+    def lines(rows):
+        block = faces[rows]
         words = np.empty((len(block), 1 + 3 * n_words), dtype=_U)
         words[:, 0] = int.from_bytes(b"f ", "little")
         fields = words[:, 1:].reshape(len(block), 3, n_words)
         fields[:] = table.take(block, axis=0)
-        out.append(_text(words, fields, b" "))
-    return out
+        return _text(words, fields, b" ")
+
+    return _map_rows(lines, len(faces), _BLOCK_VALUES // 3)
 
 
 def export_obj(mesh: ProjectedMesh) -> bytes:
@@ -333,15 +369,15 @@ def export_csv(grid: SurfaceGrid) -> bytes:
     u_words, v_words = np.empty((nu, _WORDS), dtype=_U), np.empty((nv, _WORDS), dtype=_U)
     _fields(grid.us, u_words)
     _fields(grid.vs, v_words)
-    step = max(1, _BLOCK_VALUES // (8 * nv))
-    blocks = [",".join(CSV_COLUMNS).encode("ascii") + b"\n"]
-    for start in range(0, nu, step):
-        rows = slice(start, start + step)
+
+    def lines(rows):
         cols = np.concatenate([grid.positions[rows], grid.normals[rows],
                                grid.angles[rows, :, None]], axis=2)
         words = np.empty(cols.shape[:2] + (10, _WORDS), dtype=_U)
         words[:, :, 0] = u_words[rows, None]
         words[:, :, 1] = v_words
         _fields(cols, words[:, :, 2:])
-        blocks.append(_text(words, words, b","))
-    return b"".join(blocks)
+        return _text(words, words, b",")
+
+    header = ",".join(CSV_COLUMNS).encode("ascii") + b"\n"
+    return b"".join([header] + _map_rows(lines, nu, max(1, _BLOCK_VALUES // (8 * nv))))

@@ -10,22 +10,23 @@ structure probes at the end of this module read a TangentData their
 caller evaluated, so that verify can evaluate all of its real point sets
 in one tangent_data call.
 
-The grid kernel, map_blocks, serves verify's angle sweep and
-sample_grid (and through it the exports).  All of the u-dependence of F
-sits in b = beta(u), and beta' = K b for a constant block rotation K, so
-every product the normal needs is a quadratic form b^T Q(v) b: a
-(rows x 10) @ (10 x nv) product over the monomials b_i b_j, i <= j, for
-each block of u rows, and no (nu, nv, 4) array is built.  The blocks are
-independent of each other, so map_blocks spreads them over up to
-SWEEP_WORKERS threads, and hands each block's normal, cosine
-|N1| / |N| and defect codes to the caller's fn inside the thread that
-computed it: verify reduces each block there and takes arccos only where
-it needs an angle, and sweep_grid writes each block, its cosines as
-angles, into preallocated whole-grid arrays.  A worker computes every
-block it takes in the same ten float buffers and one int8 buffer, so a
-block is valid only during its fn call.  sample_grid takes its normals,
-angles and defect codes from sweep_grid, and its positions from the
-einsum of tangent_data, so they equal tangent_data's F bit for bit.
+The grid kernel, map_blocks, serves verify's angle sweep and sample_grid.
+All of the u-dependence of F sits in b = beta(u), and beta' = K b for a
+constant block rotation K, so every product the normal needs is a
+quadratic form b^T Q(v) b: a (rows x 10) @ (10 x nv) product over the
+monomials b_i b_j, i <= j, for each block of u rows, and no (nu, nv, 4)
+array is built.  The blocks are independent of each other, so map_blocks
+spreads them over up to SWEEP_WORKERS threads of _run_blocks, the
+package's one thread pool, which also runs the exporters' blocks, and
+hands each block's normal, cosine |N1| / |N| and defect codes to the
+caller's fn inside the thread that computed it: verify reduces each block
+there and takes arccos only where it needs an angle, and sweep_grid writes
+each block, its cosines as angles, into preallocated whole-grid arrays.  A
+worker computes every block it takes in the same ten float buffers and one
+int8 buffer, so a block is valid only during its fn call.  sample_grid
+takes its normals, angles and defect codes from sweep_grid, and its
+positions from the einsum of tangent_data, so they equal tangent_data's F
+bit for bit.
 
 F_v is dA/dv beta(u) from the profile jets, or with fv_method "fd" from a
 complex step of A's value code.  tangent_data keeps complex (u, v) complex.
@@ -58,8 +59,9 @@ GRAM_DET_TOL = 1e-12
 # is exact to rounding, and CSTEP^2 vanishes beside any double
 CSTEP = 1e-200
 SWEEP_BLOCK = 1 << 15    # grid samples per block of u rows in map_blocks
-# the most workers map_blocks uses: the count whose gain was measured (on two
-# CPUs); each worker holds 10 floats per sample of a block, 2.6 MB
+# the most workers of _run_blocks, for the sweep and the exports: the count
+# whose gain was measured (on two CPUs); each sweep worker holds 10 floats per
+# sample of a block, 2.6 MB
 SWEEP_WORKERS = 2
 
 # defect codes of TangentData.defect: 0 marks a usable sample, code k + 1 the
@@ -461,7 +463,7 @@ def _block_rows(nv: int) -> int:
 
 
 def _workers() -> int:
-    """The most threads map_blocks uses: SWEEP_WORKERS, or the CPUs this
+    """The most workers of _run_blocks: SWEEP_WORKERS, or the CPUs this
     process may run on where they are fewer."""
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -478,9 +480,7 @@ def map_blocks(surface: HelixSurface, us, vs, fn: Callable[[SweepBlock, int], ob
     the separable quadratic forms of _sweep_forms (given jet).
 
     A block holds about SWEEP_BLOCK samples.  The blocks go to
-    W = min(_workers(), blocks) workers: the calling thread and W - 1
-    threads, each taking the next block index from one shared iterator,
-    and a single block runs in the calling thread alone.  fn runs in the
+    W = min(_workers(), blocks) workers of _run_blocks, and fn runs in the
     worker that computed the block, so it must call no traced (public)
     function of the package.  The buffers are allocated here, in the
     calling thread: per worker one (9, rows, nv) product buffer, one work
@@ -488,11 +488,9 @@ def map_blocks(surface: HelixSurface, us, vs, fn: Callable[[SweepBlock, int], ob
     which the worker computes every block it takes.  A block is therefore
     valid only during its fn call; fn returns copies of what it keeps.
     Every block is computed by the same operations whichever worker takes
-    it, so the results do not depend on W.  An exception in any worker
-    stops the others taking blocks and reaches the caller once every
-    thread has ended.  Agrees with tangent_data(surface, us[:, None],
-    vs[None, :]) in every defect code and to rounding in every value; the
-    domain is not checked.
+    it, so the results do not depend on W.  Agrees with
+    tangent_data(surface, us[:, None], vs[None, :]) in every defect code
+    and to rounding in every value; the domain is not checked.
     """
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
@@ -507,6 +505,41 @@ def map_blocks(surface: HelixSurface, us, vs, fn: Callable[[SweepBlock, int], ob
     products = np.empty((workers, 9) + shape)
     work = np.empty((workers,) + shape)
     defect = np.empty((workers,) + shape, np.int8)
+
+    def task(w, k):
+        start = k * rows
+        m = monomials[start:start + rows]
+        r = m.shape[0]
+        P = np.matmul(m, C, out=products[w, :, :r])
+        j1_fu, cu2, cu3, j1_fv, cv2, cv3, fuu, fvv, fuv = P
+        # eps j1, fuu fvv - fuv^2 and the cross product of the frame
+        # components, each operation in the order of these formulas; the
+        # slots of fvv, fuv and cu3 then take N1, N2 and N3, and that of cu1
+        # the cosine
+        wk = work[w, :r]
+        cu1, cv1 = np.multiply(eps, j1_fu, out=j1_fu), np.multiply(eps, j1_fv, out=j1_fv)
+        gram = _products_minus(fuu, fvv, fuv, fuv, fuu, wk)
+        N1 = _products_minus(cu2, cv3, cu3, cv2, fvv, wk)
+        N2 = _products_minus(cu3, cv1, cu1, cv3, fuv, wk)
+        N3 = _products_minus(cu1, cv2, cu2, cv1, cu3, wk)
+        codes, cosines = _classify(gram, N1, N2, N3, (defect[w, :r], cu1, wk))
+        return fn(SweepBlock(defect=codes, n1=N1, n2=N2, n3=N3, cosine=cosines), start)
+
+    return _run_blocks(task, n, workers)
+
+
+def _run_blocks(task: Callable[[int, int], object], n: int, workers: int) -> list:
+    """[task(w, k) for k in range(n)], in block order, where w in
+    0..workers - 1 is the worker that ran block k.
+
+    The calling thread is worker 0 and starts workers - 1 threads; each
+    worker takes the next block index from one shared iterator, so one
+    worker alone runs the blocks in order, and a single worker starts no
+    thread.  An exception in any worker stops the others taking blocks and
+    reaches the caller once every thread has ended.  This is the package's
+    one thread pool: map_blocks and the exporters call it with workers =
+    min(_workers(), n), and task calls no traced (public) function.
+    """
     out = [None] * n
     blocks = iter(range(n))
     errors = []
@@ -516,23 +549,7 @@ def map_blocks(surface: HelixSurface, us, vs, fn: Callable[[SweepBlock, int], ob
             for k in blocks:
                 if errors:
                     break
-                start = k * rows
-                m = monomials[start:start + rows]
-                r = m.shape[0]
-                P = np.matmul(m, C, out=products[w, :, :r])
-                j1_fu, cu2, cu3, j1_fv, cv2, cv3, fuu, fvv, fuv = P
-                # eps j1, fuu fvv - fuv^2 and the cross product of the frame
-                # components, each operation in the order of these formulas;
-                # the slots of fvv, fuv and cu3 then take N1, N2 and N3, and
-                # that of cu1 the cosine
-                wk = work[w, :r]
-                cu1, cv1 = np.multiply(eps, j1_fu, out=j1_fu), np.multiply(eps, j1_fv, out=j1_fv)
-                gram = _products_minus(fuu, fvv, fuv, fuv, fuu, wk)
-                N1 = _products_minus(cu2, cv3, cu3, cv2, fvv, wk)
-                N2 = _products_minus(cu3, cv1, cu1, cv3, fuv, wk)
-                N3 = _products_minus(cu1, cv2, cu2, cv1, cu3, wk)
-                codes, cosines = _classify(gram, N1, N2, N3, (defect[w, :r], cu1, wk))
-                out[k] = fn(SweepBlock(defect=codes, n1=N1, n2=N2, n3=N3, cosine=cosines), start)
+                out[k] = task(w, k)
         except BaseException as exc:    # re-raised in the calling thread
             errors.append(exc)
 

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergerhelix import export
+from bergerhelix import export, surface
 from bergerhelix.ambient import BergerParams
 from bergerhelix.errors import OutOfDomain
 from bergerhelix.export import (
@@ -531,3 +534,91 @@ def test_extreme_mesh_matches_per_value_reference():
     faces = np.array([[8, 9, 10], [0, 39, 38], [10, 1, 0]], dtype=np.int64)
     mesh = ProjectedMesh(nu=5, nv=8, vertices=extreme_values(rng, (40, 3)), faces=faces)
     assert export_obj(mesh) == obj_reference(mesh)
+
+
+# ------------------------------------------------------------------ workers
+
+def worker_grid():
+    """23 x 5 samples of the reference surface: the u = 0 row degenerate,
+    a NaN position (a projection defect), a normal of 5e-324 and a
+    position of 1.5e20, which the fast path leaves to %."""
+    g = ref_grid(23, 5)
+    g.positions[7, 3, 0] = math.nan
+    g.positions[13, 2, 1] = 1.5e20
+    g.normals[11, 1, 2] = 5e-324
+    return g
+
+
+def test_exports_are_the_same_bytes_at_any_worker_count(monkeypatch):
+    """Blocks of 2 CSV rows, 33 vertices and 33 faces, the last block of
+    each ragged, on one to eight workers: the same bytes, equal to the
+    per-value reference."""
+    monkeypatch.setattr(export, "_BLOCK_VALUES", 100)
+    g = worker_grid()
+    mesh = project_grid(g)
+    assert g.defects and mesh.defects
+    assert 23 % 2 and len(mesh.vertices) % 33 and len(mesh.faces) % 33
+    csv, obj = csv_reference(g), obj_reference(mesh)
+    assert b"nan" in csv and b"4.9406564584124654e-324" in csv and b"e+20" in csv
+    for workers in (1, 2, 3, 8):
+        monkeypatch.setattr(surface, "_workers", lambda: workers)
+        assert export_csv(g) == csv
+        assert export_obj(mesh) == obj
+
+
+def test_exports_are_the_same_bytes_under_frequent_thread_switches(monkeypatch):
+    """Eight workers, more than the cores, on 101 one-row CSV blocks and
+    13-row OBJ blocks, with the interpreter switching threads every
+    microsecond: each block's text lands in its own place, once."""
+    monkeypatch.setattr(export, "_BLOCK_VALUES", 40)
+    monkeypatch.setattr(surface, "_workers", lambda: 8)
+    g = ref_grid(101, 5)
+    mesh = project_grid(g)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        csv, obj = export_csv(g), export_obj(mesh)
+    finally:
+        sys.setswitchinterval(interval)
+    assert csv == csv_reference(g)
+    assert obj == obj_reference(mesh)
+
+
+def test_a_failing_block_reaches_the_caller_and_stops_the_other_worker(monkeypatch):
+    """_fields raises on the third of 201 one-row blocks; a worker holding
+    a later block waits for the raise, then takes at most that one block,
+    not the rest of the 201."""
+    monkeypatch.setattr(export, "_BLOCK_VALUES", 8 * 5)
+    monkeypatch.setattr(surface, "_workers", lambda: 2)
+    nu = 201
+    g = positions_grid(np.arange(nu, dtype=float)[:, None, None] + np.zeros((nu, 5, 4)))
+    real, raised, taken = export._fields, threading.Event(), []
+
+    def fields(values, out):
+        if values.ndim == 3:                    # a block of grid rows, not an axis
+            row = int(values[0, 0, 0])
+            if row == 2:
+                raised.set()
+                raise RuntimeError("third block")
+            if row > 2:
+                assert raised.wait(timeout=30)
+                taken.append(row)
+        real(values, out)
+
+    monkeypatch.setattr(export, "_fields", fields)
+    with pytest.raises(RuntimeError, match="third block"):
+        export_csv(g)
+    assert len(taken) <= 1
+
+
+def test_export_csv_holds_its_output_twice_and_little_more():
+    """The blocks' text and the joined copy of it, 12.1 MiB each at
+    251 x 251: no worker holds more than its block."""
+    g = ref_grid(251, 251)
+    tracemalloc.start()
+    try:
+        text = export_csv(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * len(text), (peak, len(text))
