@@ -3,30 +3,37 @@
 Construction of the explicit parametrization F(u, v) = A(v) beta(u),
 numerical certification of its defining identities, and mesh export.
 The top level re-exports what a caller of the pipeline needs; every
-other name lives in its submodule.
+other name lives in its submodule.  A re-export is resolved the first
+time it is used (PEP 562), so ``import bergerhelix`` loads no submodule
+and the CLI loads only the modules its subcommand runs.
 """
 
-from .ambient import BergerParams
-from .constants import HelixConstants, compute_constants
-from .family import (
-    Constant,
-    Linear,
-    Sinusoid,
-    XiProfile,
-    derive_xi3,
-    example_profile,
-    profile_from_config,
-)
-from .surface import HelixSurface, SurfaceGrid, make_surface, sample_grid
-from .verify import CheckReport, VerifyConfig, run_all
-from .export import ProjectedMesh, export_csv, export_obj, project_grid
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BergerParams", "CheckReport", "Constant", "HelixConstants", "HelixSurface",
-    "Linear", "ProjectedMesh", "Sinusoid", "SurfaceGrid", "VerifyConfig",
-    "XiProfile", "compute_constants", "derive_xi3", "example_profile",
-    "export_csv", "export_obj", "make_surface", "profile_from_config",
-    "project_grid", "run_all", "sample_grid",
-]
+_SUBMODULE = {
+    "BergerParams": "ambient",
+    "HelixConstants": "constants", "compute_constants": "constants",
+    "Constant": "family", "Linear": "family", "Sinusoid": "family", "XiProfile": "family",
+    "derive_xi3": "family", "example_profile": "family", "profile_from_config": "family",
+    "HelixSurface": "surface", "SurfaceGrid": "surface", "make_surface": "surface",
+    "sample_grid": "surface",
+    "CheckReport": "verify", "VerifyConfig": "verify", "run_all": "verify",
+    "ProjectedMesh": "export", "export_csv": "export", "export_obj": "export",
+    "project_grid": "export",
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

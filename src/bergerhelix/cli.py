@@ -6,7 +6,8 @@ exit 0 iff every check passes), project (projected OBJ, figure-style
 output).  generate and project print the grid's defect counts by kind to
 stderr, and for OBJ output the count of vertices the projection drops.
 Exit codes: 0 success/pass, 1 verification failure, 2 invalid
-input.
+input.  Each subcommand imports only the modules it runs, inside _run, so
+a call compiles and executes no module it does not need.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ import sys
 from typing import Dict, Optional
 
 from .ambient import BergerParams
-from .constants import compute_constants
 from .errors import GeometryError
-from .export import export_csv, export_obj, project_grid
-from .family import example_profile, profile_from_file
-from .surface import DEFECT_KINDS, make_surface, sample_grid
-from .verify import VerifyConfig, run_all
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,20 +90,25 @@ def _emit(data: bytes, output: Optional[str]):
 def _run(args) -> int:
     params = BergerParams(epsilon=args.epsilon, theta=args.theta)
     if args.command == "constants":
+        from .constants import compute_constants
         text = json.dumps(dataclasses.asdict(compute_constants(params)),
                           indent=2, sort_keys=True) + "\n"
         _emit(text.encode("ascii"), args.output)
         return 0
 
+    from .family import example_profile, profile_from_file
     profile = profile_from_file(args.config) if args.config else example_profile()
     tolerances = _parse_tolerances(getattr(args, "tolerance", []))
+    from .surface import DEFECT_KINDS, make_surface, sample_grid
     surface = make_surface(params, profile, fv_method=args.fv_method)
 
     if args.command == "verify":
+        from .verify import VerifyConfig, run_all
         report = run_all(surface, VerifyConfig(nu=args.nu, nv=args.nv, tolerances=tolerances))
         _emit((report.to_json() + "\n").encode("ascii"), args.output)
         return 0 if report.overall_pass else 1
 
+    from .export import export_csv, export_obj, project_grid
     grid = sample_grid(surface, args.nu, args.nv)
     kinds = [kind for _, _, kind in grid.defects]
     counts = " ".join(f"{kind}={kinds.count(kind)}" for kind in DEFECT_KINDS)

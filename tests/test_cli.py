@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bergerhelix
 from bergerhelix import (BergerParams, VerifyConfig, export_csv, make_surface, profile_from_config,
                          run_all, sample_grid)
 from bergerhelix.cli import main
@@ -204,39 +205,89 @@ def test_verify_rejects_export_flags(capsys):
     assert main(["project", "--format", "obj"]) == 2
 
 
-# Runs main on each argv of a JSON list in one fresh interpreter and prints
-# the exit codes and which of scipy, numpy.polynomial and numpy.ma got
-# imported on the way beyond what numpy's own import loads (numpy 1.x
-# loads its subpackages eagerly).  None of them is needed.
+# Runs `python -m bergerhelix.cli ARGV...` the way `-m` does (runpy, as
+# __main__) in a fresh interpreter, after an optional prelude, and prints its
+# exit code, the bergerhelix submodules loaded by the end, and which of
+# scipy, numpy.polynomial and numpy.ma got imported on the way beyond what
+# numpy's own import loads (numpy 1.x loads its subpackages eagerly).  None
+# of those three is needed.
 _FRESH_CLI = """
-import json, sys
+import json, runpy, sys
 import numpy
 optional = [m for m in ("scipy", "numpy.polynomial", "numpy.ma") if m not in sys.modules]
-from bergerhelix.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "loaded": [m for m in optional if m in sys.modules]}))
+sys.argv = ["bergerhelix", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("bergerhelix.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "optional": [m for m in optional if m in sys.modules],
+                  "modules": sorted(m.split(".")[1] for m in sys.modules
+                                    if m.startswith("bergerhelix."))}))
 """
 
 
-def _fresh_cli(*argvs):
-    proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, json.dumps(argvs)],
+def _fresh(script, *args):
+    """Runs script in a fresh interpreter; the JSON of its last stdout line."""
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _fresh_cli(*argvs, prelude=""):
+    """One fresh interpreter per argv; the report of each, in order."""
+    return [_fresh(prelude + _FRESH_CLI, json.dumps(argv)) for argv in argvs]
 
 
 def test_cold_start_without_scipy(tmp_path):
-    # closed-form profiles never need scipy, so these calls must not import it
-    cfg = tmp_path / "linear.json"
+    # closed-form profiles never need scipy, and each subcommand loads only
+    # the modules it runs: a malformed config stops in family (exit 2)
+    cfg, bad = tmp_path / "linear.json", tmp_path / "bad.json"
     cfg.write_text(json.dumps(EXAMPLE_CONFIG))
+    bad.write_text(json.dumps(dict(EXAMPLE_CONFIG, xi1={"cubic": 1.0})))
     out = str(tmp_path / "out")
-    result = _fresh_cli(
+    size = ["--nu", "11", "--nv", "11", "--output", out]
+    results = _fresh_cli(
         ["constants", "--output", out],
-        ["verify", "--nu", "11", "--nv", "11", "--output", out],
-        ["generate", "--nu", "11", "--nv", "11", "--format", "obj", "--output", out],
-        ["project", "--config", str(cfg), "--nu", "11", "--nv", "11", "--output", out])
-    assert result == {"codes": [0, 0, 0, 0], "loaded": []}
+        ["verify", *size],
+        ["generate", "--format", "csv", *size],
+        ["generate", "--format", "obj", *size],
+        ["project", "--config", str(cfg), *size],
+        ["generate", "--config", str(bad), *size])
+    base = ["ambient", "errors"]   # cli itself runs as __main__
+    pipeline = sorted([*base, "constants", "family", "surface"])
+    assert [(r["code"], r["optional"], r["modules"]) for r in results] == [
+        (0, [], sorted([*base, "constants"])),
+        (0, [], sorted([*pipeline, "verify"])),
+        (0, [], sorted([*pipeline, "export"])),
+        (0, [], sorted([*pipeline, "export"])),
+        (0, [], sorted([*pipeline, "export"])),
+        (2, [], sorted([*base, "family"])),
+    ]
+
+
+_LAZY_TOP = """
+import json, sys
+import bergerhelix
+loaded = sorted(m for m in sys.modules if m.startswith("bergerhelix."))
+listed = dir(bergerhelix)
+star = {}
+exec("from bergerhelix import *", star)
+same = [name for name, obj in star.items() if name != "__builtins__"
+        and getattr(sys.modules[obj.__module__], name) is obj]
+print(json.dumps({"loaded": loaded, "dir": listed, "all": bergerhelix.__all__,
+                  "star": sorted(set(star) - {"__builtins__"}), "same": sorted(same)}))
+"""
+
+
+def test_top_level_names_resolve_on_first_use():
+    result = _fresh(_LAZY_TOP)
+    assert result["loaded"] == []
+    assert set(result["all"]) <= set(result["dir"])
+    assert result["star"] == result["same"] == sorted(result["all"])
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        bergerhelix.no_such_name
 
 
 def test_table_profile_never_loads_scipy_and_keeps_bytes(tmp_path):
@@ -246,9 +297,9 @@ def test_table_profile_never_loads_scipy_and_keeps_bytes(tmp_path):
                   xi3="auto", v_max=2.0)
     cfg, out = tmp_path / "table.json", tmp_path / "grid.csv"
     cfg.write_text(json.dumps(config))
-    result = _fresh_cli(["generate", "--config", str(cfg), "--nu", "9", "--nv", "9",
-                         "--output", str(out)])
-    assert result == {"codes": [0], "loaded": []}
+    results = _fresh_cli(["generate", "--config", str(cfg), "--nu", "9", "--nv", "9",
+                          "--output", str(out)])
+    assert [(r["code"], r["optional"]) for r in results] == [(0, [])]
     surface = make_surface(BergerParams(1.0, math.pi / 4), profile_from_config(config))
     assert out.read_bytes() == export_csv(sample_grid(surface, 9, 9))
 
@@ -262,14 +313,11 @@ def test_table_profile_runs_where_scipy_cannot_be_imported(tmp_path):
     cfg, report, grid = tmp_path / "table.json", tmp_path / "report.json", tmp_path / "grid.csv"
     cfg.write_text(json.dumps(config))
     size = ["--nu", "11", "--nv", "11"]
-    script = 'import sys; sys.modules["scipy"] = None\n' + _FRESH_CLI
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps([
-            ["verify", "--config", str(cfg), *size, "--output", str(report)],
-            ["generate", "--config", str(cfg), *size, "--output", str(grid)]])],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["codes"] == [0, 0]
+    results = _fresh_cli(
+        ["verify", "--config", str(cfg), *size, "--output", str(report)],
+        ["generate", "--config", str(cfg), *size, "--output", str(grid)],
+        prelude='import sys; sys.modules["scipy"] = None\n')
+    assert [r["code"] for r in results] == [0, 0]
     surface = make_surface(BergerParams(1.0, math.pi / 4), profile_from_config(config))
     expected = run_all(surface, VerifyConfig(nu=11, nv=11)).to_json() + "\n"
     assert report.read_bytes() == expected.encode("ascii")
