@@ -10,17 +10,19 @@ significant digits come from a double-double product with exact powers of
 ten, exact enough to certify the rounding unless the scaled value lies
 within 2**-30 of a tie.  Every value it cannot certify (zeros, NaN,
 infinities, values outside the range, near-ties) is formatted by % itself.
-Each value's text is laid out NUL-padded in four uint64 words, its digits
-packed side by side (the dot of a fixed-notation value with |x| >= 10
-among them), and a numpy mask over the words' bytes drops the padding.
-The face indices of export_obj are formatted once per vertex: the text of
-1..n is built once per call and gathered for every face, and an index
-outside the mesh is refused.  Both exports format about _BLOCK_VALUES
-values at a time, the CSV in whole grid rows, on the sweep's workers
-(surface._run_blocks): numpy formats and compacts a block mostly without
-holding the GIL, so two blocks overlap.  Each block's text, a uint8 array,
-joins the output in block order, so the bytes do not depend on the worker
-count.
+Each value's text, the separator before it first, is laid out as one run
+of bytes in four NUL-padded uint64 words, its digits packed side by side
+(the dot of a fixed-notation value with |x| >= 10 among them), and a numpy
+mask over the words' bytes drops the padding; the mask compacts one run a
+field about twice as fast as the same bytes in three or four runs.  A line
+starts with the LF that ends the line before it.  The face indices of
+export_obj are formatted once per vertex: the text " 1".." n" is built once
+per call and gathered for every face, and an index outside the mesh is
+refused.  Both exports format about _BLOCK_VALUES values at a time, the CSV
+in whole grid rows, on the sweep's workers (surface._run_blocks): numpy
+formats and compacts a block mostly without holding the GIL, so two blocks
+overlap.  Each block's text, a uint8 array, joins the output in block
+order, so the bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -89,16 +91,21 @@ def project_grid(grid: SurfaceGrid, pole: int = 4) -> ProjectedMesh:
 
 # ------------------------------------------------------------ %.17g in numpy
 #
-# _fields lays out the text of each value in _WORDS = 4 little-endian uint64
-# words, NUL-padded: [sign, "0.000" prefix, d0, "."], two words of the digits
-# d1..d16 side by side, and [exponent, NUL..., separator].  Where fixed
+# _fields lays out the text of each value, its separator first, in _WORDS = 4
+# little-endian uint64 words, NUL-padded so that the text is one run of
+# bytes, which the mask of _text compacts fastest.  Word 0 ends at byte 7
+# with [separator, sign, "0.000" prefix, d0, "."]: d0 at byte 6 when a dot
+# follows it, at byte 7 otherwise.  Words 1-2 hold the digits d1..d16 side by
+# side, byte 7 + i holding d_i, and word 3 the exponent.  Where fixed
 # notation puts the dot after a digit d_k, 1 <= k <= 15, the digits after d_k
-# move one byte right behind the dot and d16 spills into the last word, which
-# fixed notation leaves empty.  Deleting the NULs leaves b"%.17g" % x.  The
-# digits are Loitsch's plan ("Printing floating-point numbers quickly and
-# accurately with integers", PLDI 2010): a fast path for what it can prove
-# correct, here with Dekker's exact split and two-product (1971, no FMA), and
-# % for the rest.
+# move one byte right behind the dot and d16 spills into word 3, which fixed
+# notation leaves empty.  Only a scientific value of fewer than 17 digits
+# breaks the run, before its exponent.  Deleting the NULs leaves
+# sep + b"%.17g" % x.  The digits are Loitsch's plan ("Printing
+# floating-point numbers quickly and accurately with integers", PLDI 2010): a
+# fast path for what it can prove correct, here with Dekker's exact split and
+# two-product (1971, no FMA), and % for the rest.  The arithmetic reuses its
+# temporaries, each operation with the operands and the order of the formula.
 
 _U = np.uint64
 _SPLIT = 134217729.0                        # 2**27 + 1
@@ -113,8 +120,10 @@ _P_LO = np.array([float(p - int(h)) for p, h in zip(_POW10, _P_HI.tolist())])
 def _split(a):
     """Dekker's split: a == hi + lo exactly, each with at most 26 bits."""
     hi = a * _SPLIT
-    hi -= hi - a
-    return hi, a - hi
+    lo = hi - a
+    hi -= lo
+    np.subtract(a, hi, out=lo)
+    return hi, lo
 
 
 _PH_HI, _PH_LO = _split(_P_HI)
@@ -124,34 +133,50 @@ def _scaled(a, k):
     """floor(a * 10**(16 - k)) as int64 and the fraction beyond it, with an
     absolute error below 1e-14; 16 - k must lie in 0..45."""
     q = 16 - k
-    ph_hi, ph_lo = _PH_HI[q], _PH_LO[q]
-    p = a * _P_HI[q]
+    p = _P_HI.take(q)
+    p *= a
     a_hi, a_lo = _split(a)
-    t = (a_hi * ph_hi - p) + a_hi * ph_lo + a_lo * ph_hi + a_lo * ph_lo + a * _P_LO[q]
+    ph_hi, ph_lo = _PH_HI.take(q), _PH_LO.take(q)
+    # t = (a_hi ph_hi - p) + a_hi ph_lo + a_lo ph_hi + a_lo ph_lo + a p_lo,
+    # each product made in the place of an operand that is no longer needed
+    t = a_hi * ph_hi
+    t -= p
+    for product, factor in ((a_hi, ph_lo), (ph_hi, a_lo), (ph_lo, a_lo), (_P_LO.take(q), a)):
+        product *= factor
+        t += product
     p_int = np.floor(p)
-    r = p - p_int + t
-    r_int = np.floor(r)
-    return p_int.astype(np.int64) + r_int.astype(np.int64), r - r_int
+    p -= p_int
+    p += t                                  # r = p - p_int + t
+    r_int = np.floor(p, out=t)
+    p -= r_int
+    n = p_int.astype(np.int64)
+    n += r_int.astype(np.int64)
+    return n, p
 
 
 def _float_digits(x):
     """(negative, N, k, ok): |x| rounds to N * 10**(k - 16) with N of 17
     digits wherever ok; k stays in _K_LO.._K_HI."""
     a = np.abs(x)
-    ok = (a >= 1e-29) & (a < 1e17)
+    ok = a >= 1e-29
+    ok &= a < 1e17
     np.copyto(a, 1.0, where=~ok)
-    k = np.clip(np.floor(np.log10(a)), _K_LO, 16).astype(np.int64)
+    k = np.log10(a)
+    np.floor(k, out=k)
+    k = np.clip(k, _K_LO, 16, out=k).astype(np.int64)
     n, frac = _scaled(a, k)
     # log10 can miss k by one next to a power of ten: re-derive it once
-    off = (n < _E16).astype(np.int64) - (n >= _E17)
-    if off.any():
+    if n.min(initial=_E16) < _E16 or n.max(initial=0) >= _E17:
+        off = (n < _E16).astype(np.int64) - (n >= _E17)
         redo = np.nonzero(off)
         want = k[redo] - off[redo]
         k[redo] = np.clip(want, _K_LO, 16)
         n[redo], frac[redo] = _scaled(a[redo], k[redo])
         ok[redo] &= (k[redo] == want) & (n[redo] >= _E16) & (n[redo] < _E17)
-    ok &= np.abs(frac - 0.5) >= _TIE
-    n += frac > 0.5
+    up = frac > 0.5
+    frac -= 0.5
+    ok &= np.abs(frac, out=frac) >= _TIE
+    n += up
     top = n == _E17                         # 99999999999999999.5 rounds to 1e17
     n -= top * (_E17 - _E16)
     k += top
@@ -162,72 +187,92 @@ _WORDS = 4
 
 # 4-digit chunks c as ASCII in the low and in the high half of a word, and
 # for chunk w of d1..d16 the significant length of N when w is its last
-# non-zero chunk (1 if c is 0).
-_C = np.arange(10 ** 4)
-_QUAD = sum((_C // 10 ** (3 - i) % 10 + ord("0")) << 8 * i for i in range(4)).astype(_U)
-_QUAD = (_QUAD, _QUAD << _U(32))
-_SIG = np.where(_C > 0, 4 - (_C % 10 == 0) - (_C % 100 == 0) - (_C % 1000 == 0), 0)
-_CHUNK_LEN = [np.where(_SIG > 0, _SIG + 4 * w + 1, 1).astype(np.int8) for w in range(4)]
+# non-zero chunk (1 if c is 0).  The chunks 0..9999 are the choices of four
+# digits in order, so each table is a broadcast over one axis per digit.
+_DIGIT = np.arange(10, dtype=_U)
+_QUAD_LO = (_DIGIT[:, None, None, None] | _DIGIT[:, None, None] << _U(8)
+            | _DIGIT[:, None] << _U(16) | _DIGIT << _U(24)).ravel() + _U(0x30303030)
+_QUAD_HI = _QUAD_LO << _U(32)
+_NZ = (_DIGIT > 0).astype(np.int8)
+_SIG = np.maximum(np.maximum(_NZ[:, None, None, None], 2 * _NZ[:, None, None]),
+                  np.maximum(3 * _NZ[:, None], 4 * _NZ)).ravel()
+_CHUNK_LEN = [np.where(_SIG > 0, _SIG + (4 * w + 1), 1).astype(np.int8) for w in range(4)]
 
-# Words 0-2 keyed by (k - _K_LO) * 18 + L, L the significant length of N
-# (1..17): the "0.000" prefix, "." after d0 and 0xFF over the digits d1..
-# kept; byte 7 + i holds digit d_i.  %.17g is fixed notation for
-# -4 <= k <= 16 (integer digits are kept, and a dot follows digit k when
-# digits remain) and scientific otherwise.  _DOT_IN_DIGITS is the k of a dot
-# after d_k, 1 <= k <= 15, else 0; _LOW and _POINT, indexed by that k, mask
-# the digit bytes before the dot and place the dot in words 1-2.
-_K = np.arange(_K_LO, _K_HI + 1)[:, None]
-_B = np.arange(8 * 3)
+# Tables keyed by ((k - _K_LO) * 2 + negative) * 18 + L, L the significant
+# length of N (1..17).  %.17g is fixed notation for -4 <= k <= 16 (integer
+# digits are kept, and a dot follows digit k when digits remain) and
+# scientific otherwise.  _HEAD is word 0 but for the separator, at the place
+# value _SEP_AT, and d0, _D0_SHIFT bits up; _DIGITS keeps the digit bytes of
+# words 1-2.  _DOT_IN_DIGITS is the k of a dot after d_k, 1 <= k <= 15, else
+# 0; _LOW and _POINT, indexed by that k, mask the digit bytes before the dot
+# and place the dot in words 1-2.
+_K = np.arange(_K_LO, _K_HI + 1)[:, None, None]
+_NEG = np.arange(2)[:, None]
 _FIXED = (_K >= 0) & (_K <= 16)
-_LENGTH = np.maximum(np.arange(18), np.where(_FIXED, _K + 1, 0))
+_LENGTH = np.maximum(np.arange(18), np.where(_FIXED, _K + 1, 0)) + 0 * _NEG   # both signs
 _DOT_AT = np.where(_FIXED, _K, np.where((_K < 0) & (_K >= -4), 17, 0))
 _DOT_AT = np.where(_LENGTH > _DOT_AT + 1, _DOT_AT, 17)       # 17: no dot
-
-
-def _byte_words(table) -> np.ndarray:
-    """Rows of 8 w bytes as rows of w little-endian words."""
-    return table.astype("u1").view("<u8").astype(_U)
-
-
-_PREFIX = (((_K < 0) & (_K >= -4) & (_B >= 1) & (_B <= 1 - _K))
-           * np.where(_B == 2, ord("."), ord("0")))
-_TABLE = _byte_words(_PREFIX[:, None] + (_DOT_AT[..., None] == 0) * (_B == 7) * ord(".")
-                     + ((_B >= 8) & (_B <= 6 + _LENGTH[..., None])) * 0xFF).reshape(-1, 3)
-_TABLE = [np.ascontiguousarray(_TABLE[:, w]) for w in range(3)]
+_ZEROS = np.where((_K < 0) & (_K >= -4), 1 - _K, 0)         # len("0.000")
+_D0 = 7 - (_DOT_AT == 0)                                     # d0's byte
+_SEP = _D0 - _ZEROS - _NEG - 1                               # the separator's byte
+_HEAD = (np.array([int.from_bytes(b"0.000"[:z].rjust(7, b"\0"), "little")
+                   for z in _ZEROS.ravel().tolist()], dtype=_U)[:, None, None]
+         | (_NEG > 0) * (_U(ord("-")) << (8 * _SEP + 8).astype(_U))
+         | (_DOT_AT == 0) * _U(ord(".") << 56)).ravel()
+_SEP_AT = (_U(1) << (8 * _SEP).astype(_U)).ravel()
+_D0_SHIFT = (8 * _D0).astype(_U).ravel()
+_FILL = np.array([(1 << 8 * i) - 1 for i in range(9)], dtype=_U)   # the low i bytes
+_BELOW = _FILL[np.clip(np.arange(17)[:, None] - [0, 8], 0, 8)]      # bytes 0..i-1 of 16
+_DIGITS = [_BELOW[_LENGTH - 1, w].ravel() for w in (0, 1)]
 _DOT_IN_DIGITS = np.where(_DOT_AT <= 15, _DOT_AT, 0).astype(np.int8).ravel()
-_LOW = _byte_words((_B[:16] < np.arange(16)[:, None]) * 0xFF)
-_POINT = _byte_words((_B[:16] == np.arange(16)[:, None]) * ord("."))
+_LOW = _BELOW[:16]
+_POINT = (_BELOW[1:] ^ _LOW) & _U(int.from_bytes(b"." * 8, "little"))
 _EXPONENT = np.frombuffer(b"".join((b"" if -4 <= k <= 16 else b"e%+03d" % k).ljust(8, b"\0")
                                    for k in range(_K_LO, _K_HI + 1)), dtype="<u8").astype(_U)
-del _C, _SIG, _K, _B, _FIXED, _LENGTH, _DOT_AT, _PREFIX
+del _DIGIT, _NZ, _SIG, _K, _NEG, _FIXED, _LENGTH, _DOT_AT, _ZEROS, _D0, _SEP, _FILL, _BELOW
 
 
-def _printf(values: np.ndarray) -> np.ndarray:
-    """b"%.17g" % x of each value as a row of three words, NUL-padded: the
-    values the fast path cannot certify."""
-    text = b"".join((b"%.17g" % x).ljust(24, b"\0") for x in values.tolist())
-    return np.frombuffer(text, dtype="<u8").reshape(-1, 3)
+def _printf(values: np.ndarray, sep: bytes) -> np.ndarray:
+    """sep + b"%.17g" % x of each value as a row of _WORDS words, NUL-padded:
+    the values the fast path cannot certify."""
+    text = b"".join((sep + b"%.17g" % x).ljust(8 * _WORDS, b"\0") for x in values.tolist())
+    return np.frombuffer(text, dtype="<u8").reshape(-1, _WORDS)
 
 
-def _fields(values: np.ndarray, out: np.ndarray) -> None:
-    """Write b"%.17g" % x of each float value into out (values.shape +
-    (_WORDS,) uint64 words), leaving the top byte of each field's last word
-    zero for a separator."""
+def _fields(values: np.ndarray, out: np.ndarray, sep: bytes) -> None:
+    """Write sep + b"%.17g" % x of each float value into out (values.shape +
+    (_WORDS,) uint64 words); sep is one byte."""
     neg, n, k, ok = _float_digits(values.astype(np.float64, copy=False))
-    hi = n // 10 ** 8
-    lo = n - hi * 10 ** 8
-    c01, c3 = hi // 10 ** 4, lo // 10 ** 4
-    d0 = c01 // 10 ** 4
-    chunks = (c01 - d0 * 10 ** 4, hi - c01 * 10 ** 4, c3, lo - c3 * 10 ** 4)
+    # N is d0 and the 4-digit chunks c0..c3; // by a constant is faster
+    # than np.divmod
+    c1 = n // 10 ** 8
+    n -= c1 * 10 ** 8
+    c0 = c1 // 10 ** 4
+    c1 -= c0 * 10 ** 4
+    c2 = n // 10 ** 4
+    n -= c2 * 10 ** 4
+    d0 = c0 // 10 ** 4
+    c0 -= d0 * 10 ** 4
+    chunks = (c0, c1, c2, n)
     k -= _K_LO
-    key = k * 18 + np.maximum(np.maximum(_CHUNK_LEN[0][chunks[0]], _CHUNK_LEN[1][chunks[1]]),
-                              np.maximum(_CHUNK_LEN[2][chunks[2]], _CHUNK_LEN[3][chunks[3]]))
-    out[..., 0] = _TABLE[0][key] | neg * _U(ord("-")) | (d0 + 48).astype(_U) << _U(48)
+    key = k * 2
+    key += neg
+    key *= 18
+    length = np.maximum(_CHUNK_LEN[0].take(c0), _CHUNK_LEN[1].take(c1))
+    for w in (2, 3):
+        np.maximum(length, _CHUNK_LEN[w].take(chunks[w]), out=length)
+    key += length
+    d0 += ord("0")
+    d0 = d0.view(_U)
+    d0 <<= _D0_SHIFT.take(key)
+    np.bitwise_or(d0, (_HEAD | _SEP_AT * _U(sep[0])).take(key), out=out[..., 0])
     for w in (1, 2):
-        out[..., w] = (_QUAD[0][chunks[2 * w - 2]] | _QUAD[1][chunks[2 * w - 1]]) & _TABLE[w][key]
-    out[..., 3] = _EXPONENT[k]
+        digits = _QUAD_LO.take(chunks[2 * w - 2])
+        digits |= _QUAD_HI.take(chunks[2 * w - 1])
+        np.bitwise_and(digits, _DIGITS[w - 1].take(key), out=out[..., w])
+    out[..., 3] = _EXPONENT.take(k)
     if k.max(initial=0) > -_K_LO:           # some |x| >= 10: a dot among the digits?
-        dot = _DOT_IN_DIGITS[key]
+        dot = _DOT_IN_DIGITS.take(key)
         at = np.nonzero(dot)
         dot = dot[at]
         digits = out[at + (slice(1, 3),)]
@@ -239,31 +284,28 @@ def _fields(values: np.ndarray, out: np.ndarray) -> None:
         out[at + (3,)] = moved[:, 1] >> _U(56)
     if not ok.all():
         bad = np.nonzero(~ok)
-        out[bad + (slice(0, 3),)] = _printf(values[bad])
-        out[bad + (3,)] = 0
+        out[bad] = _printf(values[bad], sep)
 
 
-def _text(words: np.ndarray, fields: np.ndarray, sep: bytes) -> np.ndarray:
-    """The text of words as uint8, whose fields (..., c, w) hold NUL-padded
-    text with the top byte of each field's last word zero: sep after each
-    field of a line, LF after its last.  The NULs are dropped by a mask,
-    which numpy compacts without holding the GIL."""
-    fields[..., :-1, -1] |= _U(ord(sep)) << _U(56)
-    fields[..., -1, -1] |= _U(ord("\n")) << _U(56)
+def _text(words: np.ndarray) -> np.ndarray:
+    """The text of NUL-padded words as uint8.  The NULs are dropped by a
+    mask, which numpy compacts without holding the GIL."""
     flat = words.astype("<u8", copy=False).view(np.uint8).reshape(-1)
     return flat[flat != 0]
 
 
 def _index_words(n: int, n_words: int) -> np.ndarray:
-    """b"%d" % i of i = 0..n in row i of n_words little-endian uint64 words:
-    the digits left-aligned, then NUL padding.  The values of one digit
-    count are a run of rows, and each digit place of a run is one column."""
+    """b" %d" % i of i = 0..n in row i of n_words little-endian uint64
+    words: the text left-aligned, then NUL padding.  The values of one
+    digit count are a run of rows, and each digit place of a run is one
+    column."""
     text = np.zeros((n + 1, 8 * n_words), dtype=np.uint8)
-    text[0, 0] = ord("0")
+    text[:, 0] = ord(" ")
+    text[0, 1] = ord("0")
     for d in range(1, len(str(n)) + 1):
         run = slice(10 ** (d - 1), min(10 ** d, n + 1))
         q = np.arange(run.start, run.stop)
-        for pos in range(d - 1, -1, -1):
+        for pos in range(d, 0, -1):
             next_q = q // 10
             text[run, pos] = q - next_q * 10 + ord("0")
             q = next_q
@@ -305,34 +347,38 @@ def _map_rows(task: Callable[[slice], np.ndarray], m: int, step: int) -> List[np
     return texts
 
 
+# Each OBJ line starts with the top bytes of its first word: LF, then v or f.
+_LINE_V, _LINE_F = (int.from_bytes(b"\0" * 6 + b"\n" + kind, "little") for kind in (b"v", b"f"))
+
+
 def _vertex_lines(vertices: np.ndarray) -> List[np.ndarray]:
-    """"v x y z" lines of float vertices, one line per row."""
+    """The lines "v x y z" of float vertices, one per row, each led by
+    its LF."""
     m, c = vertices.shape
 
     def lines(rows):
         block = vertices[rows]
         words = np.empty((len(block), 1 + _WORDS * c), dtype=_U)
-        words[:, 0] = int.from_bytes(b"v ", "little")
-        fields = words[:, 1:].reshape(len(block), c, _WORDS)
-        _fields(block, fields)
-        return _text(words, fields, b" ")
+        words[:, 0] = _LINE_V
+        _fields(block, words[:, 1:].reshape(len(block), c, _WORDS), b" ")
+        return _text(words)
 
     return _map_rows(lines, m, max(1, _BLOCK_VALUES // c))
 
 
 def _face_lines(faces: np.ndarray, n: int) -> List[np.ndarray]:
-    """"f a b c" lines of 1-based int64 faces over n vertices, every value
-    in 1..n: the text of 1..n is formatted once and gathered."""
-    n_words = len(b"%d" % n) // 8 + 1   # a byte left for the separator
+    """The lines "f a b c" of 1-based int64 faces over n vertices, each led
+    by its LF, every value in 1..n: the text of 1..n is formatted once and
+    gathered."""
+    n_words = -(-len(b" %d" % n) // 8)
     table = _index_words(n, n_words)
 
     def lines(rows):
         block = faces[rows]
         words = np.empty((len(block), 1 + 3 * n_words), dtype=_U)
-        words[:, 0] = int.from_bytes(b"f ", "little")
-        fields = words[:, 1:].reshape(len(block), 3, n_words)
-        fields[:] = table.take(block, axis=0)
-        return _text(words, fields, b" ")
+        words[:, 0] = _LINE_F
+        words[:, 1:].reshape(len(block), 3, n_words)[:] = table.take(block, axis=0)
+        return _text(words)
 
     return _map_rows(lines, len(faces), _BLOCK_VALUES // 3)
 
@@ -350,8 +396,9 @@ def export_obj(mesh: ProjectedMesh) -> bytes:
     faces = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3)
     if faces.size and (faces.min() < 0 or faces.max() >= n):
         raise OutOfDomain(f"face index outside the {n} vertices 0..{n - 1}")
-    return b"".join(_vertex_lines(np.asarray(mesh.vertices, dtype=float))
-                    + _face_lines(faces + 1, n))
+    texts = _vertex_lines(np.asarray(mesh.vertices, dtype=float)) + _face_lines(faces + 1, n)
+    texts[0] = texts[0][1:]                 # the first line's LF
+    return b"".join(texts + [b"\n"])
 
 
 CSV_COLUMNS = ("u", "v", "x1", "y1", "x2", "y2", "N1", "N2", "N3", "angle")
@@ -361,14 +408,15 @@ def export_csv(grid: SurfaceGrid) -> bytes:
     """Serialize a sampled grid as CSV with the fixed column order.
 
     Formats whole grid rows at a time, about _BLOCK_VALUES values; every u
-    and v is formatted once.
+    and v is formatted once.  Each line starts with the LF that ends the
+    line before it, carried by the u column.
     """
     nu, nv = grid.shape
     if nu == 0 or nv == 0:
         raise OutOfDomain("no samples to export")
     u_words, v_words = np.empty((nu, _WORDS), dtype=_U), np.empty((nv, _WORDS), dtype=_U)
-    _fields(grid.us, u_words)
-    _fields(grid.vs, v_words)
+    _fields(grid.us, u_words, b"\n")
+    _fields(grid.vs, v_words, b",")
 
     def lines(rows):
         cols = np.concatenate([grid.positions[rows], grid.normals[rows],
@@ -376,8 +424,8 @@ def export_csv(grid: SurfaceGrid) -> bytes:
         words = np.empty(cols.shape[:2] + (10, _WORDS), dtype=_U)
         words[:, :, 0] = u_words[rows, None]
         words[:, :, 1] = v_words
-        _fields(cols, words[:, :, 2:])
-        return _text(words, words, b",")
+        _fields(cols, words[:, :, 2:], b",")
+        return _text(words)
 
-    header = ",".join(CSV_COLUMNS).encode("ascii") + b"\n"
-    return b"".join([header] + _map_rows(lines, nu, max(1, _BLOCK_VALUES // (8 * nv))))
+    header = ",".join(CSV_COLUMNS).encode("ascii")
+    return b"".join([header] + _map_rows(lines, nu, max(1, _BLOCK_VALUES // (8 * nv))) + [b"\n"])

@@ -345,12 +345,15 @@ def test_csv_nan_for_defect_samples():
 
 # ----------------------------------------------------------------- formatter
 
-def formatted(values):
-    """The text _fields lays out for each value, NULs removed."""
+def formatted(values, sep=b","):
+    """The text _fields lays out for each value, NULs removed: sep, which
+    is checked and stripped, then the value."""
     values = np.asarray(values)
     out = np.empty(values.shape + (_WORDS,), dtype=np.uint64)
-    _fields(values, out)
-    return [w.astype("<u8").tobytes().translate(None, b"\0") for w in out]
+    _fields(values, out, sep)
+    texts = [w.astype("<u8").tobytes().translate(None, b"\0") for w in out]
+    assert all(t.startswith(sep) for t in texts)
+    return [t[len(sep):] for t in texts]
 
 
 def assert_like_printf(values):
@@ -383,14 +386,17 @@ def test_formatter_matches_printf_on_floats(xs):
     assert_like_printf(np.array(xs, dtype=np.float64))
 
 
-@pytest.mark.parametrize("values", [
-    [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf],
-    with_neighbours([1e-29, 1e17, 1e-5, 1e-4, 1e16]),           # the edges of the fast path
-    with_neighbours(10.0 ** np.arange(-300, 301)),
-    2.0 ** 53 + np.arange(-300.0, 300.0),                          # integers near 2**53
-    [2.0 ** -25, 3 * 2.0 ** -25, 2.0 ** -26, 5 * 2.0 ** -30],     # exact 18-digit ties
-    np.arange(1, 4097) / 8.0,
-], ids=["specials", "range-edges", "powers-of-ten", "near-2**53", "ties", "eighths"])
+EDGES = {
+    "specials": [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf],
+    "range-edges": with_neighbours([1e-29, 1e17, 1e-5, 1e-4, 1e16]),   # the fast path's edges
+    "powers-of-ten": with_neighbours(10.0 ** np.arange(-300, 301)),
+    "near-2**53": 2.0 ** 53 + np.arange(-300.0, 300.0),                # integers near 2**53
+    "ties": [2.0 ** -25, 3 * 2.0 ** -25, 2.0 ** -26, 5 * 2.0 ** -30],  # exact 18-digit ties
+    "eighths": np.arange(1, 4097) / 8.0,
+}
+
+
+@pytest.mark.parametrize("values", list(EDGES.values()), ids=list(EDGES))
 def test_formatter_matches_printf_on_edges(values):
     assert_like_printf(np.asarray(values, dtype=np.float64))
 
@@ -426,6 +432,32 @@ def test_formatter_matches_printf_at_every_dot_position_and_length():
     assert_like_printf(with_neighbours([x for x, _, _ in fixed_notation_values()]))
 
 
+@pytest.mark.parametrize("sep", [b",", b"\n", b" "])
+def test_each_field_is_one_run_of_text_that_starts_with_its_separator(sep):
+    """The mask of _text compacts a run of bytes faster than scattered
+    bytes: each field's non-NUL bytes are one run, sep first, but for the
+    one gap of a scientific value of fewer than 17 digits, before its
+    exponent.  Over every edge set, every dot position and length, and both
+    signs of each "0.000" prefix (k = -4..-1)."""
+    values = np.concatenate([np.asarray(v, dtype=float) for v in EDGES.values()]
+                            + [with_neighbours([x for x, _, _ in fixed_notation_values()])])
+    out = np.empty(values.shape + (_WORDS,), dtype=np.uint64)
+    _fields(values, out, sep)
+    prefixes = set()
+    for x, words in zip(values.tolist(), out):
+        text = b"%.17g" % x
+        runs = [r for r in words.astype("<u8").tobytes().split(b"\0") if r]
+        mantissa, e, exponent = text.partition(b"e")
+        if len(runs) == 2:
+            assert runs == [sep + mantissa, e + exponent], (x, runs)
+            assert len(mantissa.lstrip(b"-").replace(b".", b"")) < 17, (x, runs)
+        else:
+            assert runs == [sep + text], (x, runs)
+        if text.lstrip(b"-").startswith(b"0.") and not e:
+            prefixes.add(text[:len(text) - len(text.lstrip(b"-.0"))])
+    assert prefixes == {sign + b"0." + b"0" * z for sign in (b"", b"-") for z in range(4)}
+
+
 def distance_to_tie(x):
     """How far |x| * 10**(16 - k) lies from the nearest rounding tie (an
     odd multiple of 1/2), exactly; k is the decimal exponent of x, and
@@ -440,9 +472,9 @@ def test_fast_path_formats_values_from_ten_to_1e17_unless_near_a_tie(monkeypatch
     # tie, give or take the 1e-14 error of the scaled value
     fallback, wrapped = [], export._printf
 
-    def printf(values):
+    def printf(values, sep):
         fallback.extend(values.tolist())
-        return wrapped(values)
+        return wrapped(values, sep)
 
     monkeypatch.setattr(export, "_printf", printf)
     rng = np.random.default_rng(7)
@@ -475,12 +507,12 @@ def test_formatter_matches_printf_on_integers():
     values += [n] * (-len(values) % 3)
     # shuffled, so that the edges fall in every block of faces
     faces = np.random.default_rng(3).permutation(np.array(values, dtype=np.int64)).reshape(-1, 3)
-    assert b"".join(_face_lines(faces, n)) == b"".join(b"f %d %d %d\n" % tuple(f)
+    assert b"".join(_face_lines(faces, n)) == b"".join(b"\nf %d %d %d" % tuple(f)
                                                        for f in faces.tolist())
     for n_words in (1, 3):
         rows = _index_words(n, n_words).astype("<u8")
         assert rows.shape == (n + 1, n_words)
-        assert [r.tobytes().rstrip(b"\0") for r in rows] == [b"%d" % i for i in range(n + 1)]
+        assert [r.tobytes().rstrip(b"\0") for r in rows] == [b" %d" % i for i in range(n + 1)]
 
 
 def extreme_values(rng, shape):
@@ -594,7 +626,7 @@ def test_a_failing_block_reaches_the_caller_and_stops_the_other_worker(monkeypat
     g = positions_grid(np.arange(nu, dtype=float)[:, None, None] + np.zeros((nu, 5, 4)))
     real, raised, taken = export._fields, threading.Event(), []
 
-    def fields(values, out):
+    def fields(values, out, sep):
         if values.ndim == 3:                    # a block of grid rows, not an axis
             row = int(values[0, 0, 0])
             if row == 2:
@@ -603,7 +635,7 @@ def test_a_failing_block_reaches_the_caller_and_stops_the_other_worker(monkeypat
             if row > 2:
                 assert raised.wait(timeout=30)
                 taken.append(row)
-        real(values, out)
+        real(values, out, sep)
 
     monkeypatch.setattr(export, "_fields", fields)
     with pytest.raises(RuntimeError, match="third block"):
