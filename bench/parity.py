@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -67,8 +68,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, help="inclusive range A-B, or one seed")
     ap.add_argument("--smoke", action="store_true", help="the workloads' small grids")
     args = ap.parse_args(argv)
-    first, _, last = args.seeds.partition("-")
-    seeds = range(int(first), int(last or first) + 1)
+    m = re.fullmatch(r"(\d+)(?:-(\d+))?", args.seeds)
+    seeds = range(int(m[1]), int(m[2] or m[1]) + 1) if m else range(0)
+    if not seeds:       # an empty range would print nothing, which diffs as equal
+        ap.error(f"--seeds must be A-B with A <= B, or one seed A; got {args.seeds!r}")
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)

@@ -58,8 +58,6 @@ class ProjectedMesh:
     dense, are listed in defects as (i, j), and no face touches them.
     """
 
-    nu: int
-    nv: int
     vertices: np.ndarray
     faces: np.ndarray
     defects: List[Tuple[int, int]] = field(default_factory=list)
@@ -86,7 +84,7 @@ def project_grid(grid: SurfaceGrid, pole: int = 4) -> ProjectedMesh:
          + np.arange(nv - 1, dtype=np.int64)[None, :])[keep]
     c = a + nv
     faces = np.stack([a, c, c + 1, a, c + 1, a + 1], axis=1).reshape(-1, 3)
-    return ProjectedMesh(nu=nu, nv=nv, vertices=verts, faces=faces, defects=defects)
+    return ProjectedMesh(vertices=verts, faces=faces, defects=defects)
 
 
 # ------------------------------------------------------------ %.17g in numpy

@@ -186,19 +186,18 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _family_jet(surface: HelixSurface, v, apply):
-    """(A(v), F_v), the one F_v recipe of both kernels: F_v is
-    apply(dA/dv) from one assemble, where dA/dv is the jets' derivative,
-    or with fv_method "fd" Im A(v + i CSTEP) / CSTEP.  A complex v is a
-    probe's own complex step, which fd's step cannot nest in, so it always
-    takes the jets.
+def _family_jet(surface: HelixSurface, v):
+    """(A(v), dA/dv) from one assemble, the one F_v recipe of both kernels
+    (F_v = dA/dv beta(u)): dA/dv is the jets' derivative, or with
+    fv_method "fd" Im A(v + i CSTEP) / CSTEP.  A complex v is a probe's
+    own complex step, which fd's step cannot nest in, so it always takes
+    the jets.
     """
     if surface.fv_method == "analytic" or np.iscomplexobj(v):
-        A, dA = assemble(surface.profile, v, 1)
-        return A, apply(dA)
+        return tuple(assemble(surface.profile, v, 1))
     A, = assemble(surface.profile, v + 1j * CSTEP)
     # a contiguous copy: einsum sums a strided view in another order
-    return np.ascontiguousarray(A.real), apply(A.imag / CSTEP)
+    return np.ascontiguousarray(A.real), A.imag / CSTEP
 
 
 def tangent_data(surface: HelixSurface, u, v) -> TangentData:
@@ -208,10 +207,10 @@ def tangent_data(surface: HelixSurface, u, v) -> TangentData:
     distinct v (by bit pattern, so -0.0 and 0.0 stay apart) and gathered,
     so a grid passed as (us[:, None], vs[None, :]) or a point set that
     repeats its v builds each A(v) once, and beta and beta' share one
-    cos/sin pass.  F_v comes from _family_jet.  The normal is the cross
-    product of the frame components, written out as np.cross computes it.
-    Complex (u, v) stay complex.  The domain of (u, v) is not checked here;
-    the pointwise views check it.
+    cos/sin pass.  F_v is dA/dv from _family_jet applied to beta(u).  The
+    normal is the cross product of the frame components, written out as
+    np.cross computes it.  Complex (u, v) stay complex.  The domain of
+    (u, v) is not checked here; the pointwise views check it.
     """
     u = as_array(u)
     v = as_array(v)
@@ -221,7 +220,8 @@ def tangent_data(surface: HelixSurface, u, v) -> TangentData:
     bits = flat.view(np.int64 if flat.dtype == np.float64 else f"V{flat.itemsize}")
     _, first, back = np.unique(bits, return_index=True, return_inverse=True)
     back = back.reshape(v.shape)
-    A, fv = _family_jet(surface, flat[first], lambda D: _apply(D[back], b))
+    A, dA = _family_jet(surface, flat[first])
+    fv = _apply(dA[back], b)
     A = A[back]
     return _tangent_tail(surface, _apply(A, b), _apply(A, bu), fv)
 
@@ -356,7 +356,6 @@ class SurfaceGrid:
     positions: np.ndarray          # (nu, nv, 4)
     normals: np.ndarray            # (nu, nv, 3) frame components
     angles: np.ndarray             # (nu, nv)
-    fv_method: str
     defects: List[Tuple[int, int, str]] = field(default_factory=list)
 
     @property
@@ -381,7 +380,7 @@ def sample_grid(surface: HelixSurface, nu: int, nv: int) -> SurfaceGrid:
     recorded, not fatal.
     """
     us, vs = grid_axes(surface, nu, nv)
-    jet = _family_jet(surface, vs, lambda D: D)
+    jet = _family_jet(surface, vs)
     positions = _apply(jet[0], beta(us, surface.consts)[:, None])
     sweep = sweep_grid(surface, us, vs, jet)
     normals = sweep.normals
@@ -389,7 +388,7 @@ def sample_grid(surface: HelixSurface, nu: int, nv: int) -> SurfaceGrid:
     defects = [(int(i), int(j), DEFECT_KINDS[sweep.defect[i, j] - 1])
                for i, j in zip(*np.nonzero(sweep.defect))]
     return SurfaceGrid(us=us, vs=vs, positions=positions, normals=normals,
-                       angles=sweep.angle, fv_method=surface.fv_method, defects=defects)
+                       angles=sweep.angle, defects=defects)
 
 
 # the ten monomials b_i b_j, i <= j, of the sweep's quadratic forms
@@ -430,13 +429,13 @@ def _sweep_forms(surface: HelixSurface, vs: np.ndarray, jet=None):
     Returns C, (9, 10, nv), holding per v the coefficients of
     <F_u, J_k F> (k = 1, 2, 3), <F_v, J_k F> (k = 1, 2, 3), |F_u|^2,
     |F_v|^2 and <F_u, F_v>, with F = A b, F_u = A K b and F_v = D b.
-    jet is (A, D), _family_jet on vs with D its matrix, assembled here if
-    not given.  Every Q(v) is built from the assembled matrices, so the
-    sweep leans on no identity of the family (orthogonality, A J1 = J1 A)
-    that the family checks certify.
+    jet is (A, D), _family_jet on vs, assembled here if not given.
+    Every Q(v) is built from the assembled matrices, so the sweep leans on
+    no identity of the family (orthogonality, A J1 = J1 A) that the family
+    checks certify.
     """
     c = surface.consts
-    A, D = _family_jet(surface, vs, lambda D: D) if jet is None else jet
+    A, D = _family_jet(surface, vs) if jet is None else jet
     # beta' = K beta: K turns each complex coordinate of beta at its frequency
     K = np.zeros((4, 4))
     K[1, 0], K[3, 2] = c.alpha1, c.alpha2

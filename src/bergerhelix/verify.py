@@ -408,7 +408,7 @@ class _Run:
     @cached_property
     def family_jet(self):
         """(A, dA/dv) on the grid's vs, as _family_jet gives them."""
-        return _family_jet(self.surface, self.axes[1], lambda D: D)
+        return _family_jet(self.surface, self.axes[1])
 
     @cached_property
     def subgrid(self) -> Tuple[np.ndarray, np.ndarray]:

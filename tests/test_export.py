@@ -117,7 +117,7 @@ def positions_grid(positions):
     nu, nv = positions.shape[:2]
     return SurfaceGrid(us=np.arange(nu, dtype=float), vs=np.arange(nv, dtype=float),
                        positions=positions, normals=np.zeros((nu, nv, 3)),
-                       angles=np.zeros((nu, nv)), fv_method="analytic")
+                       angles=np.zeros((nu, nv)))
 
 
 def test_stereographic_axis_points():
@@ -254,7 +254,7 @@ def test_projection_matches_gather_scatter_bit_for_bit(pole):
 
 def test_obj_faces_list_and_array_same_bytes():
     mesh = project_grid(planted_pole_grid())
-    as_list = ProjectedMesh(nu=mesh.nu, nv=mesh.nv, vertices=mesh.vertices,
+    as_list = ProjectedMesh(vertices=mesh.vertices,
                             faces=[tuple(f) for f in mesh.faces.tolist()],
                             defects=mesh.defects)
     assert export_obj(as_list) == export_obj(mesh)
@@ -262,7 +262,7 @@ def test_obj_faces_list_and_array_same_bytes():
 
 @pytest.mark.parametrize("faces", [[], np.zeros((0, 3), dtype=np.int64)], ids=["list", "array"])
 def test_obj_without_faces_is_its_vertex_lines(faces):
-    mesh = ProjectedMesh(nu=2, nv=3, vertices=np.arange(18.0).reshape(6, 3) / 7, faces=faces)
+    mesh = ProjectedMesh(vertices=np.arange(18.0).reshape(6, 3) / 7, faces=faces)
     assert export_obj(mesh) == obj_reference(mesh)
     assert b"f " not in export_obj(mesh)
 
@@ -272,7 +272,7 @@ def test_obj_without_faces_is_its_vertex_lines(faces):
     st.just(n), st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=60))))
 def test_obj_faces_match_per_value_reference(case):
     n, faces = case
-    mesh = ProjectedMesh(nu=1, nv=n, vertices=np.linspace(-1.0, 1.0, 3 * n).reshape(n, 3),
+    mesh = ProjectedMesh(vertices=np.linspace(-1.0, 1.0, 3 * n).reshape(n, 3),
                          faces=np.array(faces, dtype=np.int64).reshape(-1, 3))
     expected = obj_reference(mesh)
     assert export_obj(mesh) == expected
@@ -284,14 +284,14 @@ def test_obj_faces_match_per_value_reference(case):
 def test_obj_refuses_faces_outside_the_mesh(kind, bad):
     # OBJ has no vertex 0, and reads a negative index from the last vertex
     faces = [(0, 1, 5), (5, bad, 4)]
-    mesh = ProjectedMesh(nu=2, nv=3, vertices=np.arange(18.0).reshape(6, 3) / 7,
+    mesh = ProjectedMesh(vertices=np.arange(18.0).reshape(6, 3) / 7,
                          faces=faces if kind == "list" else np.array(faces, dtype=np.int64))
     with pytest.raises(OutOfDomain, match="face index outside the 6 vertices"):
         export_obj(mesh)
 
 
 def test_obj_empty_mesh_rejected():
-    empty = ProjectedMesh(nu=0, nv=0, vertices=np.zeros((0, 3)), faces=[])
+    empty = ProjectedMesh(vertices=np.zeros((0, 3)), faces=[])
     with pytest.raises(OutOfDomain, match="no vertices to export"):
         export_obj(empty)
 
@@ -530,7 +530,7 @@ def test_extreme_grid_matches_per_value_reference():
     grid = SurfaceGrid(us=extreme_values(rng, nu), vs=extreme_values(rng, nv),
                        positions=extreme_values(rng, (nu, nv, 4)),
                        normals=extreme_values(rng, (nu, nv, 3)),
-                       angles=extreme_values(rng, (nu, nv)), fv_method="analytic")
+                       angles=extreme_values(rng, (nu, nv)))
     assert export_csv(grid) == csv_reference(grid)
 
 
@@ -550,21 +550,21 @@ def test_dot_among_digits_grid_matches_per_value_reference():
     grid = SurfaceGrid(us=dot_among_digits_values(rng, nu), vs=dot_among_digits_values(rng, nv),
                        positions=dot_among_digits_values(rng, (nu, nv, 4)),
                        normals=dot_among_digits_values(rng, (nu, nv, 3)),
-                       angles=dot_among_digits_values(rng, (nu, nv)), fv_method="analytic")
+                       angles=dot_among_digits_values(rng, (nu, nv)))
     assert export_csv(grid) == csv_reference(grid)
 
 
 def test_dot_among_digits_mesh_matches_per_value_reference():
     rng = np.random.default_rng(34)
     faces = np.array([[8, 9, 10], [0, 39, 38], [10, 1, 0]], dtype=np.int64)
-    mesh = ProjectedMesh(nu=5, nv=8, vertices=dot_among_digits_values(rng, (40, 3)), faces=faces)
+    mesh = ProjectedMesh(vertices=dot_among_digits_values(rng, (40, 3)), faces=faces)
     assert export_obj(mesh) == obj_reference(mesh)
 
 
 def test_extreme_mesh_matches_per_value_reference():
     rng = np.random.default_rng(32)
     faces = np.array([[8, 9, 10], [0, 39, 38], [10, 1, 0]], dtype=np.int64)
-    mesh = ProjectedMesh(nu=5, nv=8, vertices=extreme_values(rng, (40, 3)), faces=faces)
+    mesh = ProjectedMesh(vertices=extreme_values(rng, (40, 3)), faces=faces)
     assert export_obj(mesh) == obj_reference(mesh)
 
 

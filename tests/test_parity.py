@@ -31,3 +31,23 @@ def test_parity_smoke_prints_one_digest_per_output():
     want = {"verify-fault": b"1", "invalid-config": b"2"}
     assert codes == {cid: hashlib.sha256(want.get(cid, b"0")).hexdigest() for cid in codes}
     assert lines["0/cli_roundtrip/invalid-config/output"] == "absent"
+
+
+def test_parity_refuses_a_malformed_or_empty_seed_range():
+    pytest.importorskip("scipy")    # perfbench/workloads.py imports it
+    # one process calls main once per range; argparse exits 2 before any workload runs
+    script = ("import sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import parity\n"
+              "for seeds in sys.argv[2:]:\n"
+              "    try:\n"
+              "        parity.main(['--seeds', seeds])\n"
+              "    except SystemExit as exc:\n"
+              "        print(exc.code)\n")
+    bad = ["1-0", "0-1-2", "0-", "a"]
+    proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "bench"), *bad],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"] * len(bad)
+    assert all(f"got {seeds!r}" in proc.stderr for seeds in bad)

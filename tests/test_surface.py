@@ -380,7 +380,6 @@ def test_grid_rejects_trivial_sizes():
 def test_grid_fd_mode_keeps_boundary_columns():
     # only the singular line u = 0 of the reference surface is a defect
     g = sample_grid(surface_ref(fv_method="fd"), 11, 11)
-    assert g.fv_method == "fd"
     assert g.defects == [(0, j, "degenerate_tangent_plane") for j in range(11)]
     assert np.max(np.abs(g.angles[1:] - P_REF.theta)) < 1e-12
 
